@@ -280,7 +280,7 @@ mod tests {
             ("crates/store/src/sync.rs", Some(Shim)),
             ("crates/core/src/sync.rs", Some(Shim)),
             ("crates/obs/src/sync/clock.rs", Some(Shim)),
-            ("crates/bench/src/suite.rs", Some(Bench)),
+            ("crates/bench/src/store_micro.rs", Some(Bench)),
             ("crates/bench/benches/store_micro.rs", Some(Test)),
             ("crates/engine/tests/loom.rs", Some(Test)),
             ("examples/conformance.rs", Some(Test)),

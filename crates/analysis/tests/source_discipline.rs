@@ -275,7 +275,7 @@ fn design_doc_ft21x_table_matches_registry() {
 fn classification_matches_the_real_tree() {
     assert_eq!(classify("crates/obs/src/sync.rs"), Some(FileClass::Shim));
     assert_eq!(classify("crates/analysis/tests/fixtures/ft201_sync_primitives.rs"), None);
-    assert_eq!(classify("crates/bench/src/suite.rs"), Some(FileClass::Bench));
+    assert_eq!(classify("crates/bench/src/store_micro.rs"), Some(FileClass::Bench));
     assert_eq!(classify("src/bin/ftpde.rs"), Some(FileClass::Bin));
 }
 

@@ -27,6 +27,5 @@ pub mod fig12;
 pub mod fig13;
 pub mod report;
 pub mod store_micro;
-pub mod suite;
 pub mod tab02;
 pub mod tab03;

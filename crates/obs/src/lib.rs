@@ -66,7 +66,7 @@ pub use event::{ArgValue, Event, Phase};
 pub use flight::{FlightDump, FlightRecorder};
 pub use metrics::{
     global, AtomicHistogram, Counter, Gauge, HistogramHandle, HistogramSnapshot, MetricsRegistry,
-    MetricsSnapshot, MutexHistogram, ShardedCounter,
+    MetricsSnapshot, ShardedCounter,
 };
 pub use progress::{ProgressRegistry, ProgressSnapshot, QueryHandle, QuerySnapshot};
 pub use recorder::{MemoryRecorder, NoopRecorder, Recorder};

@@ -7,9 +7,8 @@
 //!   atomic counters so concurrent `add`s don't bounce one cache line),
 //!   [`AtomicF64`] (CAS on the bit pattern) and [`AtomicHistogram`]
 //!   (one relaxed `fetch_add` per observation into fixed power-of-two
-//!   buckets, plus CAS-maintained sum/min/max). A [`MutexHistogram`]
-//!   reference implementation with identical snapshots is kept for
-//!   differential tests.
+//!   buckets, plus CAS-maintained sum/min/max). The unit tests check it
+//!   against a mutex-guarded reference histogram.
 //! - **The registry** — [`MetricsRegistry`] maps names to primitives
 //!   behind a read-mostly `RwLock`: the first touch of a name takes the
 //!   write lock once; every later update is a read-lock + atomic op. Hot
@@ -27,7 +26,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::sync::plain::{Arc, AtomicU64, AtomicUsize, Mutex, OnceLock, Ordering, RwLock};
+use crate::sync::plain::{Arc, AtomicU64, AtomicUsize, OnceLock, Ordering, RwLock};
 
 /// Number of power-of-two histogram buckets. Bucket `i` covers values in
 /// `[2^(i-OFFSET), 2^(i-OFFSET+1))`; the extremes clamp.
@@ -138,7 +137,7 @@ impl ShardedCounter {
 /// Snapshots taken while writers are active are *per-field* consistent
 /// (each bucket, the sum, min and max are individually atomic) but not a
 /// point-in-time cut across fields; quiescent snapshots are exact and
-/// equal to [`MutexHistogram`]'s for the same observation stream.
+/// equal to those of a mutex-guarded histogram fed the same stream.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     buckets: Vec<AtomicU64>,
@@ -190,81 +189,6 @@ impl AtomicHistogram {
             sum: if count > 0 { self.sum.get() } else { 0.0 },
             min: (count > 0).then(|| self.min.get()),
             max: (count > 0).then(|| self.max.get()),
-            buckets,
-        }
-    }
-}
-
-/// The original mutex-guarded histogram, kept as the reference
-/// implementation the lock-free [`AtomicHistogram`] is differentially
-/// tested against: for any quiescent observation stream both produce
-/// identical [`HistogramSnapshot`]s.
-#[derive(Debug, Default)]
-pub struct MutexHistogram {
-    inner: Mutex<Histogram>,
-}
-
-impl MutexHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation.
-    pub fn observe(&self, value: f64) {
-        self.inner.lock().observe(value);
-    }
-
-    /// Freezes the current state.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        self.inner.lock().snapshot()
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Histogram {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    buckets: Vec<u64>,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            buckets: vec![0; BUCKETS],
-        }
-    }
-}
-
-impl Histogram {
-    fn observe(&mut self, value: f64) {
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        self.buckets[bucket_index(value)] += 1;
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        // Sparse form: only non-empty buckets, as (index, count).
-        let buckets = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u64, c))
-            .collect();
-        HistogramSnapshot {
-            count: self.count,
-            sum: self.sum,
-            min: (self.count > 0).then_some(self.min),
-            max: (self.count > 0).then_some(self.max),
             buckets,
         }
     }
@@ -562,6 +486,79 @@ pub fn global() -> &'static MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::plain::Mutex;
+
+    /// The original mutex-guarded histogram, kept as the reference
+    /// implementation the lock-free [`AtomicHistogram`] is differentially
+    /// tested against: for any quiescent observation stream both produce
+    /// identical [`HistogramSnapshot`]s.
+    #[derive(Debug, Default)]
+    struct MutexHistogram {
+        inner: Mutex<Histogram>,
+    }
+
+    impl MutexHistogram {
+        fn new() -> Self {
+            Self::default()
+        }
+
+        fn observe(&self, value: f64) {
+            self.inner.lock().observe(value);
+        }
+
+        fn snapshot(&self) -> HistogramSnapshot {
+            self.inner.lock().snapshot()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    struct Histogram {
+        count: u64,
+        sum: f64,
+        min: f64,
+        max: f64,
+        buckets: Vec<u64>,
+    }
+
+    impl Default for Histogram {
+        fn default() -> Self {
+            Histogram {
+                count: 0,
+                sum: 0.0,
+                min: f64::INFINITY,
+                max: f64::NEG_INFINITY,
+                buckets: vec![0; BUCKETS],
+            }
+        }
+    }
+
+    impl Histogram {
+        fn observe(&mut self, value: f64) {
+            self.count += 1;
+            self.sum += value;
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+            self.buckets[bucket_index(value)] += 1;
+        }
+
+        fn snapshot(&self) -> HistogramSnapshot {
+            // Sparse form: only non-empty buckets, as (index, count).
+            let buckets = self
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(i, &c)| (i as u64, c))
+                .collect();
+            HistogramSnapshot {
+                count: self.count,
+                sum: self.sum,
+                min: (self.count > 0).then_some(self.min),
+                max: (self.count > 0).then_some(self.max),
+                buckets,
+            }
+        }
+    }
 
     #[test]
     fn counters_accumulate() {
@@ -758,23 +755,32 @@ mod tests {
     /// identical snapshots.
     #[test]
     fn atomic_histogram_matches_mutex_reference() {
-        let atomic = AtomicHistogram::new();
-        let mutex = MutexHistogram::new();
-        let values: Vec<f64> =
+        let strided: Vec<f64> =
             (0..500).map(|i| ((i * 2_654_435_761_u64 % 10_000) as f64).max(0.001) * 0.37).collect();
-        for &v in &values {
-            atomic.observe(v);
-            mutex.observe(v);
-        }
-        let a = atomic.snapshot();
-        let m = mutex.snapshot();
-        assert_eq!(a.count, m.count);
-        assert_eq!(a.min, m.min);
-        assert_eq!(a.max, m.max);
-        assert_eq!(a.buckets, m.buckets);
-        assert!((a.sum - m.sum).abs() < 1e-6 * m.sum.abs().max(1.0));
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), m.quantile(q), "q = {q}");
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let pseudo_random: Vec<f64> = (0..10_000)
+            .map(|_| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (state >> 11) as f64 / (1u64 << 53) as f64 * 1e4 + 1e-6
+            })
+            .collect();
+        for values in [strided, pseudo_random] {
+            let atomic = AtomicHistogram::new();
+            let mutex = MutexHistogram::new();
+            for &v in &values {
+                atomic.observe(v);
+                mutex.observe(v);
+            }
+            let a = atomic.snapshot();
+            let m = mutex.snapshot();
+            assert_eq!(a.count, m.count);
+            assert_eq!(a.min, m.min);
+            assert_eq!(a.max, m.max);
+            assert_eq!(a.buckets, m.buckets);
+            assert!((a.sum - m.sum).abs() < 1e-6 * m.sum.abs().max(1.0));
+            for q in [0.0, 0.01, 0.1, 0.25, 0.5, 0.9, 0.99, 1.0] {
+                assert_eq!(a.quantile(q), m.quantile(q), "{} values, q = {q}", values.len());
+            }
         }
     }
 

@@ -1,9 +1,10 @@
 //! Integration coverage for the histogram layer through the public API:
 //! `HistogramSnapshot` quantile edge cases, `bucket_bounds` round-trips
-//! against `observe`, and differential consistency of the lock-free
-//! `AtomicHistogram` against the mutex-based reference implementation.
+//! against `observe`, snapshot merging and serde round-trips. The
+//! differential tests against the mutex-based reference implementation
+//! are unit tests in `metrics.rs`.
 
-use ftpde_obs::{AtomicHistogram, HistogramSnapshot, MetricsRegistry, MutexHistogram};
+use ftpde_obs::{AtomicHistogram, HistogramSnapshot, MetricsRegistry};
 
 fn snapshot_of(values: &[f64]) -> HistogramSnapshot {
     let h = AtomicHistogram::new();
@@ -95,68 +96,6 @@ fn extreme_values_clamp_into_edge_buckets() {
 }
 
 #[test]
-fn atomic_and_mutex_histograms_agree_on_any_quiescent_stream() {
-    // Differential test: a deterministic pseudo-random value stream
-    // observed into both implementations yields identical snapshots.
-    let atomic = AtomicHistogram::new();
-    let mutex = MutexHistogram::new();
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    for _ in 0..10_000 {
-        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-        let v = (state >> 11) as f64 / (1u64 << 53) as f64 * 1e4 + 1e-6;
-        atomic.observe(v);
-        mutex.observe(v);
-    }
-    let a = atomic.snapshot();
-    let m = mutex.snapshot();
-    assert_eq!(a.count, m.count);
-    assert_eq!(a.min, m.min);
-    assert_eq!(a.max, m.max);
-    assert_eq!(a.buckets, m.buckets);
-    assert!((a.sum - m.sum).abs() < 1e-6 * m.sum.abs().max(1.0));
-    for q in [0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0] {
-        assert_eq!(a.quantile(q), m.quantile(q), "quantile {q} diverged");
-    }
-}
-
-#[test]
-fn merged_per_thread_snapshots_match_one_shared_atomic_histogram() {
-    // Eight threads observe disjoint value ranges into (a) one shared
-    // atomic histogram and (b) a private mutex histogram each. Merging
-    // the per-thread snapshots must reproduce the shared histogram.
-    const THREADS: usize = 8;
-    const PER_THREAD: usize = 1_000;
-    let shared = AtomicHistogram::new();
-    let merged = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let shared = &shared;
-                s.spawn(move || {
-                    let local = MutexHistogram::new();
-                    for i in 0..PER_THREAD {
-                        let v = (t * PER_THREAD + i + 1) as f64 * 0.01;
-                        shared.observe(v);
-                        local.observe(v);
-                    }
-                    local.snapshot()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("observer thread"))
-            .fold(HistogramSnapshot::empty(), |acc, s| acc.merge(&s))
-    });
-    let a = shared.snapshot();
-    assert_eq!(a.count, (THREADS * PER_THREAD) as u64);
-    assert_eq!(a.count, merged.count);
-    assert_eq!(a.min, merged.min);
-    assert_eq!(a.max, merged.max);
-    assert_eq!(a.buckets, merged.buckets);
-    assert!((a.sum - merged.sum).abs() < 1e-6 * merged.sum.abs().max(1.0));
-}
-
-#[test]
 fn merge_is_commutative_and_has_empty_identity() {
     let a = snapshot_of(&[1.0, 2.0, 3.0]);
     let b = snapshot_of(&[0.125, 700.0]);
@@ -167,7 +106,7 @@ fn merge_is_commutative_and_has_empty_identity() {
 
 #[test]
 fn registry_snapshots_round_trip_through_serde() {
-    // BENCH JSON embeds snapshots; they must survive serialization.
+    // Exported snapshots must survive serialization.
     let reg = MetricsRegistry::new();
     reg.counter_add("engine.node_retries_total", 4);
     reg.gauge_set("bench.overhead_pct", 2.5);

@@ -1,5 +1,5 @@
-//! Conformance-gate driver: produce traced, failure-injected runs and a
-//! small engine benchmark for CI to audit.
+//! Conformance-gate driver: produce traced, failure-injected runs for CI
+//! to audit.
 //!
 //! The example writes
 //!
@@ -11,12 +11,7 @@
 //!   full query restart;
 //! * `target/obs/sim_q1_{allmat,nomat_lineage,nomat_restart}.jsonl` —
 //!   the simulator's three baseline schemes (§5.2) replaying a generated
-//!   failure trace;
-//! * `target/bench/BENCH_engine.json` — stage timings of the Q3 run plus
-//!   checkpoint-store write/read throughput (MB/s), as a one-case
-//!   document in the canonical `ftpde bench` suite schema
-//!   (`ftpde_bench::suite::EngineDoc`), so the same tooling parses both
-//!   this artifact and the committed repo baselines.
+//!   failure trace.
 //!
 //! CI replays every JSONL file through `ftpde check --trace`, so the
 //! recovery protocol the traces exhibit is verified by the FT101…FT108
@@ -33,7 +28,6 @@ use ftpde::obs::{export, Event, MemoryRecorder};
 use ftpde::sim::prelude::*;
 use ftpde::tpch::datagen::Database;
 use ftpde::tpch::prelude::*;
-use ftpde_bench::{store_micro, suite};
 
 const NODES: usize = 3;
 
@@ -50,7 +44,7 @@ fn catalog() -> Catalog {
 
 /// Q3, everything materialized, fine-grained recovery, injected worker
 /// failures on first attempts of every collapsed stage.
-fn engine_fine() -> (Traced, RunReport) {
+fn engine_fine() -> Traced {
     let plan = q3_engine_plan();
     let dag = plan.to_plan_dag();
     let config = MatConfig::all(&dag);
@@ -58,9 +52,8 @@ fn engine_fine() -> (Traced, RunReport) {
     let roots: Vec<u32> = sp.stages().iter().map(|s| s.id as u32).collect();
     let injector = FailureInjector::random_first_attempts(&roots, NODES, 0.5, 11);
     let rec = MemoryRecorder::new();
-    let report =
-        run_query_traced(&plan, &config, &catalog(), &injector, &RunOptions::default(), None, &rec);
-    (Traced { file: "engine_q3_all_fine.jsonl", events: rec.events(), stage_plan: sp }, report)
+    run_query_traced(&plan, &config, &catalog(), &injector, &RunOptions::default(), None, &rec);
+    Traced { file: "engine_q3_all_fine.jsonl", events: rec.events(), stage_plan: sp }
 }
 
 /// Q1, nothing materialized, coarse restart: one injected failure aborts
@@ -97,79 +90,12 @@ fn sim_baseline(scheme: Scheme, file: &'static str) -> Traced {
     Traced { file, events: rec.events(), stage_plan: sp }
 }
 
-/// Shapes the traced Q3 run as a one-case [`suite::EngineDoc`]: the same
-/// schema the canonical `ftpde bench` suite writes, so `ftpde bench
-/// --compare` and any other consumer of BENCH documents parses this
-/// artifact too. A single traced run gives single-sample statistics;
-/// `overhead_pct` is not measured here (the recorder was attached for
-/// the whole run) and is reported as 0.
-fn bench(events: &[Event], run: &RunReport) -> suite::EngineDoc {
-    let wall_us = events
-        .iter()
-        .filter_map(|e| (e.name == "query_completed").then_some(e.ts_us))
-        .max()
-        .unwrap_or(0);
-    // Executions of the same stage are summed per the suite convention
-    // (the report's stage_timings is a timeline, not a per-stage map).
-    let mut per_stage: std::collections::BTreeMap<u32, (f64, u64)> =
-        std::collections::BTreeMap::new();
-    for t in &run.stage_timings {
-        let e = per_stage.entry(t.stage).or_insert((0.0, 0));
-        e.0 += t.wall_us as f64;
-        e.1 += t.retries;
-    }
-    let case = suite::EngineCase {
-        query: "Q3".to_string(),
-        config: "all".to_string(),
-        backend: "mem".to_string(),
-        failures: true,
-        wall_us: suite::Stats::of(&[wall_us as f64]),
-        stages: per_stage
-            .into_iter()
-            .map(|(stage, (wall, retries))| suite::StageStat {
-                stage,
-                wall_us: suite::Stats::of(&[wall]),
-                retries: retries as f64,
-            })
-            .collect(),
-        node_retries: run.node_retries as f64,
-        query_restarts: f64::from(run.query_restarts),
-        bytes_materialized: run.bytes_materialized as f64,
-    };
-    let store = store_micro::run()
-        .into_iter()
-        .map(|p| suite::StoreCase {
-            backend: p.backend.to_string(),
-            row_width: p.width,
-            mb_written: p.bytes as f64 / 1e6,
-            write_mb_per_s: p.write_bytes_per_s.map(|b| b / 1e6),
-            read_mb_per_s: p.read_bytes_per_s.map(|b| b / 1e6),
-        })
-        .collect();
-    suite::EngineDoc {
-        schema_version: suite::SCHEMA_VERSION,
-        suite: suite::ENGINE_SUITE.to_string(),
-        seed: 7,
-        repeats: 1,
-        warmup: 0,
-        nodes: NODES,
-        sf: 0.002,
-        host: suite::HostInfo::current(),
-        overhead_pct: 0.0,
-        cases: vec![case],
-        store,
-    }
-}
-
 fn main() {
     let obs_dir = std::path::Path::new("target/obs");
-    let bench_dir = std::path::Path::new("target/bench");
     std::fs::create_dir_all(obs_dir).expect("create target/obs");
-    std::fs::create_dir_all(bench_dir).expect("create target/bench");
 
-    let (fine, fine_report) = engine_fine();
     let traces = vec![
-        fine,
+        engine_fine(),
         engine_coarse(),
         sim_baseline(Scheme::AllMat, "sim_q1_allmat.jsonl"),
         sim_baseline(Scheme::NoMatLineage, "sim_q1_nomat_lineage.jsonl"),
@@ -188,21 +114,6 @@ fn main() {
             print!("{}", report.render());
         }
     }
-
-    let bench = bench(&traces[0].events, &fine_report);
-    let json = serde_json::to_string_pretty(&bench).expect("serialize bench");
-    // The artifact must stay parseable by the suite tooling.
-    suite::parse_doc(&json).expect("artifact parses as a BENCH document");
-    let bench_path = bench_dir.join("BENCH_engine.json");
-    std::fs::write(&bench_path, json).expect("write BENCH_engine.json");
-    let case = &bench.cases[0];
-    println!(
-        "{}: wall {} us, {} stages, {} store points",
-        bench_path.display(),
-        case.wall_us.p50,
-        case.stages.len(),
-        bench.store.len()
-    );
 
     assert_eq!(dirty, 0, "{dirty} trace(s) failed conformance");
 }

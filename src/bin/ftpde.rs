@@ -12,8 +12,6 @@
 //! ftpde check    --trace run.jsonl|- [--query Q5 --config best] [--format text|json]
 //! ftpde sim      --seed 42 | --seeds 0..64 [--shrink] [--bug serve-corrupt-data] [--bug-base tests/bug_base.jsonl]
 //! ftpde sim      --replay-bug-base tests/bug_base.jsonl
-//! ftpde bench    [--quick] [--repeats N] [--warmup N] [--seed N] [--out <dir>]
-//! ftpde bench    --compare <old.json> <new.json> [--tolerance <pct>]
 //! ftpde serve-metrics [--port N] [--store <dir>] [--flight-dir <dir>] [--budget-ms N] [--duration-s N]
 //! ftpde top      [--addr host:port] [--interval-ms N] [--iterations N] [--no-clear]
 //! ```
@@ -59,13 +57,6 @@
 //!   divergence, panics, unfired schedules). `--shrink` minimizes each
 //!   failing seed to a 1-minimal schedule; `--bug-base` records the
 //!   reproductions; `--replay-bug-base` re-judges a committed base.
-//! * `bench` — run the canonical benchmark suite (Q1/Q3/Q5 × {none,
-//!   best, all} materialization × mem/disk store backends × clean and
-//!   failure-injected runs, plus the optimizer search with pruning on
-//!   and off) and write versioned `BENCH_engine.json` /
-//!   `BENCH_search.json` documents; or, with `--compare`, diff two such
-//!   documents under a tolerance and exit nonzero on any perf
-//!   regression — the CI perf gate.
 //! * `serve-metrics` — run the embedded HTTP telemetry server
 //!   (`/metrics`, `/healthz`, `/flight`, `/queries`) against the
 //!   process-global metrics registry, flight recorder and per-query
@@ -81,7 +72,6 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use ftpde::analysis::prelude::*;
-use ftpde::bench::suite;
 use ftpde::cluster::prelude::*;
 use ftpde::core::prelude::*;
 use ftpde::obs;
@@ -94,12 +84,7 @@ type CliResult<T> = std::result::Result<T, String>;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `bench --compare <old> <new>` takes two positional paths, which the
-    // uniform `--flag value` grammar cannot express — dispatch it on the
-    // raw arguments.
-    let result = if args.first().map(String::as_str) == Some("bench") {
-        cmd_bench(&args[1..])
-    } else if args.first().map(String::as_str) == Some("explain") {
+    let result = if args.first().map(String::as_str) == Some("explain") {
         // `explain FT201` takes a positional code, which the uniform
         // `--flag value` grammar cannot express.
         cmd_explain(&args[1..])
@@ -148,8 +133,6 @@ const USAGE: &str = "usage:
   ftpde sim      --seed <N> | --seeds <A..B> [--shrink] [--bug <none|serve-corrupt-data>]
                  [--bug-base <file.jsonl>] [--format <text|json>]
   ftpde sim      --replay-bug-base <file.jsonl> [--format <text|json>]
-  ftpde bench    [--quick] [--repeats <N>] [--warmup <N>] [--seed <N>] [--out <dir>]
-  ftpde bench    --compare <old.json> <new.json> [--tolerance <pct>]
   ftpde serve-metrics [--port <N>] [--store <dir>] [--flight-dir <dir>] [--budget-ms <N>] [--duration-s <N>]
   ftpde top      [--addr <host:port>] [--interval-ms <N>] [--iterations <N>] [--no-clear]";
 
@@ -178,6 +161,21 @@ fn get_f64(flags: &HashMap<String, String>, key: &str, default: Option<f64>) -> 
     }
 }
 
+/// Reads a non-negative integer flag that must fit `T`. Signs, fractions,
+/// exponents and out-of-range values are errors: a cast from `f64` would
+/// turn `-7` into 0, `2.5` into 2 and `70000` into a `u16` of 65535.
+fn get_int<T: TryFrom<u64>>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: Option<T>,
+) -> CliResult<T> {
+    let Some(v) = flags.get(key) else {
+        return default.ok_or_else(|| format!("missing required flag --{key}"));
+    };
+    let n: u64 = v.parse().map_err(|_| format!("--{key}: not a non-negative integer: {v:?}"))?;
+    T::try_from(n).map_err(|_| format!("--{key}: {n} is out of range"))
+}
+
 fn get_query(flags: &HashMap<String, String>) -> CliResult<Query> {
     let name = flags.get("query").ok_or("missing required flag --query")?;
     Query::ALL
@@ -202,7 +200,7 @@ fn get_format<'a>(
 }
 
 fn get_cluster(flags: &HashMap<String, String>) -> CliResult<ClusterConfig> {
-    let nodes = get_f64(flags, "nodes", Some(10.0))? as usize;
+    let nodes: usize = get_int(flags, "nodes", Some(10))?;
     let mtbf = get_f64(flags, "mtbf", None)?;
     let mttr = get_f64(flags, "mttr", Some(1.0))?;
     if nodes == 0 || mtbf <= 0.0 || mttr < 0.0 {
@@ -248,8 +246,11 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> CliResult<()> {
     let query = get_query(flags)?;
     let sf = get_f64(flags, "sf", Some(100.0))?;
     let cluster = get_cluster(flags)?;
-    let traces_n = get_f64(flags, "traces", Some(10.0))? as usize;
-    let seed = get_f64(flags, "seed", Some(42.0))? as u64;
+    let traces_n: usize = get_int(flags, "traces", Some(10))?;
+    if traces_n == 0 {
+        return Err("--traces must be ≥ 1".into());
+    }
+    let seed: u64 = get_int(flags, "seed", Some(42))?;
     let cm = CostModel::xdb_calibrated();
     let plan = query.plan(sf, &cm);
     let opts = SimOptions::default();
@@ -729,6 +730,17 @@ fn parse_seed_range(spec: &str) -> CliResult<std::ops::Range<u64>> {
     Ok(start..end)
 }
 
+/// The seeds `sim` derives its cases from: `--seeds A..B` or one `--seed N`.
+fn sim_seeds(flags: &HashMap<String, String>) -> CliResult<Vec<u64>> {
+    if let Some(spec) = flags.get("seeds") {
+        Ok(parse_seed_range(spec)?.collect())
+    } else if flags.contains_key("seed") {
+        Ok(vec![get_int(flags, "seed", None)?])
+    } else {
+        Err("missing required flag --seed <N> or --seeds <A..B>".into())
+    }
+}
+
 /// Appends `entries` to the bug base at `path`, creating the file (with
 /// its schema header) when missing and skipping entries whose
 /// `(seed, code)` is already recorded. Returns how many were added.
@@ -791,13 +803,7 @@ fn cmd_sim(flags: &HashMap<String, String>) -> CliResult<()> {
         return sim_replay_bug_base(path, format);
     }
 
-    let seeds: Vec<u64> = if let Some(spec) = flags.get("seeds") {
-        parse_seed_range(spec)?.collect()
-    } else if flags.contains_key("seed") {
-        vec![get_f64(flags, "seed", None)? as u64]
-    } else {
-        return Err("missing required flag --seed <N> or --seeds <A..B>".into());
-    };
+    let seeds = sim_seeds(flags)?;
     let bug = match flags.get("bug").map(String::as_str) {
         None | Some("none") => BugMode::None,
         Some("serve-corrupt-data") => BugMode::ServeCorruptData,
@@ -894,7 +900,7 @@ fn cmd_sim(flags: &HashMap<String, String>) -> CliResult<()> {
 /// directory and latency budget. Factored out of [`cmd_serve_metrics`]
 /// so tests can start (and drop) the server without parking.
 fn start_serve(flags: &HashMap<String, String>) -> CliResult<obs::ServerHandle> {
-    let port = get_f64(flags, "port", Some(f64::from(obs::serve::DEFAULT_PORT)))? as u16;
+    let port: u16 = get_int(flags, "port", Some(obs::serve::DEFAULT_PORT))?;
     if let Some(dir) = flags.get("flight-dir") {
         if dir == "true" {
             return Err("--flight-dir needs a directory argument".into());
@@ -1081,7 +1087,7 @@ fn cmd_top(flags: &HashMap<String, String>) -> CliResult<()> {
         return Err("--interval-ms must be > 0".into());
     }
     // 0 = poll until interrupted; tests pass --iterations 1.
-    let iterations = get_f64(flags, "iterations", Some(0.0))? as u64;
+    let iterations: u64 = get_int(flags, "iterations", Some(0))?;
     let clear = !flags.contains_key("no-clear");
     let mut shown = 0u64;
     loop {
@@ -1097,98 +1103,6 @@ fn cmd_top(flags: &HashMap<String, String>) -> CliResult<()> {
             return Ok(());
         }
         std::thread::sleep(std::time::Duration::from_millis(interval_ms as u64));
-    }
-}
-
-/// `ftpde bench` — run the canonical suite or compare two result
-/// documents. Receives the raw arguments after `bench` (not the flag
-/// map) because `--compare` takes two positional paths.
-fn cmd_bench(rest: &[String]) -> CliResult<()> {
-    if rest.first().map(String::as_str) == Some("--compare") {
-        let take_path = |i: usize, which: &str| -> CliResult<&String> {
-            rest.get(i)
-                .filter(|p| !p.starts_with("--"))
-                .ok_or_else(|| format!("--compare needs <old.json> <new.json>; missing {which}"))
-        };
-        let old_path = take_path(1, "the old (baseline) document")?;
-        let new_path = take_path(2, "the new document")?;
-        let mut tail = vec!["bench".to_string()];
-        tail.extend_from_slice(&rest[3..]);
-        let (_, flags) = parse(&tail).ok_or("malformed flags after --compare")?;
-        let tolerance = get_f64(&flags, "tolerance", Some(25.0))?;
-        return bench_compare(old_path, new_path, tolerance);
-    }
-    let mut full = vec!["bench".to_string()];
-    full.extend_from_slice(rest);
-    let (_, flags) = parse(&full).ok_or("malformed bench flags")?;
-    let mut opts = if flags.contains_key("quick") {
-        suite::SuiteOptions::quick()
-    } else {
-        suite::SuiteOptions::default()
-    };
-    if flags.contains_key("repeats") {
-        opts.repeats = get_f64(&flags, "repeats", None)? as usize;
-    }
-    if flags.contains_key("warmup") {
-        opts.warmup = get_f64(&flags, "warmup", None)? as usize;
-    }
-    if flags.contains_key("seed") {
-        opts.seed = get_f64(&flags, "seed", None)? as u64;
-    }
-    if opts.repeats == 0 {
-        return Err("--repeats must be ≥ 1".into());
-    }
-    let out = std::path::Path::new(flags.get("out").map_or(".", String::as_str));
-    std::fs::create_dir_all(out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
-
-    let engine = suite::run_engine_suite(&opts);
-    let path = out.join("BENCH_engine.json");
-    write_json(&path, &engine)?;
-    println!(
-        "wrote {} ({} cases, {} store points, instrumentation overhead {:.2}%)",
-        path.display(),
-        engine.cases.len(),
-        engine.store.len(),
-        engine.overhead_pct
-    );
-
-    let search = suite::run_search_suite(&opts);
-    let path = out.join("BENCH_search.json");
-    write_json(&path, &search)?;
-    println!("wrote {} ({} cases)", path.display(), search.cases.len());
-    Ok(())
-}
-
-/// Serializes `doc` as pretty JSON with a trailing newline (so committed
-/// baselines are diff- and editor-friendly).
-fn write_json<T: serde::Serialize>(path: &std::path::Path, doc: &T) -> CliResult<()> {
-    let mut text = serde_json::to_string_pretty(doc)
-        .map_err(|e| format!("cannot serialize {}: {e}", path.display()))?;
-    text.push('\n');
-    std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
-}
-
-/// `ftpde bench --compare`: diff two BENCH documents, print every
-/// regression, and fail when any exceed the tolerance.
-fn bench_compare(old_path: &str, new_path: &str, tolerance: f64) -> CliResult<()> {
-    let read = |path: &str| -> CliResult<suite::BenchDoc> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        suite::parse_doc(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let old = read(old_path)?;
-    let new = read(new_path)?;
-    let regressions = suite::compare(&old, &new, tolerance)?;
-    if regressions.is_empty() {
-        println!("OK: no regressions beyond {tolerance}% tolerance ({old_path} -> {new_path})");
-        Ok(())
-    } else {
-        for r in &regressions {
-            println!("{}", r.render());
-        }
-        Err(format!(
-            "{} regression(s) beyond {tolerance}% tolerance ({old_path} -> {new_path})",
-            regressions.len()
-        ))
     }
 }
 
@@ -1243,6 +1157,29 @@ mod tests {
         assert!(get_cluster(&flags(&[])).is_err()); // mtbf required
         assert!(get_cluster(&flags(&[("mtbf", "-1")])).is_err());
         assert!(get_cluster(&flags(&[("mtbf", "x")])).is_err());
+    }
+
+    #[test]
+    fn integer_flags_are_parsed_exactly_or_rejected() {
+        let simulate = |flag: &str, value: &str| {
+            let mut f = flags(&[("query", "Q1"), ("sf", "1"), ("mtbf", "600"), ("traces", "2")]);
+            f.insert(flag.to_string(), value.to_string());
+            cmd_simulate(&f)
+        };
+        for traces in ["0", "-4"] {
+            assert!(simulate("traces", traces).is_err(), "--traces {traces}");
+        }
+        assert!(simulate("seed", "-7").is_err());
+        assert!(sim_seeds(&flags(&[("seed", "-7")])).is_err());
+        assert!(get_cluster(&flags(&[("mtbf", "3600"), ("nodes", "2.5")])).is_err());
+        for port in ["70000", "-1"] {
+            assert!(start_serve(&flags(&[("port", port)])).is_err(), "--port {port}");
+        }
+        assert!(cmd_top(&flags(&[("iterations", "-1")])).is_err());
+
+        // 2^53 + 1 has no f64 representation; the simulator gets it as given.
+        let seeds = sim_seeds(&flags(&[("seed", "9007199254740993")])).unwrap();
+        assert_eq!(seeds, [9_007_199_254_740_993]);
     }
 
     #[test]
@@ -1493,77 +1430,6 @@ mod tests {
         assert!(prom.contains("store_logical_rows_written 128"), "{prom}");
     }
 
-    /// A hand-built one-case engine document: lets the `--compare` CLI
-    /// path be tested without paying for a real suite run.
-    fn synthetic_engine_doc(p50_us: f64) -> suite::EngineDoc {
-        let wall = suite::Stats::of(&[p50_us * 0.9, p50_us, p50_us * 1.1]);
-        suite::EngineDoc {
-            schema_version: suite::SCHEMA_VERSION,
-            suite: suite::ENGINE_SUITE.to_string(),
-            seed: 42,
-            repeats: 3,
-            warmup: 1,
-            nodes: 3,
-            sf: 0.002,
-            host: suite::HostInfo::current(),
-            overhead_pct: 1.0,
-            cases: vec![suite::EngineCase {
-                query: "Q3".to_string(),
-                config: "all".to_string(),
-                backend: "mem".to_string(),
-                failures: false,
-                wall_us: wall,
-                stages: vec![suite::StageStat { stage: 0, wall_us: wall, retries: 0.0 }],
-                node_retries: 0.0,
-                query_restarts: 0.0,
-                bytes_materialized: 1e6,
-            }],
-            store: vec![suite::StoreCase {
-                backend: "mem".to_string(),
-                row_width: 8,
-                mb_written: 4.0,
-                write_mb_per_s: Some(800.0),
-                read_mb_per_s: Some(1200.0),
-            }],
-        }
-    }
-
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(ToString::to_string).collect()
-    }
-
-    #[test]
-    fn bench_compare_exits_nonzero_on_an_injected_regression() {
-        let dir = std::env::temp_dir().join(format!("ftpde-cli-bench-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let baseline = synthetic_engine_doc(1_000_000.0);
-        let old = dir.join("old.json");
-        write_json(&old, &baseline).unwrap();
-        let op = old.to_string_lossy().to_string();
-
-        // Identity passes.
-        let new = dir.join("same.json");
-        write_json(&new, &baseline).unwrap();
-        let np = new.to_string_lossy().to_string();
-        cmd_bench(&strings(&["--compare", &op, &np, "--tolerance", "10"])).unwrap();
-
-        // A 2x wall-time slowdown beyond a 25% tolerance fails...
-        let slow = dir.join("slow.json");
-        write_json(&slow, &synthetic_engine_doc(2_000_000.0)).unwrap();
-        let sp = slow.to_string_lossy().to_string();
-        let err = cmd_bench(&strings(&["--compare", &op, &sp, "--tolerance", "25"])).unwrap_err();
-        assert!(err.contains("regression"), "{err}");
-        // ...but passes a tolerance wider than the injected change.
-        cmd_bench(&strings(&["--compare", &op, &sp, "--tolerance", "150"])).unwrap();
-
-        // Malformed invocations are flag errors, not panics.
-        assert!(cmd_bench(&strings(&["--compare", &op])).is_err());
-        assert!(cmd_bench(&strings(&["--compare", &op, "--tolerance"])).is_err());
-        assert!(cmd_bench(&strings(&["--compare", &op, &np, "--tolerance", "x"])).is_err());
-        assert!(cmd_bench(&strings(&["--compare", "/nonexistent.json", &np])).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn serve_metrics_and_top_end_to_end() {
         use ftpde::store::{int_row, DiskBackend, StoreBackend};
@@ -1699,17 +1565,5 @@ mod tests {
         .unwrap();
         assert!(empty.contains("(no queries yet)"), "{empty}");
         assert!(!empty.contains("anomalies"), "{empty}");
-    }
-
-    #[test]
-    fn bench_compare_rejects_non_bench_documents() {
-        let dir = std::env::temp_dir().join(format!("ftpde-cli-bench-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let bad = dir.join("bad.json");
-        std::fs::write(&bad, "{\"suite\": \"something-else\"}\n").unwrap();
-        let bp = bad.to_string_lossy().to_string();
-        let err = cmd_bench(&strings(&["--compare", &bp, &bp])).unwrap_err();
-        assert!(err.contains("not a BENCH document"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -23,7 +23,7 @@
 //! | [`obs`] | observability: event recorder, metrics registry, JSONL / Chrome-trace exporters used by the search, simulator and engine |
 //! | [`analysis`] | static analysis: the coded plan linter (`FT001`…), collapsed-plan and cost-model verifiers, pruning-soundness oracle |
 //! | [`simharness`] | deterministic whole-system simulation: seeded workloads and fault schedules driven through the real engine, oracle checks (`FT301`…), schedule shrinking and the committed bug base |
-//! | [`mod@bench`] | experiment harnesses reproducing the paper's tables and figures, plus the canonical `ftpde bench` suite and its regression comparator |
+//! | [`mod@bench`] | experiment harnesses reproducing the paper's tables and figures, plus the checkpoint-store micro-benchmark |
 //!
 //! ## Quickstart
 //!

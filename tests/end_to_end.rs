@@ -98,6 +98,40 @@ fn all_queries_search_cleanly() {
     }
 }
 
+/// The search's counters on Q1, Q3 and Q5 at SF 100 under the paper's
+/// 1-hour-MTBF cluster, with the default pruning rules and with none. They
+/// are deterministic, so any change to the search or the pruning rules
+/// that moves them must update this table.
+#[test]
+fn search_counters_match_the_recorded_values() {
+    let cm = CostModel::xdb_calibrated();
+    let params = Scheme::cost_params(&ClusterConfig::paper_cluster(mtbf::HOUR));
+    // unpruned, explored, rule-1 pruned, rule-2 pruned, rule-3 stops,
+    // memo hits, paths costed
+    let cases = [
+        (Query::Q1, "default", PruneOptions::default(), [1, 1, 0, 0, 0, 0, 1]),
+        (Query::Q1, "none", PruneOptions::none(), [1, 1, 0, 0, 0, 0, 1]),
+        (Query::Q3, "default", PruneOptions::default(), [4, 2, 2, 0, 0, 0, 2]),
+        (Query::Q3, "none", PruneOptions::none(), [4, 4, 0, 0, 0, 0, 4]),
+        (Query::Q5, "default", PruneOptions::default(), [32, 3, 16, 0, 13, 3, 13]),
+        (Query::Q5, "none", PruneOptions::none(), [32, 32, 0, 0, 0, 0, 32]),
+    ];
+    for (query, rules, prune, expected) in cases {
+        let plan = query.plan(100.0, &cm);
+        let (_, s) = find_best_ft_plan(std::slice::from_ref(&plan), &params, &prune).unwrap();
+        let counters = [
+            s.configs_unpruned,
+            s.configs_explored,
+            s.configs_pruned_rule1,
+            s.configs_pruned_rule2,
+            s.rule3_stops(),
+            s.rule3_memo_stops,
+            s.paths_costed,
+        ];
+        assert_eq!(counters, expected, "{query} with {rules} pruning");
+    }
+}
+
 /// The mid-plan aggregation of Q1C is selected as a checkpoint on
 /// unreliable clusters — the paper's flagship qualitative claim (§5.2).
 #[test]
