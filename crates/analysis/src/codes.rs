@@ -212,31 +212,6 @@ pub const REGISTRY: &[CodeInfo] = &[
                       use is provably outside any concurrent protocol.",
     },
     CodeInfo {
-        code: Code::FT202,
-        severity: Severity::Error,
-        summary: "wall-clock nondeterminism outside shims and bench/CLI code",
-        explanation: "`Instant::now` / `SystemTime` in library code makes re-execution \
-                      nondeterministic: the paper's recovery contract (§2.2) and every \
-                      Eq. 5-7 cost term assume an operator re-executes identically after a \
-                      failure, and the planned deterministic whole-system simulator must be \
-                      able to virtualize time. Fix: call `sync::clock::now()` / \
-                      `sync::clock::elapsed()` — the virtual-time seam — instead. Bench \
-                      harnesses, CLI binaries, examples and tests are exempt (they *measure* \
-                      wall time by design).",
-    },
-    CodeInfo {
-        code: Code::FT203,
-        severity: Severity::Warn,
-        summary: "HashMap/HashSet iteration in optimizer/core plan paths",
-        explanation: "`std::collections::HashMap`/`HashSet` iterate in randomized order per \
-                      process. In the optimizer and core plan/cost paths that order can \
-                      reach plan output (stage numbering, tie-breaking, report ordering), \
-                      breaking byte-identical re-execution. Fix: use a `BTreeMap`/`BTreeSet`, \
-                      a `Vec` indexed by dense ids, or sort before iterating; suppress with \
-                      `// ftpde-allow(FT203: reason)` when the container is keyed lookups \
-                      only and never iterated.",
-    },
-    CodeInfo {
         code: Code::FT204,
         severity: Severity::Lint,
         summary: "unwrap/expect/panic! in library code",
@@ -258,16 +233,6 @@ pub const REGISTRY: &[CodeInfo] = &[
                       the page cache, so a crash yields a manifest entry pointing at a torn \
                       file. Any function in `crates/store` that renames must also \
                       `sync_all`/`sync_data`.",
-    },
-    CodeInfo {
-        code: Code::FT206,
-        severity: Severity::Error,
-        summary: "`unsafe` outside the workspace allowlist",
-        explanation: "The workspace denies `unsafe_code` via `[workspace.lints]`; this \
-                      source-level check backstops it across *all* scanned files (including \
-                      build scripts and future crates that might forget the lint table) and \
-                      pins the sanctioned exceptions in one allowlist inside the analyzer. \
-                      The allowlist is currently empty.",
     },
     CodeInfo {
         code: Code::FT207,
@@ -524,12 +489,12 @@ mod tests {
     #[test]
     fn ft2xx_table_lists_exactly_the_source_codes() {
         let table = ft2xx_markdown_table();
-        for code in ["FT201", "FT202", "FT203", "FT204", "FT205", "FT206", "FT207"] {
+        for code in ["FT201", "FT204", "FT205", "FT207"] {
             assert!(table.contains(code), "missing {code}");
         }
         assert!(!table.contains("FT105"));
         assert!(!table.contains("FT210"), "FT21x has its own table (§16)");
-        assert_eq!(table.lines().count(), 2 + 7);
+        assert_eq!(table.lines().count(), 2 + 4);
     }
 
     #[test]

@@ -99,19 +99,11 @@ pub enum Code {
     /// primitive outside a `sync` shim module (escapes loom/TSan
     /// coverage).
     FT201,
-    /// Source discipline: wall-clock nondeterminism (`Instant::now`,
-    /// `SystemTime`) outside shims and bench/CLI code.
-    FT202,
-    /// Source discipline: `HashMap`/`HashSet` in optimizer/core plan
-    /// paths where iteration order can reach output.
-    FT203,
     /// Source discipline: `unwrap`/`expect`/`panic!` in library code.
     FT204,
     /// Source discipline: fsync pairing — a rename on the store commit
     /// path without `sync_all`/`sync_data` in the same function.
     FT205,
-    /// Source discipline: `unsafe` outside the workspace allowlist.
-    FT206,
     /// Source discipline: unused or malformed `// ftpde-allow(...)`
     /// suppression.
     FT207,
@@ -166,11 +158,8 @@ impl Code {
         Code::FT107,
         Code::FT108,
         Code::FT201,
-        Code::FT202,
-        Code::FT203,
         Code::FT204,
         Code::FT205,
-        Code::FT206,
         Code::FT207,
         Code::FT210,
         Code::FT211,
@@ -205,11 +194,8 @@ impl Code {
             Code::FT107 => "FT107",
             Code::FT108 => "FT108",
             Code::FT201 => "FT201",
-            Code::FT202 => "FT202",
-            Code::FT203 => "FT203",
             Code::FT204 => "FT204",
             Code::FT205 => "FT205",
-            Code::FT206 => "FT206",
             Code::FT207 => "FT207",
             Code::FT210 => "FT210",
             Code::FT211 => "FT211",

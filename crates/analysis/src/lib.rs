@@ -27,11 +27,10 @@
 //!   `ftpde check` CLI subcommand is its command-line face.
 //! * [`source`] — a **source-discipline analyzer** linting the
 //!   workspace's own Rust sources with a dependency-free tokenizer:
-//!   synchronization primitives outside the `sync` shims, wall-clock
-//!   reads outside the clock seam, iteration-order hazards in plan
-//!   paths, panics in library code, unsynced renames on the store
-//!   commit path, and unused `ftpde-allow` suppressions
-//!   (`FT201`…`FT207`). On top of the token passes sits a
+//!   synchronization primitives outside the `sync` shims, panics in
+//!   library code, unsynced renames on the store commit path, and
+//!   unused `ftpde-allow` suppressions (`FT201`, `FT204`, `FT205`,
+//!   `FT207`). On top of the token passes sits a
 //!   **concurrency-discipline analysis** (`FT210`…`FT214`): a
 //!   conservative workspace call graph ([`source::callgraph`]), a
 //!   lock-site dataflow ([`source::locks`]) tracking guard liveness,

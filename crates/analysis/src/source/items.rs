@@ -44,10 +44,11 @@ pub fn extract(toks: &[Tok]) -> Vec<FnItem> {
         }
         let Some(name) = toks.get(i + 1).and_then(Tok::ident) else { continue };
         // Scan to the body's `{`; a `;` first means a bodyless decl.
-        // Skip `<…>` generics and `(…)` params so a default argument or
-        // where-clause brace cannot fool the scan.
+        // Skip `<…>` generics, `(…)` params and `[T; N]` array types so
+        // a default argument, where-clause brace or array length cannot
+        // fool the scan.
         let mut j = i + 2;
-        let (mut angle, mut paren) = (0i32, 0i32);
+        let (mut angle, mut paren, mut bracket) = (0i32, 0i32, 0i32);
         let start = loop {
             match toks.get(j) {
                 None => break None,
@@ -55,8 +56,12 @@ pub fn extract(toks: &[Tok]) -> Vec<FnItem> {
                 Some(t) if t.is_punct('>') => angle -= 1,
                 Some(t) if t.is_punct('(') => paren += 1,
                 Some(t) if t.is_punct(')') => paren -= 1,
-                Some(t) if t.is_punct('{') && angle <= 0 && paren == 0 => break Some(j),
-                Some(t) if t.is_punct(';') && paren == 0 => break None,
+                Some(t) if t.is_punct('[') => bracket += 1,
+                Some(t) if t.is_punct(']') => bracket -= 1,
+                Some(t) if t.is_punct('{') && angle <= 0 && paren == 0 && bracket == 0 => {
+                    break Some(j)
+                }
+                Some(t) if t.is_punct(';') && paren == 0 && bracket == 0 => break None,
                 Some(_) => {}
             }
             j += 1;
@@ -223,5 +228,12 @@ mod tests {
         let fns = extract(&tokenize(src).toks);
         assert_eq!(fns.len(), 1);
         assert_eq!(fns[0].name, "max");
+    }
+
+    #[test]
+    fn array_types_in_signatures_do_not_end_the_declaration() {
+        let src = "pub fn figure1_clusters() -> [(&'static str, ClusterConfig); 4] { [] }\n\
+                   fn row<const N: usize>(vals: [Value; N]) -> Row { Row(vals) }";
+        assert_eq!(quals(src), vec!["figure1_clusters", "row"]);
     }
 }

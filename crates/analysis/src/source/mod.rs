@@ -8,14 +8,19 @@
 //! assume operators re-execute deterministically after a failure — and
 //! the loom/TSan CI jobs only verify synchronization that actually
 //! routes through the `sync` shim modules. Neither assumption is worth
-//! much if any file can call `Instant::now()` or grab a
-//! `std::sync::Mutex` directly, so this analyzer makes the discipline
-//! *static*: a dependency-free, comment/string-aware tokenizer
-//! ([`tokens`]) feeds coded passes ([`passes`], `FT201`…`FT207`) that
-//! run over every source file in the workspace. The sanctioned escape
-//! hatch is an inline `// ftpde-allow(FT2xx: reason)` comment, itself
-//! audited: a suppression that is malformed or matches nothing is an
-//! error (FT207).
+//! much if any file can grab a `std::sync::Mutex` directly, so this
+//! analyzer makes the discipline *static*: a dependency-free,
+//! comment/string-aware tokenizer ([`tokens`]) feeds coded passes
+//! ([`passes`], `FT201`, `FT204`, `FT205`, `FT207`) that run over every
+//! source file in the workspace. The sanctioned escape hatch is an
+//! inline `// ftpde-allow(FT2xx: reason)` comment, itself audited: a
+//! suppression that is malformed or matches nothing is an error (FT207).
+//!
+//! Checks the compiler can make with type resolution live with the
+//! compiler instead: clock reads and `HashMap`/`HashSet` in core and the
+//! optimizer are clippy `disallowed-methods`/`disallowed-types` entries
+//! in the `clippy.toml` files under `crates/`, and `unsafe` is the
+//! workspace's `unsafe_code = "deny"`.
 //!
 //! `ftpde lint --source` is the CLI face and CI gate; see `DESIGN.md`
 //! §14 for the full code table (generated from [`crate::codes`]).
@@ -34,19 +39,15 @@ pub use locks::LockGraph;
 /// What kind of code a file is — which discipline it owes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
-    /// Library code: the full discipline (FT201-FT206).
+    /// Library code: the full discipline (FT201, FT204, FT205 and the
+    /// FT21x concurrency passes).
     Lib,
-    /// A `sync` shim module: the sanctioned home of raw primitives and
-    /// the clock seam; exempt from FT201/FT202.
-    Shim,
-    /// Benchmark-harness code (`crates/bench`): measures wall time by
-    /// design, so exempt from FT202 but not from FT201.
+    /// Benchmark-harness code (`crates/bench`): FT201 only.
     Bench,
-    /// Binary/CLI/build-script code: single-threaded driver code that
-    /// legitimately sleeps, probes and panics; FT206/FT207 only.
-    Bin,
-    /// Test, example or bench-target code: FT206/FT207 only.
-    Test,
+    /// `sync` shim modules (the sanctioned home of raw primitives and
+    /// the clock seam), tests, examples, bench targets, binaries and
+    /// build scripts: only the suppression audit (FT207) runs.
+    Exempt,
 }
 
 /// Directory names never descended into during discovery. `fixtures`
@@ -64,14 +65,10 @@ pub fn classify(rel_path: &str) -> Option<FileClass> {
     if parts.iter().any(|p| SKIP_DIRS.contains(p)) {
         return None;
     }
-    if file == "sync.rs" || parts.iter().rev().skip(1).any(|&p| p == "sync") {
-        return Some(FileClass::Shim);
-    }
-    if parts.iter().any(|&p| p == "tests" || p == "examples" || p == "benches") {
-        return Some(FileClass::Test);
-    }
-    if parts.contains(&"bin") || file == "main.rs" || file == "build.rs" {
-        return Some(FileClass::Bin);
+    if matches!(file, "sync.rs" | "main.rs" | "build.rs")
+        || parts.iter().any(|p| matches!(*p, "sync" | "tests" | "examples" | "benches" | "bin"))
+    {
+        return Some(FileClass::Exempt);
     }
     if rel_path.starts_with("crates/bench/") {
         return Some(FileClass::Bench);
@@ -276,18 +273,19 @@ mod tests {
         use FileClass::*;
         for (path, want) in [
             ("crates/engine/src/coordinator.rs", Some(Lib)),
-            ("crates/engine/src/sync.rs", Some(Shim)),
-            ("crates/store/src/sync.rs", Some(Shim)),
-            ("crates/core/src/sync.rs", Some(Shim)),
-            ("crates/obs/src/sync/clock.rs", Some(Shim)),
+            ("crates/engine/src/sync.rs", Some(Exempt)),
+            ("crates/store/src/sync.rs", Some(Exempt)),
+            ("crates/core/src/sync.rs", Some(Exempt)),
+            ("crates/obs/src/sync/clock.rs", Some(Exempt)),
             ("crates/bench/src/store_micro.rs", Some(Bench)),
-            ("crates/bench/benches/store_micro.rs", Some(Test)),
-            ("crates/engine/tests/loom.rs", Some(Test)),
-            ("examples/conformance.rs", Some(Test)),
-            ("src/bin/ftpde.rs", Some(Bin)),
+            ("crates/bench/benches/store_micro.rs", Some(Exempt)),
+            ("crates/bench/src/main.rs", Some(Exempt)),
+            ("crates/engine/tests/loom.rs", Some(Exempt)),
+            ("examples/conformance.rs", Some(Exempt)),
+            ("src/bin/ftpde.rs", Some(Exempt)),
             ("src/lib.rs", Some(Lib)),
-            ("build.rs", Some(Bin)),
-            ("tests/end_to_end.rs", Some(Test)),
+            ("build.rs", Some(Exempt)),
+            ("tests/end_to_end.rs", Some(Exempt)),
             ("vendor/loom/src/lib.rs", None),
             ("target/debug/build/foo.rs", None),
             ("crates/analysis/tests/fixtures/ft201.rs", None),

@@ -1,23 +1,19 @@
-//! The FT2xx source-discipline passes.
+//! The FT20x source-discipline passes.
 //!
 //! Each pass walks the token stream of one file (see
 //! [`super::tokens`]) and emits candidate findings; the driver then
 //! applies `// ftpde-allow(FT2xx: reason)` suppressions and reports any
 //! suppression that is malformed or matched nothing (FT207). Passes are
 //! scoped by [`FileClass`] — the discipline a file owes depends on what
-//! kind of code it is (library, shim, bench harness, binary, test).
+//! kind of code it is (library, bench harness, or exempt).
 
 use crate::diag::{Code, Diagnostic, Report};
+use crate::source::items;
 use crate::source::tokens::{Comment, Tok, Tokenized};
 use crate::source::FileClass;
 
-/// Paths (workspace-relative) allowed to contain `unsafe`. Deliberately
-/// empty: the workspace denies `unsafe_code` and this pins it — adding
-/// an entry here is a reviewed, visible event.
-pub const UNSAFE_ALLOWLIST: &[&str] = &[];
-
 /// Lints one tokenized file. `rel_path` uses forward slashes and is
-/// workspace-relative (it scopes the store/core/optimizer passes).
+/// workspace-relative (it scopes the store pass, FT205).
 pub fn lint_tokens(rel_path: &str, class: FileClass, tz: &Tokenized) -> Report {
     collect(rel_path, class, tz).finish()
 }
@@ -81,8 +77,8 @@ impl FileLint {
     }
 }
 
-/// Runs the single-file passes (FT201-FT206) and parses suppressions,
-/// without settling them — see [`FileLint`].
+/// Runs the single-file passes (FT201, FT204, FT205) and parses
+/// suppressions, without settling them — see [`FileLint`].
 pub fn collect(rel_path: &str, class: FileClass, tz: &Tokenized) -> FileLint {
     let mut report = Report::new(rel_path);
     let toks = &tz.toks[..];
@@ -105,27 +101,19 @@ pub fn collect(rel_path: &str, class: FileClass, tz: &Tokenized) -> FileLint {
             .push(Diagnostic::new(code, code.default_severity(), message).at_line(rel_path, line));
     };
 
-    // FT201/FT202/FT203/FT204/FT206 are single-token-window scans.
+    // FT201/FT204 are single-token-window scans.
     let mut last: Option<(Code, u32)> = None; // per-line dedup of path matches
     for i in 0..toks.len() {
         let line = toks[i].line();
+        if in_test(line) {
+            continue;
+        }
         let mut hit = |code: Code, msg: String| {
             if last != Some((code, line)) {
                 last = Some((code, line));
                 push(code, line, msg);
             }
         };
-
-        // FT206: `unsafe` anywhere, modulo the allowlist. Applies to all
-        // classes — tests don't get to be unsound either.
-        if toks[i].is_ident("unsafe") && !UNSAFE_ALLOWLIST.contains(&rel_path) {
-            hit(Code::FT206, "`unsafe` outside the workspace allowlist".into());
-            continue;
-        }
-
-        if in_test(line) {
-            continue;
-        }
 
         // FT201: sync primitives outside a shim. Library and bench code;
         // shims are the sanctioned home, binaries are single-threaded
@@ -162,42 +150,6 @@ pub fn collect(rel_path: &str, class: FileClass, tz: &Tokenized) -> FileLint {
             }
         }
 
-        // FT202: wall-clock reads in library code.
-        if class == FileClass::Lib {
-            if path_at(toks, i, &["Instant", "now"]) {
-                hit(
-                    Code::FT202,
-                    "`Instant::now()` in library code — call `sync::clock::now()`, the \
-                     virtual-time seam"
-                        .into(),
-                );
-            } else if toks[i].is_ident("SystemTime") {
-                hit(
-                    Code::FT202,
-                    "`SystemTime` in library code — wall-clock state breaks deterministic \
-                     re-execution; use `sync::clock`"
-                        .into(),
-                );
-            }
-        }
-
-        // FT203: hash containers in the plan/cost paths of core and the
-        // optimizer, where iteration order can reach plan output.
-        if class == FileClass::Lib
-            && (rel_path.starts_with("crates/core/") || rel_path.starts_with("crates/optimizer/"))
-            && (toks[i].is_ident("HashMap") || toks[i].is_ident("HashSet"))
-        {
-            let name = toks[i].ident().unwrap_or_default();
-            hit(
-                Code::FT203,
-                format!(
-                    "`{name}` in a plan/cost path — iteration order is randomized per \
-                     process; use BTree{}, a dense-id Vec, or sort before iterating",
-                    &name[4..]
-                ),
-            );
-        }
-
         // FT204: panicking calls in library code (hygiene ratchet).
         if class == FileClass::Lib {
             if toks[i].is_punct('.')
@@ -216,10 +168,7 @@ pub fn collect(rel_path: &str, class: FileClass, tz: &Tokenized) -> FileLint {
     // FT205: fsync pairing on the store commit path — any function that
     // renames must fsync in the same function.
     if class == FileClass::Lib && rel_path.starts_with("crates/store/") {
-        for f in fn_ranges(toks) {
-            if in_test(f.line) {
-                continue;
-            }
+        for f in items::extract(toks).into_iter().filter(|f| !in_test(f.line)) {
             let body = &toks[f.start..f.end];
             let has_rename = body.iter().any(|t| t.ident() == Some("rename"));
             let has_sync = body
@@ -382,57 +331,6 @@ pub(crate) fn test_line_ranges(toks: &[Tok]) -> Vec<(u32, u32)> {
     ranges
 }
 
-/// One `fn` item: its name, declaration line, and body token range.
-struct FnRange {
-    name: String,
-    line: u32,
-    start: usize,
-    end: usize,
-}
-
-/// Finds every `fn` body (including nested ones — each is checked
-/// independently). Trait-method declarations without bodies are skipped.
-fn fn_ranges(toks: &[Tok]) -> Vec<FnRange> {
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if !toks[i].is_ident("fn") {
-            continue;
-        }
-        let Some(name) = toks.get(i + 1).and_then(Tok::ident) else { continue };
-        // Scan to the body's `{` — a `;` first means a bodyless decl.
-        let mut j = i + 2;
-        let start = loop {
-            match toks.get(j) {
-                None => break None,
-                Some(t) if t.is_punct('{') => break Some(j),
-                Some(t) if t.is_punct(';') => break None,
-                Some(_) => j += 1,
-            }
-        };
-        let Some(start) = start else { continue };
-        let mut depth = 0usize;
-        let mut j = start;
-        let end = loop {
-            match toks.get(j) {
-                None => break j,
-                Some(t) => {
-                    if t.is_punct('{') {
-                        depth += 1;
-                    } else if t.is_punct('}') {
-                        depth -= 1;
-                        if depth == 0 {
-                            break j + 1;
-                        }
-                    }
-                    j += 1;
-                }
-            }
-        };
-        out.push(FnRange { name: name.to_string(), line: toks[i].line(), start, end });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,11 +346,11 @@ mod tests {
     }
 
     #[test]
-    fn ft201_fires_in_lib_not_in_shim_or_test() {
+    fn ft201_fires_in_lib_and_bench_but_not_in_exempt_files() {
         let src = "use std::sync::Mutex;";
         assert_eq!(codes(&lint(FileClass::Lib, src)), vec![Code::FT201]);
-        assert_eq!(codes(&lint(FileClass::Shim, src)), vec![]);
-        assert_eq!(codes(&lint(FileClass::Test, src)), vec![]);
+        assert_eq!(codes(&lint(FileClass::Bench, src)), vec![Code::FT201]);
+        assert_eq!(codes(&lint(FileClass::Exempt, src)), vec![]);
         let test_block = "#[cfg(test)]\nmod tests { use std::sync::Mutex; }";
         assert_eq!(codes(&lint(FileClass::Lib, test_block)), vec![]);
     }
@@ -464,29 +362,6 @@ mod tests {
         }
         // A cfg mention of loom is not a path use.
         assert_eq!(codes(&lint(FileClass::Lib, "#[cfg(not(loom))]\nfn f() {}")), vec![]);
-    }
-
-    #[test]
-    fn ft202_fires_on_wall_clock_outside_bench() {
-        let src = "let t0 = Instant::now();";
-        assert_eq!(codes(&lint(FileClass::Lib, src)), vec![Code::FT202]);
-        assert_eq!(codes(&lint(FileClass::Bench, src)), vec![]);
-        assert_eq!(codes(&lint(FileClass::Bin, src)), vec![]);
-        assert_eq!(
-            codes(&lint(FileClass::Lib, "let t = SystemTime::UNIX_EPOCH;")),
-            vec![Code::FT202]
-        );
-    }
-
-    #[test]
-    fn ft203_scoped_to_core_and_optimizer() {
-        let src = "use std::collections::HashMap;";
-        let r = lint_tokens("crates/core/src/collapse.rs", FileClass::Lib, &tokenize(src));
-        assert_eq!(codes(&r), vec![Code::FT203]);
-        assert_eq!(r.diagnostics[0].severity, Severity::Warn);
-        // Same text in the engine is fine (std HashMap is not FT201).
-        let r = lint_tokens("crates/engine/src/plan.rs", FileClass::Lib, &tokenize(src));
-        assert_eq!(codes(&r), vec![]);
     }
 
     #[test]
@@ -517,10 +392,12 @@ mod tests {
     }
 
     #[test]
-    fn ft206_flags_unsafe_everywhere() {
-        let src = "unsafe { *p }";
-        assert_eq!(codes(&lint(FileClass::Lib, src)), vec![Code::FT206]);
-        assert_eq!(codes(&lint(FileClass::Test, src)), vec![Code::FT206]);
+    fn ft205_sees_functions_with_array_parameters() {
+        // The `;` inside `[u8; 4]` is part of the signature, not the end
+        // of a bodyless declaration.
+        let src = "fn torn(buf: [u8; 4], a: &str, b: &str) { fs::rename(a, b); }";
+        let r = lint_tokens("crates/store/src/disk.rs", FileClass::Lib, &tokenize(src));
+        assert_eq!(codes(&r), vec![Code::FT205]);
     }
 
     #[test]
@@ -537,7 +414,7 @@ mod tests {
 
     #[test]
     fn ft207_flags_unused_and_malformed_allows() {
-        let unused = "// ftpde-allow(FT202: nothing here is a clock)\nfn f() {}";
+        let unused = "// ftpde-allow(FT201: nothing here is a sync primitive)\nfn f() {}";
         assert_eq!(codes(&lint(FileClass::Lib, unused)), vec![Code::FT207]);
         for bad in [
             "// ftpde-allow(FT999: unknown code)\nfn f() {}",
@@ -552,7 +429,7 @@ mod tests {
 
     #[test]
     fn wrong_code_allow_does_not_suppress() {
-        let src = "// ftpde-allow(FT202: wrong code)\nuse std::sync::Mutex;";
+        let src = "// ftpde-allow(FT204: wrong code)\nuse std::sync::Mutex;";
         let r = lint(FileClass::Lib, src);
         assert_eq!(codes(&r), vec![Code::FT201, Code::FT207]);
     }

@@ -3,12 +3,12 @@
 //! an error that silences nothing.
 
 fn excused() {
-    // ftpde-allow(FT202: fixture demonstrates a used suppression)
-    let _t = std::time::Instant::now(); // suppressed by line 6
+    // ftpde-allow(FT201: fixture demonstrates a used suppression)
+    let _m = std::sync::Mutex::new(0u32); // suppressed by line 6
 }
 
 fn stale() {
-    // ftpde-allow(FT202: nothing below reads a clock)
+    // ftpde-allow(FT201: nothing below is a sync primitive)
     let x = 1 + 1; // the allow on line 11 is unused -> FT207
     let _ = x;
 }
@@ -16,5 +16,5 @@ fn stale() {
 fn broken() {
     // ftpde-allow(FT999: no such code)
     // ftpde-allow(FT201)
-    let _t = std::time::Instant::now(); // line 19: FT202 (nothing suppressed it)
+    let _m = std::sync::Mutex::new(0u32); // line 19: FT201 (nothing suppressed it)
 }

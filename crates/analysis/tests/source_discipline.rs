@@ -1,11 +1,12 @@
 //! Integration tests of the source-discipline analyzer: golden fixtures
-//! per FT2xx code, the workspace self-scan (the dogfooding gate), and
-//! the DESIGN.md code-table drift check.
+//! per FT2xx code, the workspace self-scan (the dogfooding gate), the
+//! DESIGN.md code-table drift check, and the drift check between the
+//! `clippy.toml` files that took over the clock and hash-container bans.
 //!
 //! The fixtures live in `tests/fixtures/`, which the workspace walker
 //! skips — their violations are deliberate. Each fixture is linted under
-//! an explicit path/class so the path-scoped passes (FT203 store/core,
-//! FT205 store) are armed exactly as they would be in tree.
+//! an explicit path/class so the path-scoped pass (FT205, store) is
+//! armed exactly as it would be in tree.
 
 use std::path::{Path, PathBuf};
 
@@ -45,31 +46,8 @@ fn ft201_fixture_catches_every_smuggling_route() {
     assert!(!r.is_clean(), "FT201 is an Error and must gate");
     // The same text inside a shim is the sanctioned home.
     let shim =
-        lint_fixture("ft201_sync_primitives.rs", "crates/engine/src/sync.rs", FileClass::Shim);
+        lint_fixture("ft201_sync_primitives.rs", "crates/engine/src/sync.rs", FileClass::Exempt);
     assert!(shim.diagnostics.is_empty(), "{}", shim.render());
-}
-
-#[test]
-fn ft202_fixture_catches_clock_reads_but_not_the_type() {
-    let r = lint_fixture("ft202_wall_clock.rs", "crates/obs/src/fixture.rs", FileClass::Lib);
-    let want = [(Code::FT202, 12), (Code::FT202, 13), (Code::FT202, 14)];
-    assert_eq!(at(&r), want, "{}", r.render());
-    // Bench code measures wall time by design.
-    let bench =
-        lint_fixture("ft202_wall_clock.rs", "crates/bench/src/fixture.rs", FileClass::Bench);
-    assert!(bench.diagnostics.is_empty(), "{}", bench.render());
-}
-
-#[test]
-fn ft203_fixture_fires_only_in_plan_paths() {
-    let r = lint_fixture("ft203_hash_iteration.rs", "crates/core/src/fixture.rs", FileClass::Lib);
-    let want = [(Code::FT203, 5), (Code::FT203, 8), (Code::FT203, 9)];
-    assert_eq!(at(&r), want, "{}", r.render());
-    assert!(r.diagnostics.iter().all(|d| d.severity == Severity::Warn));
-    // Outside core/optimizer the pass is silent.
-    let engine =
-        lint_fixture("ft203_hash_iteration.rs", "crates/engine/src/fixture.rs", FileClass::Lib);
-    assert!(engine.diagnostics.is_empty(), "{}", engine.render());
 }
 
 #[test]
@@ -88,20 +66,12 @@ fn ft205_fixture_requires_fsync_in_the_renaming_fn() {
 }
 
 #[test]
-fn ft206_fixture_fires_in_every_file_class() {
-    for class in [FileClass::Lib, FileClass::Test, FileClass::Bin, FileClass::Bench] {
-        let r = lint_fixture("ft206_unsafe.rs", "crates/engine/src/fixture.rs", class);
-        assert_eq!(at(&r), [(Code::FT206, 5)], "{class:?}: {}", r.render());
-    }
-}
-
-#[test]
 fn ft207_fixture_audits_suppressions_both_ways() {
     let r = lint_fixture("ft207_suppressions.rs", "crates/obs/src/fixture.rs", FileClass::Lib);
     // Malformed allows (lines 17, 18) come first, then the unsuppressed
-    // FT202 (line 19), then the unused-but-well-formed allow (line 11).
+    // FT201 (line 19), then the unused-but-well-formed allow (line 11).
     // The used allow on line 6 produces nothing at all.
-    let want = [(Code::FT207, 17), (Code::FT207, 18), (Code::FT202, 19), (Code::FT207, 11)];
+    let want = [(Code::FT207, 17), (Code::FT207, 18), (Code::FT201, 19), (Code::FT207, 11)];
     assert_eq!(at(&r), want, "{}", r.render());
 }
 
@@ -176,9 +146,9 @@ fn ft204_ratchet_gates_on_increase_only() {
 }
 
 /// The dogfooding gate: the workspace that ships this analyzer passes
-/// it. Any reintroduced raw primitive, clock read, unsynced rename or
-/// stale suppression — e.g. deleting a `sync` shim route — fails this
-/// test before CI even runs the CLI.
+/// it. Any reintroduced raw primitive, unsynced rename or stale
+/// suppression — e.g. deleting a `sync` shim route — fails this test
+/// before CI even runs the CLI.
 #[test]
 fn workspace_self_scan_is_clean() {
     let root = workspace_root();
@@ -209,7 +179,9 @@ fn workspace_self_scan_is_clean() {
 
 /// A seeded violation in a scratch workspace is detected end to end via
 /// the directory walker (not just `lint_str`) — the fixture-level proof
-/// that the CI gate turns red when discipline regresses.
+/// that the CI gate turns red when discipline regresses. The clock read
+/// on the second line is clippy's to reject (`crates/clippy.toml`), not
+/// the token passes'.
 #[test]
 fn seeded_violation_fails_a_workspace_scan() {
     let dir = std::env::temp_dir().join("ftpde_source_seeded_it");
@@ -226,7 +198,7 @@ fn seeded_violation_fails_a_workspace_scan() {
     assert!(!scan.is_clean());
     let codes: Vec<Code> =
         scan.set.reports.iter().flat_map(|r| r.diagnostics.iter().map(|d| d.code)).collect();
-    assert_eq!(codes, [Code::FT201, Code::FT202], "{}", scan.render());
+    assert_eq!(codes, [Code::FT201], "{}", scan.render());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -273,10 +245,31 @@ fn design_doc_ft21x_table_matches_registry() {
 /// real tree: shims are shims, fixtures are skipped, bench is bench.
 #[test]
 fn classification_matches_the_real_tree() {
-    assert_eq!(classify("crates/obs/src/sync.rs"), Some(FileClass::Shim));
+    assert_eq!(classify("crates/obs/src/sync.rs"), Some(FileClass::Exempt));
     assert_eq!(classify("crates/analysis/tests/fixtures/ft201_sync_primitives.rs"), None);
     assert_eq!(classify("crates/bench/src/store_micro.rs"), Some(FileClass::Bench));
-    assert_eq!(classify("src/bin/ftpde.rs"), Some(FileClass::Bin));
+    assert_eq!(classify("src/bin/ftpde.rs"), Some(FileClass::Exempt));
+}
+
+/// The clock ban lives in `crates/clippy.toml`, but clippy reads only
+/// the `clippy.toml` nearest to a crate, so the crate-local files of
+/// core and the optimizer (which add the `HashMap`/`HashSet` ban) must
+/// repeat every entry of the shared one.
+#[test]
+fn crate_local_clippy_configs_repeat_the_shared_entries() {
+    let read = |rel: &str| {
+        std::fs::read_to_string(workspace_root().join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+    };
+    let shared = read("crates/clippy.toml");
+    let entries: Vec<&str> =
+        shared.lines().map(str::trim).filter(|l| l.starts_with("{ path = ")).collect();
+    assert!(entries.len() >= 3, "crates/clippy.toml lost its clock entries: {entries:?}");
+    for local in ["crates/core/clippy.toml", "crates/optimizer/clippy.toml"] {
+        let text = read(local);
+        for entry in &entries {
+            assert!(text.lines().any(|l| l.trim() == *entry), "{local} does not repeat `{entry}`");
+        }
+    }
 }
 
 fn workspace_root() -> PathBuf {

@@ -98,8 +98,9 @@ impl CollapsedPlan {
         let is_root = |id: OpId| config.materializes(id) || plan.consumers(id).is_empty();
 
         let roots: Vec<OpId> = plan.op_ids().filter(|&id| is_root(id)).collect();
-        // Dense maps indexed by plan-operator index (FT203: this sits on
-        // the enumeration hot path, and operator ids are already dense).
+        // Dense maps indexed by plan-operator index (no hash maps in this
+        // crate, see its `clippy.toml`: this sits on the enumeration hot
+        // path, and operator ids are already dense).
         let mut root_cid: Vec<Option<CId>> = vec![None; plan.len()];
         for (i, &r) in roots.iter().enumerate() {
             root_cid[r.index()] = Some(CId(i as u32));
@@ -187,7 +188,7 @@ impl CollapsedPlan {
             v.sort_unstable();
         }
         let collapsed = CollapsedPlan { ops, inputs, consumers };
-        #[cfg(feature = "invariant-checks")]
+        #[cfg(debug_assertions)]
         crate::invariant::check_collapse(plan, config, &collapsed, pipe_const);
         collapsed
     }

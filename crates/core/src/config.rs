@@ -201,7 +201,7 @@ mod tests {
         let cfgs: Vec<_> = MatConfig::enumerate(&p).collect();
         assert_eq!(cfgs.len(), 128); // 2^7 free operators
                                      // All distinct.
-        let set: std::collections::HashSet<_> = cfgs.iter().cloned().collect();
+        let set: std::collections::BTreeSet<_> = cfgs.iter().map(|c| c.bits.clone()).collect();
         assert_eq!(set.len(), 128);
     }
 

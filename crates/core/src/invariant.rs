@@ -1,22 +1,21 @@
-//! Debug-build invariant hooks (enabled by the `invariant-checks` feature).
+//! Debug-build invariant hooks.
 //!
 //! The properties the paper's procedure relies on — the collapsed plan
-//! partitioning the operator DAG (§3.3), cost conservation modulo
-//! `CONST_pipe` (Eq. 1) and the pruning-counter partition of the search —
-//! are continuously re-checked on every [`CollapsedPlan::collapse`] and
-//! [`crate::search::find_best_ft_plan`] call when the feature is on. The
-//! same properties are available as offline diagnostics through the
-//! `ftpde-analysis` crate; this module is the always-on, in-process
-//! variant for tests and CI.
+//! partitioning the operator DAG (§3.3) and cost conservation modulo
+//! `CONST_pipe` (Eq. 1) — are re-checked on every
+//! [`CollapsedPlan::collapse`] call in builds with `debug_assertions`
+//! (tests and debug builds). The same properties are available as
+//! offline diagnostics through the `ftpde-analysis` crate; this module
+//! is the in-process variant. The search's pruning-counter partition is
+//! checked next to the counters themselves, in
+//! [`crate::search::find_best_ft_plan`].
 //!
-//! All checks panic with a descriptive message on violation. They are
-//! compiled out entirely without the feature, so the hot paths carry zero
-//! cost in normal builds.
+//! All checks panic with a descriptive message on violation. Release
+//! builds compile the call out, so the hot paths carry zero cost there.
 
 use crate::collapse::CollapsedPlan;
 use crate::config::MatConfig;
 use crate::dag::PlanDag;
-use crate::search::SearchStats;
 
 /// Relative tolerance for floating-point cost comparisons.
 const EPS: f64 = 1e-9;
@@ -74,32 +73,6 @@ pub fn check_collapse(
     }
 }
 
-/// Asserts the pruning-counter partition of [`SearchStats::partition_holds`]:
-/// every configuration of the unpruned space is explored, eliminated by
-/// rule 1/2, or abandoned by a rule-3 stop — nothing is double-counted or
-/// lost.
-///
-/// # Panics
-/// Panics if the partition does not hold.
-pub fn check_search_stats(stats: &SearchStats) {
-    assert!(
-        stats.partition_holds(),
-        "search invariant: pruning counters do not partition the config space: \
-         {} explored + {} rule1 + {} rule2 + {} rule3 != {} unpruned",
-        stats.configs_explored,
-        stats.configs_pruned_rule1,
-        stats.configs_pruned_rule2,
-        stats.rule3_stops(),
-        stats.configs_unpruned
-    );
-    assert!(
-        stats.paths_costed <= stats.paths_examined,
-        "search invariant: costed {} paths but examined only {}",
-        stats.paths_costed,
-        stats.paths_examined
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,17 +97,5 @@ mod tests {
         let pc = CollapsedPlan::collapse(&plan, &cfg, 1.0);
         // Checking against the wrong pipeline constant must trip Eq. 1.
         check_collapse(&plan, &cfg, &pc, 0.5);
-    }
-
-    #[test]
-    fn healthy_stats_pass() {
-        check_search_stats(&SearchStats::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "search invariant")]
-    fn broken_partition_is_caught() {
-        let stats = SearchStats { configs_unpruned: 8, configs_explored: 7, ..Default::default() };
-        check_search_stats(&stats);
     }
 }

@@ -6,7 +6,7 @@
 //! no synchronization primitives here. The only nondeterminism the
 //! crate ever touches is wall time (the search's elapsed-time budget
 //! accounting), and that routes through [`clock`] so a deterministic
-//! simulator can virtualize it. The `FT202` source lint
-//! (`ftpde lint --source`) enforces the routing.
+//! simulator can virtualize it. Clippy's `disallowed-methods` (this
+//! crate's `clippy.toml`) enforces the routing.
 
 pub use ftpde_obs::sync::clock;

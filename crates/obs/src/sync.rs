@@ -15,9 +15,11 @@
 //! enforces that every primitive in library code routes through one of
 //! the two, so the split is visible instead of ambient.
 //!
-//! [`clock`] is the workspace's wall-clock seam (`FT202`): library code
-//! reads time through it, which is what lets a future deterministic
-//! simulator virtualize time without touching the call sites.
+//! [`clock`] is the workspace's wall-clock seam: library code reads time
+//! through it (clippy's `disallowed-methods`, configured in
+//! `crates/clippy.toml`, rejects `Instant::now` everywhere else), which
+//! is what lets a deterministic simulator virtualize time without
+//! touching the call sites.
 
 #[cfg(not(loom))]
 pub use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,7 +80,8 @@ pub mod plain {
 }
 
 /// The wall-clock seam: all library reads of monotonic time route
-/// through [`clock::now`]/[`clock::elapsed`] (`FT202`).
+/// through [`clock::now`]/[`clock::elapsed`] (enforced by the
+/// `disallowed-methods` entries in `crates/clippy.toml`).
 ///
 /// Normally this is exactly `Instant::now()`. The indirection buys one
 /// thing: a process-global virtual offset that a deterministic
@@ -108,6 +111,10 @@ pub mod clock {
 
         /// The current instant: real monotonic time plus the virtual
         /// offset. Monotone because both terms are.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the clock seam itself: the one sanctioned real-clock read"
+        )]
         pub fn now(&self) -> Instant {
             Instant::now() + Duration::from_nanos(self.offset_nanos.load(Ordering::Relaxed))
         }

@@ -51,7 +51,7 @@ proptest! {
     fn enumeration_is_sound_and_complete(g in arb_graph()) {
         let plans = all_plans(&g);
         prop_assert_eq!(plans.len() as u64, count_join_orders(&g));
-        let mut renders = std::collections::HashSet::new();
+        let mut renders = std::collections::BTreeSet::<String>::new();
         for t in &plans {
             assert_valid_tree(t, &g);
             prop_assert_eq!(t.rel_set(), g.all_rels());

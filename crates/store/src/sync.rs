@@ -16,9 +16,10 @@
 //! loom-modeled protocol (refcounts, throughput counters, the disk
 //! backend's coarse manifest lock), and [`clock`] is the crate's view of
 //! the workspace wall-clock seam — see `ftpde_obs::sync` for both
-//! stories. The `FT201`/`FT202` source lints (`ftpde lint --source`)
-//! enforce that library code in this crate uses these modules rather
-//! than reaching for `std::sync`/`parking_lot`/`Instant::now` directly.
+//! stories. The `FT201` source lint (`ftpde lint --source`) and
+//! clippy's `disallowed-methods` (`crates/clippy.toml`) enforce that
+//! library code in this crate uses these modules rather than reaching
+//! for `std::sync`/`parking_lot`/`Instant::now` directly.
 
 #[cfg(not(loom))]
 pub use parking_lot::{Mutex, MutexGuard};

@@ -30,8 +30,8 @@
 //! * `lint` — run the static-analysis passes (`FT001`…) of
 //!   `ftpde-analysis` over the built-in plans, one TPC-H query, or an
 //!   arbitrary serialized plan; or, with `--source`, run the
-//!   source-discipline analyzer (`FT201`…`FT207`) over the workspace's
-//!   own Rust sources. Exits nonzero on any Error-severity diagnostic,
+//!   source-discipline analyzer (`FT201`, `FT204`, `FT205`, `FT207` and
+//!   `FT210`…`FT214`) over the workspace's own Rust sources. Exits nonzero on any Error-severity diagnostic,
 //!   so both modes can gate CI.
 //! * `explain` — print the long-form explanation of one diagnostic code
 //!   (`ftpde explain FT201`), from the same registry that defines every
@@ -432,8 +432,8 @@ fn lint_searched(validator: &PlanValidator, subject: &str, plan: &PlanDag) -> Cl
     Ok(validator.validate_ft_plan(subject, &best.plan, &best.config))
 }
 
-/// `ftpde lint --source`: the source-discipline scan (`FT201`…`FT207`)
-/// over a workspace checkout — text renders the per-code rollup plus
+/// `ftpde lint --source`: the source-discipline scan (`FT2xx`) over a
+/// workspace checkout — text renders the per-code rollup plus
 /// every Warn/Error finding, json emits the full `ReportSet` (the CI
 /// artifact). Exits nonzero iff any Error-severity finding survives its
 /// suppressions.
