@@ -17,8 +17,6 @@
 //! an error — the coordinator emits a `segment_corrupt` event, walks back
 //! to the producing stage and re-executes forward from there.
 
-use std::collections::HashMap;
-
 use ftpde_core::collapse::CollapsedPlan;
 use ftpde_core::config::MatConfig;
 use ftpde_core::cost::EstimateBreakdown;
@@ -27,7 +25,7 @@ use ftpde_store::value::Row;
 use ftpde_store::StoreBackend;
 
 use crate::failure::FailureInjector;
-use crate::ops::{execute, merge_partials, ExecCtx, Interrupted};
+use crate::ops::{merge_partials, run_stage, ExecCtx, Interrupted};
 use crate::plan::{EOpId, EnginePlan, OpKind};
 use crate::store::default_store;
 use crate::sync::clock;
@@ -874,40 +872,21 @@ fn run_stage_on_node(
     if interrupted() {
         return Err(WorkerError::Interrupted);
     }
-    let ctx = ExecCtx { catalog, node, interrupted: &interrupted };
-    let mut memo: HashMap<EOpId, Vec<Row>> = HashMap::new();
-
+    // Cross-stage inputs come from the fault-tolerant store, one read per
+    // member input. The coordinator's input check ran `get` on each of them
+    // before deploying this worker — but a concurrent reader can demote the
+    // segment between that check and this read (corruption discovered on
+    // `get`), so a miss here is a recoverable lost-input, not a bug.
+    let mut stored: Vec<(EOpId, Arc<Vec<Row>>)> = Vec::new();
     for &m in members {
-        let op = plan.op(m);
-        // Resolve inputs: in-stage producers from the memo, materialized
-        // producers from the fault-tolerant store. The coordinator's
-        // input check ran `get` on every cross-stage input before
-        // deploying this worker — but a concurrent reader can demote the
-        // segment between that check and this read (corruption discovered
-        // on `get`), so a miss here is a recoverable lost-input, not a
-        // bug.
-        let mut stored: Vec<Option<Arc<Vec<Row>>>> = Vec::with_capacity(op.inputs.len());
-        for p in &op.inputs {
-            if members.contains(p) {
-                stored.push(None);
-            } else {
-                match store.get(p.0, node) {
-                    Some(arc) => stored.push(Some(arc)),
-                    None => return Err(WorkerError::InputLost(p.0)),
-                }
+        for &p in &plan.op(m).inputs {
+            if !members.contains(&p) {
+                stored.push((p, store.get(p.0, node).ok_or(WorkerError::InputLost(p.0))?));
             }
         }
-        let slices: Vec<&[Row]> = op
-            .inputs
-            .iter()
-            .zip(&stored)
-            .map(|(p, s)| match s {
-                Some(arc) => arc.as_slice(),
-                None => memo[p].as_slice(),
-            })
-            .collect();
-        let out = execute(&op.kind, &slices, &ctx)?;
-        memo.insert(m, out);
     }
-    Ok(memo.remove(&root).expect("root is a member"))
+    let stored: Vec<(EOpId, &[Row])> =
+        stored.iter().map(|(p, rows)| (*p, rows.as_slice())).collect();
+    let ctx = ExecCtx { catalog, node, interrupted: &interrupted };
+    Ok(run_stage(plan, members, root, &stored, &ctx)?)
 }

@@ -1,13 +1,24 @@
-//! Physical operator execution on one node's data.
+//! Physical operator kernels on one node's data, and the stage driver that
+//! composes them.
 //!
-//! Every operator is a pure function from input row vectors to an output
-//! row vector. Executors poll an interrupt flag at row-batch boundaries so
-//! an injected node failure aborts the operator mid-flight — partial work
-//! is discarded exactly as when a real process dies.
+//! Every kernel pushes rows. A source — the node's partition of a base
+//! table, or an already materialized row set — walks its rows and pushes
+//! each one, as a `&[Value]` slice, through filter, projection and
+//! hash-join probe steps into a sink that either aggregates the rows or
+//! materializes them. [`execute`] runs one operator over materialized
+//! inputs; the stage driver `run_stage` fuses a collapsed sub-plan into
+//! as few pipelines as its shape allows, so a row becomes a [`Row`] only
+//! where it must outlive its pipeline.
+//!
+//! Sources poll the interrupt flag every `BATCH` rows, and so does the
+//! loop that builds a join's hash table, so an injected node failure aborts
+//! the stage mid-flight — partial work is discarded exactly as when a real
+//! process dies.
 
 use std::collections::HashMap;
 
-use crate::plan::{Agg, AggFunc, OpKind};
+use crate::expr::Expr;
+use crate::plan::{Agg, AggFunc, EOpId, EnginePlan, OpKind};
 use crate::table::Catalog;
 use ftpde_store::value::{Row, Value};
 
@@ -46,63 +57,266 @@ pub fn execute(
     inputs: &[&[Row]],
     ctx: &ExecCtx<'_>,
 ) -> Result<Vec<Row>, Interrupted> {
+    if let OpKind::TopK { sort_col, ascending, k } = *kind {
+        return top_k(inputs[0], sort_col, ascending, k, ctx);
+    }
+    let pipe = Pipe::step(kind, || inputs[0], Pipe::sink(kind), ctx)?;
+    let source = match streamed_port(kind) {
+        Some(port) => Source::Rows(inputs[port]),
+        None => Source::scan(kind, ctx),
+    };
+    source.run(pipe, ctx)
+}
+
+/// The input an operator reads row by row, so that it can stream from its
+/// producer: the only input of a filter, projection or aggregation, or a
+/// join's probe side. `None` for a scan, which reads its table, and for
+/// top-k, which sorts its whole input.
+fn streamed_port(kind: &OpKind) -> Option<usize> {
     match kind {
-        OpKind::Scan { table, filter, project } => {
-            let rows = ctx.catalog.table(table).partition(ctx.node);
-            let mut out = Vec::new();
-            for (i, r) in rows.iter().enumerate() {
-                ctx.check(i)?;
-                if filter.as_ref().is_some_and(|f| !f.eval_bool(r)) {
-                    continue;
+        OpKind::Filter { .. } | OpKind::Project { .. } | OpKind::HashAgg { .. } => Some(0),
+        OpKind::HashJoin { .. } => Some(1),
+        OpKind::Scan { .. } | OpKind::TopK { .. } => None,
+    }
+}
+
+/// Runs the collapsed sub-plan `members` (ascending ids, ending at `root`)
+/// on the context's node and returns the root's output. `stored` holds the
+/// sub-plan's cross-stage inputs.
+///
+/// A member streams into its consumer when it has exactly one consumer,
+/// that consumer is a member too, and the consumer reads it on its
+/// streamed port ([`streamed_port`]). Every other member is materialized
+/// into the stage's memo: the root, join build sides, top-k inputs and
+/// operators with several readers or a reader in another stage. Each
+/// materialized member is the sink of one pipeline whose source is a table
+/// scan or a materialized input.
+pub(crate) fn run_stage(
+    plan: &EnginePlan,
+    members: &[EOpId],
+    root: EOpId,
+    stored: &[(EOpId, &[Row])],
+    ctx: &ExecCtx<'_>,
+) -> Result<Vec<Row>, Interrupted> {
+    let streams = |id: EOpId| match plan.consumers(id) {
+        [c] => {
+            let consumer = plan.op(*c);
+            members.contains(&id)
+                && members.contains(c)
+                && streamed_port(&consumer.kind).is_some_and(|port| consumer.inputs[port] == id)
+        }
+        _ => false,
+    };
+    let mut memo: HashMap<EOpId, Vec<Row>> = HashMap::new();
+    for &m in members.iter().filter(|&&m| m != root && !streams(m)) {
+        let rows = materialize(plan, m, &streams, &memo, stored, ctx)?;
+        memo.insert(m, rows);
+    }
+    materialize(plan, root, &streams, &memo, stored, ctx)
+}
+
+/// Runs the pipeline whose sink is the materialized operator `id`: from
+/// `id`, walks up streamed inputs, putting each operator's push step in
+/// front of the pipe, until it reaches a scan or a materialized input.
+fn materialize(
+    plan: &EnginePlan,
+    id: EOpId,
+    streams: &dyn Fn(EOpId) -> bool,
+    memo: &HashMap<EOpId, Vec<Row>>,
+    stored: &[(EOpId, &[Row])],
+    ctx: &ExecCtx<'_>,
+) -> Result<Vec<Row>, Interrupted> {
+    let input = |p: EOpId| match memo.get(&p) {
+        Some(rows) => rows.as_slice(),
+        None => match stored.iter().find(|(s, _)| *s == p) {
+            Some(&(_, rows)) => rows,
+            None => unreachable!("input {p:?} is neither materialized in the stage nor stored"),
+        },
+    };
+    let op = plan.op(id);
+    if let OpKind::TopK { sort_col, ascending, k } = op.kind {
+        return top_k(input(op.inputs[0]), sort_col, ascending, k, ctx);
+    }
+    let mut pipe = Pipe::sink(&op.kind);
+    let mut cur = op;
+    let source = loop {
+        pipe = Pipe::step(&cur.kind, || input(cur.inputs[0]), pipe, ctx)?;
+        match streamed_port(&cur.kind) {
+            Some(port) if streams(cur.inputs[port]) => cur = plan.op(cur.inputs[port]),
+            Some(port) => break Source::Rows(input(cur.inputs[port])),
+            None => break Source::scan(&cur.kind, ctx),
+        }
+    };
+    source.run(pipe, ctx)
+}
+
+/// Where a pipeline's rows come from.
+enum Source<'a> {
+    /// The node's partition of a base table, filtered and projected as it
+    /// is read.
+    Scan { rows: &'a [Row], filter: Option<&'a Expr>, project: Option<&'a [usize]> },
+    /// A materialized row set: a member's output or a stored input.
+    Rows(&'a [Row]),
+}
+
+impl<'a> Source<'a> {
+    /// The source of a scan operator.
+    fn scan(kind: &'a OpKind, ctx: &ExecCtx<'a>) -> Self {
+        match kind {
+            OpKind::Scan { table, filter, project } => Source::Scan {
+                rows: ctx.catalog.table(table).partition(ctx.node),
+                filter: filter.as_ref(),
+                project: project.as_deref(),
+            },
+            _ => unreachable!("only scans read a table"),
+        }
+    }
+
+    /// Pushes every row into `pipe`, polling for an interrupt every
+    /// [`BATCH`] rows, and returns the pipe's output.
+    fn run(self, mut pipe: Pipe<'_>, ctx: &ExecCtx<'_>) -> Result<Vec<Row>, Interrupted> {
+        self.drive(&mut pipe, ctx)?;
+        Ok(pipe.finish())
+    }
+
+    fn drive(self, pipe: &mut Pipe<'_>, ctx: &ExecCtx<'_>) -> Result<(), Interrupted> {
+        match self {
+            Source::Rows(rows) => {
+                for (i, r) in rows.iter().enumerate() {
+                    ctx.check(i)?;
+                    pipe.push(r);
                 }
-                out.push(match project {
-                    Some(cols) => cols.iter().map(|&c| r[c]).collect(),
-                    None => r.clone(),
-                });
             }
-            Ok(out)
-        }
-        OpKind::Filter { predicate } => {
-            let mut out = Vec::new();
-            for (i, r) in inputs[0].iter().enumerate() {
-                ctx.check(i)?;
-                if predicate.eval_bool(r) {
-                    out.push(r.clone());
-                }
-            }
-            Ok(out)
-        }
-        OpKind::Project { exprs } => {
-            let mut out = Vec::with_capacity(inputs[0].len());
-            for (i, r) in inputs[0].iter().enumerate() {
-                ctx.check(i)?;
-                out.push(exprs.iter().map(|e| e.eval(r)).collect());
-            }
-            Ok(out)
-        }
-        OpKind::HashJoin { build_key, probe_key, residual } => {
-            let (build, probe) = (inputs[0], inputs[1]);
-            let mut table: HashMap<i64, Vec<&Row>> = HashMap::new();
-            for (i, r) in build.iter().enumerate() {
-                ctx.check(i)?;
-                table.entry(r[*build_key].as_int()).or_default().push(r);
-            }
-            let mut out = Vec::new();
-            for (i, p) in probe.iter().enumerate() {
-                ctx.check(i)?;
-                if let Some(matches) = table.get(&p[*probe_key].as_int()) {
-                    for b in matches {
-                        let joined: Row = b.iter().chain(p.iter()).copied().collect();
-                        if residual.as_ref().is_none_or(|f| f.eval_bool(&joined)) {
-                            out.push(joined);
+            Source::Scan { rows, filter, project } => {
+                let mut buf = Vec::with_capacity(project.map_or(0, <[usize]>::len));
+                for (i, r) in rows.iter().enumerate() {
+                    ctx.check(i)?;
+                    if filter.is_some_and(|f| !f.eval_bool(r)) {
+                        continue;
+                    }
+                    match project {
+                        Some(cols) => {
+                            buf.clear();
+                            buf.extend(cols.iter().map(|&c| r[c]));
+                            pipe.push(&buf);
                         }
+                        None => pipe.push(r),
                     }
                 }
             }
-            Ok(out)
         }
-        OpKind::HashAgg { group_cols, aggs } => aggregate(inputs[0], group_cols, aggs, ctx),
-        OpKind::TopK { sort_col, ascending, k } => top_k(inputs[0], *sort_col, *ascending, *k, ctx),
+        Ok(())
+    }
+}
+
+/// A push step: takes one row at a time and passes on what it produces.
+/// Rows travel as borrowed slices; steps that make new rows build them in
+/// a buffer they reuse.
+enum Pipe<'a> {
+    /// Passes on the rows that satisfy the predicate.
+    Filter { predicate: &'a Expr, next: Box<Pipe<'a>> },
+    /// Evaluates one expression per output column.
+    Project { exprs: &'a [Expr], buf: Vec<Value>, next: Box<Pipe<'a>> },
+    /// Looks the row up in a hash table of borrowed build rows and passes
+    /// on each match concatenated with it (build row first) that satisfies
+    /// the residual predicate.
+    Probe {
+        table: HashMap<i64, Vec<&'a Row>>,
+        probe_key: usize,
+        residual: Option<&'a Expr>,
+        buf: Vec<Value>,
+        next: Box<Pipe<'a>>,
+    },
+    /// Sink: hash aggregation.
+    Aggregate(Aggregate<'a>),
+    /// Sink: materializes every row.
+    Collect(Vec<Row>),
+}
+
+impl<'a> Pipe<'a> {
+    /// The sink of an operator whose output is materialized: the
+    /// aggregation itself, or a collector of the operator's output rows.
+    fn sink(kind: &'a OpKind) -> Self {
+        match kind {
+            OpKind::HashAgg { group_cols, aggs } => {
+                Pipe::Aggregate(Aggregate::new(group_cols, aggs))
+            }
+            _ => Pipe::Collect(Vec::new()),
+        }
+    }
+
+    /// Puts the push step of `kind` in front of `next`. A join first builds
+    /// its hash table over `build()`, polling every [`BATCH`] rows. A scan
+    /// (a source) and an aggregation (a sink) add no step.
+    fn step(
+        kind: &'a OpKind,
+        build: impl FnOnce() -> &'a [Row],
+        next: Self,
+        ctx: &ExecCtx<'_>,
+    ) -> Result<Self, Interrupted> {
+        let next = Box::new(next);
+        Ok(match kind {
+            OpKind::Filter { predicate } => Pipe::Filter { predicate, next },
+            OpKind::Project { exprs } => {
+                Pipe::Project { exprs, buf: Vec::with_capacity(exprs.len()), next }
+            }
+            OpKind::HashJoin { build_key, probe_key, residual } => {
+                let mut table: HashMap<i64, Vec<&Row>> = HashMap::new();
+                for (i, r) in build().iter().enumerate() {
+                    ctx.check(i)?;
+                    table.entry(r[*build_key].as_int()).or_default().push(r);
+                }
+                Pipe::Probe {
+                    table,
+                    probe_key: *probe_key,
+                    residual: residual.as_ref(),
+                    buf: Vec::new(),
+                    next,
+                }
+            }
+            OpKind::Scan { .. } | OpKind::HashAgg { .. } | OpKind::TopK { .. } => *next,
+        })
+    }
+
+    fn push(&mut self, row: &[Value]) {
+        match self {
+            Pipe::Filter { predicate, next } => {
+                if predicate.eval_bool(row) {
+                    next.push(row);
+                }
+            }
+            Pipe::Project { exprs, buf, next } => {
+                buf.clear();
+                buf.extend(exprs.iter().map(|e| e.eval(row)));
+                next.push(buf);
+            }
+            Pipe::Probe { table, probe_key, residual, buf, next } => {
+                let Some(matches) = table.get(&row[*probe_key].as_int()) else {
+                    return;
+                };
+                for b in matches {
+                    buf.clear();
+                    buf.extend_from_slice(b);
+                    buf.extend_from_slice(row);
+                    if residual.is_none_or(|f| f.eval_bool(buf)) {
+                        next.push(buf);
+                    }
+                }
+            }
+            Pipe::Aggregate(agg) => agg.push(row),
+            Pipe::Collect(out) => out.push(row.into()),
+        }
+    }
+
+    /// The rows the pipe's sink holds once every row has been pushed.
+    fn finish(self) -> Vec<Row> {
+        match self {
+            Pipe::Filter { next, .. } | Pipe::Project { next, .. } | Pipe::Probe { next, .. } => {
+                next.finish()
+            }
+            Pipe::Aggregate(agg) => agg.finish(),
+            Pipe::Collect(out) => out,
+        }
     }
 }
 
@@ -135,44 +349,76 @@ pub fn top_k(
 }
 
 /// Hash aggregation with deterministic (group-key-sorted) output order.
-fn aggregate(
-    rows: &[Row],
-    group_cols: &[usize],
-    aggs: &[Agg],
-    ctx: &ExecCtx<'_>,
-) -> Result<Vec<Row>, Interrupted> {
-    let mut groups: HashMap<Vec<i64>, Vec<Value>> = HashMap::new();
-    for (i, r) in rows.iter().enumerate() {
-        ctx.check(i)?;
-        let key: Vec<i64> = group_cols.iter().map(|&c| r[c].as_int()).collect();
-        let accs = groups.entry(key).or_insert_with(|| init_accs(aggs));
-        for (acc, agg) in accs.iter_mut().zip(aggs) {
-            update_acc(acc, agg, r);
-        }
-    }
-    // Empty input with no groups: global aggregates still yield one row.
-    if groups.is_empty() && group_cols.is_empty() {
-        groups.insert(Vec::new(), init_accs(aggs));
-    }
-    let mut keyed: Vec<(Vec<i64>, Vec<Value>)> = groups.into_iter().collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(keyed
-        .into_iter()
-        .map(|(key, accs)| key.into_iter().map(Value::Int).chain(accs).collect::<Row>())
-        .collect())
+/// Each row's group key is built in a reused buffer; only a new group
+/// allocates.
+struct Aggregate<'a> {
+    group_cols: &'a [usize],
+    aggs: &'a [Agg],
+    /// Group key → group index; group `g`'s accumulators are
+    /// `accs[g * aggs.len()..][..aggs.len()]`.
+    groups: HashMap<Box<[i64]>, usize>,
+    accs: Vec<Value>,
+    key: Vec<i64>,
 }
 
-fn init_accs(aggs: &[Agg]) -> Vec<Value> {
-    aggs.iter()
-        .map(|a| match a.func {
+impl<'a> Aggregate<'a> {
+    fn new(group_cols: &'a [usize], aggs: &'a [Agg]) -> Self {
+        Aggregate {
+            group_cols,
+            aggs,
+            groups: HashMap::new(),
+            accs: Vec::new(),
+            key: Vec::with_capacity(group_cols.len()),
+        }
+    }
+
+    fn push(&mut self, row: &[Value]) {
+        self.key.clear();
+        self.key.extend(self.group_cols.iter().map(|&c| row[c].as_int()));
+        let g = match self.groups.get(self.key.as_slice()) {
+            Some(&g) => g,
+            None => self.new_group(),
+        };
+        let n = self.aggs.len();
+        for (acc, agg) in self.accs[g * n..][..n].iter_mut().zip(self.aggs) {
+            update_acc(acc, agg, row);
+        }
+    }
+
+    /// Adds a group for the key in `self.key`, with initial accumulators.
+    fn new_group(&mut self) -> usize {
+        let g = self.groups.len();
+        self.groups.insert(self.key.as_slice().into(), g);
+        self.accs.extend(self.aggs.iter().map(|a| match a.func {
             AggFunc::Sum | AggFunc::Count => Value::Int(0),
             AggFunc::Min => Value::Int(i64::MAX),
             AggFunc::Max => Value::Int(i64::MIN),
-        })
-        .collect()
+        }));
+        g
+    }
+
+    /// One row per group — its key columns, then its accumulators — in key
+    /// order. Global aggregates over no rows still yield one row.
+    fn finish(mut self) -> Vec<Row> {
+        if self.groups.is_empty() && self.group_cols.is_empty() {
+            self.new_group();
+        }
+        let n = self.aggs.len();
+        let mut keyed: Vec<(Box<[i64]>, usize)> = self.groups.into_iter().collect();
+        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        keyed
+            .into_iter()
+            .map(|(key, g)| {
+                key.iter()
+                    .map(|&k| Value::Int(k))
+                    .chain(self.accs[g * n..][..n].iter().copied())
+                    .collect()
+            })
+            .collect()
+    }
 }
 
-fn update_acc(acc: &mut Value, agg: &Agg, row: &Row) {
+fn update_acc(acc: &mut Value, agg: &Agg, row: &[Value]) {
     match agg.func {
         AggFunc::Count => *acc = Value::Int(acc.as_int() + 1),
         AggFunc::Sum => {
@@ -206,15 +452,17 @@ pub fn merge_partials(
     aggs: &[Agg],
     ctx: &ExecCtx<'_>,
 ) -> Result<Vec<Row>, Interrupted> {
-    use crate::expr::Expr;
-    let all: Vec<Row> = partials.iter().flatten().cloned().collect();
     let merge_group: Vec<usize> = (0..group_cols.len()).collect();
     let merge_aggs: Vec<Agg> = aggs
         .iter()
         .enumerate()
         .map(|(i, a)| Agg { func: a.func.merge_func(), expr: Expr::col(group_cols.len() + i) })
         .collect();
-    aggregate(&all, &merge_group, &merge_aggs, ctx)
+    let mut merged = Pipe::Aggregate(Aggregate::new(&merge_group, &merge_aggs));
+    for rows in partials {
+        Source::Rows(rows).drive(&mut merged, ctx)?;
+    }
+    Ok(merged.finish())
 }
 
 #[cfg(test)]
@@ -342,6 +590,55 @@ mod tests {
         let node1 = vec![int_row(&[1, 20, 3, 1]), int_row(&[2, 5, 1, 5])];
         let merged = merge_partials(&[node0, node1], &group_cols, &aggs, &cx).unwrap();
         assert_eq!(merged, vec![int_row(&[1, 30, 5, 1]), int_row(&[2, 5, 1, 5])]);
+    }
+
+    /// scan → filter → hash aggregate over a 10 000-row table: one stage,
+    /// one pipeline.
+    fn fused_stage() -> (Catalog, EnginePlan) {
+        let mut c = Catalog::new();
+        c.register(PartitionedTable::replicated(
+            "t",
+            (0..10_000).map(|k| int_row(&[k, k % 3])).collect(),
+            1,
+        ));
+        let mut p = EnginePlan::new();
+        let scan =
+            p.add("scan", OpKind::Scan { table: "t".into(), filter: None, project: None }, &[]);
+        let filter =
+            p.add("filter", OpKind::Filter { predicate: Expr::col(0).ge(Expr::lit(0)) }, &[scan]);
+        p.add(
+            "agg",
+            OpKind::HashAgg {
+                group_cols: vec![1],
+                aggs: vec![Agg { func: AggFunc::Count, expr: Expr::lit(1) }],
+            },
+            &[filter],
+        );
+        (c, p.finish())
+    }
+
+    #[test]
+    fn fused_stage_polls_every_batch() {
+        let (c, plan) = fused_stage();
+        let members: Vec<EOpId> = plan.op_ids().collect();
+        // Runs the stage with an `interrupted` that answers `true` from its
+        // `fail_from`-th call on; returns the outcome and the call count.
+        let run = |fail_from: usize| {
+            let calls = std::cell::Cell::new(0usize);
+            let interrupted = || {
+                calls.set(calls.get() + 1);
+                calls.get() >= fail_from
+            };
+            let cx = ExecCtx { catalog: &c, node: 0, interrupted: &interrupted };
+            let out = run_stage(&plan, &members, EOpId(2), &[], &cx);
+            (out, calls.get())
+        };
+        let (out, calls) = run(usize::MAX);
+        assert_eq!(out, Ok(vec![int_row(&[0, 3334]), int_row(&[1, 3333]), int_row(&[2, 3333])]));
+        assert!(calls >= 10_000 / BATCH, "polled {calls} times");
+        let (out, calls) = run(4);
+        assert_eq!(out, Err(Interrupted));
+        assert!(calls <= 4, "polled {calls} times");
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Property-based tests of the execution engine's recovery machinery:
 //! under arbitrary failure schedules and materialization configurations,
-//! query results must be bit-identical to failure-free single-node runs.
+//! query results must be bit-identical to a failure-free single-node
+//! evaluation that runs one operator at a time through the kernels, so
+//! the coordinator's fused stages are checked against the unfused
+//! operators.
 
 use proptest::prelude::*;
 
@@ -8,11 +11,12 @@ use ftpde_core::collapse::CollapsedPlan;
 use ftpde_core::config::MatConfig;
 use ftpde_engine::coordinator::{run_query, EngineRecovery, RunOptions};
 use ftpde_engine::failure::{FailureInjector, Injection};
-use ftpde_engine::plan::EnginePlan;
+use ftpde_engine::ops::{execute, merge_partials, top_k, ExecCtx};
+use ftpde_engine::plan::{EnginePlan, OpKind};
 use ftpde_engine::queries::{
     load_catalog, q1_engine_plan, q1c_engine_plan, q2c_engine_plan, q3_engine_plan, q5_engine_plan,
 };
-use ftpde_engine::table::Catalog;
+use ftpde_engine::table::{Catalog, Distribution};
 use ftpde_store::value::Row;
 use ftpde_tpch::datagen::Database;
 
@@ -25,18 +29,34 @@ fn catalog() -> Catalog {
 
 type SinkResults = Vec<(ftpde_engine::plan::EOpId, Vec<Row>)>;
 
-fn reference(plan: &EnginePlan, catalog: &Catalog) -> SinkResults {
+/// The expected sink results, computed without the coordinator: every
+/// operator runs once through `ops::execute`, in plan order, on a 1-node
+/// catalog, and gather operators over partitioned inputs then go through
+/// `merge_partials` or `top_k`, as the coordinator merges them.
+fn reference(plan: &EnginePlan) -> SinkResults {
     let single = load_catalog(&Database::generate(0.0003, 99), 1);
-    let dag = plan.to_plan_dag();
-    let r = run_query(
-        plan,
-        &MatConfig::none(&dag),
-        &single,
-        &FailureInjector::none(),
-        &RunOptions::default(),
-    );
-    let _ = catalog;
-    r.results
+    let dists = plan.distributions(&single);
+    let ctx = ExecCtx { catalog: &single, node: 0, interrupted: &|| false };
+    let mut outputs: Vec<Vec<Row>> = Vec::with_capacity(plan.len());
+    for id in plan.op_ids() {
+        let op = plan.op(id);
+        let inputs: Vec<&[Row]> = op.inputs.iter().map(|p| outputs[p.index()].as_slice()).collect();
+        let mut rows = execute(&op.kind, &inputs, &ctx).expect("never interrupted");
+        if op.kind.is_gather() && dists[op.inputs[0].index()] == Distribution::Partitioned {
+            rows = match &op.kind {
+                OpKind::HashAgg { group_cols, aggs } => {
+                    merge_partials(&[rows], group_cols, aggs, &ctx)
+                }
+                OpKind::TopK { sort_col, ascending, k } => {
+                    top_k(&rows, *sort_col, *ascending, *k, &ctx)
+                }
+                _ => unreachable!("is_gather covers exactly these kinds"),
+            }
+            .expect("never interrupted");
+        }
+        outputs.push(rows);
+    }
+    plan.sinks().into_iter().map(|s| (s, std::mem::take(&mut outputs[s.index()]))).collect()
 }
 
 fn plan_by_index(i: u8) -> EnginePlan {
@@ -66,7 +86,7 @@ proptest! {
         let n = dag.free_count();
         let config = MatConfig::from_free_bits(&dag, mask & ((1u64 << n) - 1));
         let catalog = catalog();
-        let expected = reference(&plan, &catalog);
+        let expected = reference(&plan);
 
         let stage_roots: Vec<u32> = {
             let pc = CollapsedPlan::collapse(&dag, &config, 1.0);
@@ -91,7 +111,7 @@ proptest! {
         let dag = plan.to_plan_dag();
         let config = MatConfig::none(&dag);
         let catalog = catalog();
-        let expected = reference(&plan, &catalog);
+        let expected = reference(&plan);
         let stage_roots: Vec<u32> = {
             let pc = CollapsedPlan::collapse(&dag, &config, 1.0);
             pc.iter().map(|(_, c)| c.root.0).collect()
@@ -118,7 +138,7 @@ proptest! {
         let dag = plan.to_plan_dag();
         let config = MatConfig::none(&dag);
         let catalog = catalog();
-        let expected = reference(&plan, &catalog);
+        let expected = reference(&plan);
         // With no materialization the plan has one stage per sink; kill
         // the first `restarts` whole-query attempts at the first sink.
         let sink = plan.sinks()[0];
