@@ -49,7 +49,9 @@ pub enum CanonicalScope {
     /// with a worker tid). For runs whose worker tracks race by design —
     /// coarse restarts cancel sibling workers at arbitrary batch
     /// boundaries, so whether a `worker_cancelled` event exists at all
-    /// is a scheduler coin-flip.
+    /// is a scheduler coin-flip. For the same reason the `store_stats`
+    /// instant loses its `bytes_read` arg: that lifetime counter includes
+    /// the stored inputs a sibling worker read before it saw the cancel.
     CoordinatorOnly,
 }
 
@@ -66,7 +68,9 @@ pub enum CanonicalScope {
 /// * `ts_us` becomes the event's sequence index in the projected log and
 ///   `dur_us` becomes zero;
 /// * wall-clock measurement args (`lost_s`, `write_bytes_per_s`,
-///   `read_bytes_per_s`) are dropped.
+///   `read_bytes_per_s`) are dropped, and under
+///   [`CanonicalScope::CoordinatorOnly`] so is `store_stats`' racy
+///   `bytes_read`.
 ///
 /// The simulation harness compares `to_jsonl(&canonical_trace(..))` of a
 /// run against its replay; any byte difference is an FT301 finding.
@@ -84,6 +88,9 @@ pub fn canonical_trace(events: &[Event], scope: CanonicalScope) -> Vec<Event> {
             c.ts_us = out.len() as u64;
             c.dur_us = 0;
             c.args.retain(|(k, _)| !TIMING_ARGS.contains(&k.as_str()));
+            if scope == CanonicalScope::CoordinatorOnly && c.name == "store_stats" {
+                c.args.retain(|(k, _)| k != "bytes_read");
+            }
             out.push(c);
         }
     }
@@ -386,6 +393,21 @@ mod tests {
         let c = canonical_trace(&events, CanonicalScope::CoordinatorOnly);
         let names: Vec<&str> = c.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, vec!["stage", "query_completed", "materialize"]);
+
+        // Two runs whose cancelled siblings read different amounts of
+        // stored input before stopping: only the coordinator-scope
+        // projection may call them equal.
+        let stats = |bytes_read: u64| {
+            vec![Event::instant("store_stats", "engine", 9)
+                .arg("fsyncs", 4u64)
+                .arg("bytes_read", bytes_read)]
+        };
+        let (a, b) = (stats(100), stats(250));
+        let coord = |e: &[Event]| to_jsonl(&canonical_trace(e, CanonicalScope::CoordinatorOnly));
+        assert_eq!(coord(&a), coord(&b));
+        assert!(coord(&a).contains("fsyncs"));
+        let all = |e: &[Event]| to_jsonl(&canonical_trace(e, CanonicalScope::AllTracks));
+        assert_ne!(all(&a), all(&b));
     }
 
     #[test]

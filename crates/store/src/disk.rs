@@ -273,8 +273,7 @@ impl DiskBackend {
 
     fn put_segment(&self, op: u32, node: Option<usize>, nodes: usize, rows: Vec<Row>) {
         let started = clock::now();
-        let image = codec::build_segment(op, node, &rows, self.compress);
-        let (header, _) = codec::parse_segment(&image).expect("freshly built segment is valid");
+        let (header, image) = codec::build_segment(op, node, &rows, self.compress);
         let file = segment_file_name(op, node);
         let logical_copies = if node.is_some() { 1 } else { nodes as u64 };
         let row_count = rows.len() as u64;
