@@ -90,107 +90,17 @@ impl CollapsedPlan {
     /// caller's responsibility and is checked with a debug assertion since
     /// collapsing sits on the enumeration hot path.
     pub fn collapse(plan: &PlanDag, config: &MatConfig, pipe_const: f64) -> Self {
-        debug_assert_eq!(config.len(), plan.len());
-        debug_assert!(pipe_const > 0.0 && pipe_const <= 1.0);
-
-        // A plan operator is a collapse boundary (root) iff it materializes
-        // or is a sink.
-        let is_root = |id: OpId| config.materializes(id) || plan.consumers(id).is_empty();
-
-        let roots: Vec<OpId> = plan.op_ids().filter(|&id| is_root(id)).collect();
-        // Dense maps indexed by plan-operator index (no hash maps in this
-        // crate, see its `clippy.toml`: this sits on the enumeration hot
-        // path, and operator ids are already dense).
-        let mut root_cid: Vec<Option<CId>> = vec![None; plan.len()];
-        for (i, &r) in roots.iter().enumerate() {
-            root_cid[r.index()] = Some(CId(i as u32));
-        }
-
-        let mut ops = Vec::with_capacity(roots.len());
-        let mut inputs: Vec<Vec<CId>> = vec![Vec::new(); roots.len()];
-        let mut consumers: Vec<Vec<CId>> = vec![Vec::new(); roots.len()];
-
-        // Scratch buffers reused across roots. `best`/`pred` carry stale
-        // values between roots, but every member is written before it is
-        // read (members are topological, reads go through `in_group`).
-        let mut in_group = vec![false; plan.len()];
-        let mut best = vec![0.0f64; plan.len()];
-        let mut pred: Vec<Option<OpId>> = vec![None; plan.len()];
-
-        for (ci, &root) in roots.iter().enumerate() {
-            // Backward closure from `root` through non-materialized inputs.
-            let mut members = vec![root];
-            in_group[root.index()] = true;
-            let mut stack = vec![root];
-            while let Some(v) = stack.pop() {
-                for &u in plan.inputs(v) {
-                    if !config.materializes(u) && !in_group[u.index()] {
-                        in_group[u.index()] = true;
-                        members.push(u);
-                        stack.push(u);
-                    }
-                }
-            }
-            members.sort_unstable();
-
-            // Dominant path: longest tr-weighted path ending at root, using
-            // only group members. Members are in topological order.
-            for &v in &members {
-                let mut best_in = 0.0f64;
-                let mut best_pred = None;
-                for &u in plan.inputs(v) {
-                    if in_group[u.index()] {
-                        let b = best[u.index()];
-                        if b > best_in {
-                            best_in = b;
-                            best_pred = Some(u);
-                        }
-                    }
-                }
-                best[v.index()] = best_in + plan.op(v).run_cost;
-                pred[v.index()] = best_pred;
-            }
-            let mut dominant_path = Vec::new();
-            let mut cur = Some(root);
-            while let Some(v) = cur {
-                dominant_path.push(v);
-                cur = pred[v.index()];
-            }
-            dominant_path.reverse();
-
-            let raw_run: f64 = best[root.index()];
-            let run_cost = if dominant_path.len() >= 2 { raw_run * pipe_const } else { raw_run };
-            let mat_cost = if config.materializes(root) { plan.op(root).mat_cost } else { 0.0 };
-
-            // Cross-group edges: a materialized input of any member feeds
-            // this collapsed operator.
-            for &v in &members {
-                for &u in plan.inputs(v) {
-                    if config.materializes(u) {
-                        let from = root_cid[u.index()]
-                            .expect("materialized operator is a collapse root by definition");
-                        let to = CId(ci as u32);
-                        if !inputs[to.index()].contains(&from) {
-                            inputs[to.index()].push(from);
-                            consumers[from.index()].push(to);
-                        }
-                    }
-                }
-            }
-
-            for &v in &members {
-                in_group[v.index()] = false;
-            }
-            ops.push(CollapsedOp { root, members, dominant_path, run_cost, mat_cost });
-        }
-
-        for v in inputs.iter_mut().chain(consumers.iter_mut()) {
-            v.sort_unstable();
-        }
-        let collapsed = CollapsedPlan { ops, inputs, consumers };
-        #[cfg(debug_assertions)]
-        crate::invariant::check_collapse(plan, config, &collapsed, pipe_const);
+        let mut collapser = Collapser::default();
+        collapser.scan(plan, config);
+        let mut collapsed = CollapsedPlan::empty();
+        collapser.collapse_into(plan, config, pipe_const, &mut collapsed);
         collapsed
+    }
+
+    /// A plan with no collapsed operators, for [`Collapser::collapse_into`]
+    /// to fill.
+    pub(crate) fn empty() -> Self {
+        CollapsedPlan { ops: Vec::new(), inputs: Vec::new(), consumers: Vec::new() }
     }
 
     /// Number of collapsed operators.
@@ -253,6 +163,214 @@ impl CollapsedPlan {
     /// Sum of `t(c)` over all collapsed operators.
     pub fn total_cost(&self) -> f64 {
         self.ops.iter().map(CollapsedOp::total_cost).sum()
+    }
+}
+
+/// A plan operator is a collapse boundary (root) iff it materializes or is
+/// a sink.
+fn is_root(plan: &PlanDag, config: &MatConfig, id: OpId) -> bool {
+    config.materializes(id) || plan.consumers(id).is_empty()
+}
+
+/// One pass over a fault-tolerant plan `[P, M_P]`, with buffers reused
+/// across plans and configurations.
+///
+/// [`Collapser::scan`] computes, for every operator at once:
+///
+/// * the Eq. 1 dominant-path DP. One DP serves every collapsed operator
+///   because a member's input belongs to the member's group iff that
+///   input does not materialize, so the longest path ending at an
+///   operator does not depend on the group it is read in;
+/// * the collapsed id ([`CId`]) of every root;
+/// * the lowest root reachable from each operator through
+///   non-materialized consumers. The lowest of these over a root's
+///   consumers is the consumer
+///   [`for_each_path`](crate::paths::for_each_path) visits first from
+///   that root's collapsed operator.
+///
+/// From that pass, [`Collapser::first_path_runtime`] prices the first
+/// execution path without building the collapsed plan, and
+/// [`Collapser::collapse_into`] builds the full collapse.
+#[derive(Debug, Default)]
+pub(crate) struct Collapser {
+    /// Longest `tr`-weighted path ending at each operator through
+    /// non-materialized inputs (Eq. 1 before `CONST_pipe`).
+    best: Vec<f64>,
+    /// Each operator's predecessor on that path.
+    pred: Vec<Option<OpId>>,
+    /// The lowest root reachable from each operator through
+    /// non-materialized consumers (a root's own id).
+    first_root: Vec<OpId>,
+    /// The collapsed id of each root; stale for other operators.
+    cid: Vec<u32>,
+    /// Number of roots, and the lowest one.
+    roots: usize,
+    lowest_root: Option<OpId>,
+    /// Group-closure scratch; all `false` between groups.
+    in_group: Vec<bool>,
+    stack: Vec<OpId>,
+}
+
+impl Collapser {
+    /// Runs the pass over `[plan, config]`.
+    pub(crate) fn scan(&mut self, plan: &PlanDag, config: &MatConfig) {
+        debug_assert_eq!(config.len(), plan.len());
+        let n = plan.len();
+        self.best.resize(n, 0.0);
+        self.pred.resize(n, None);
+        self.first_root.resize(n, OpId(0));
+        self.cid.resize(n, 0);
+        self.in_group.resize(n, false);
+        self.roots = 0;
+        self.lowest_root = None;
+
+        for v in plan.op_ids() {
+            let mut best_in = 0.0f64;
+            let mut best_pred = None;
+            for &u in plan.inputs(v) {
+                if !config.materializes(u) && self.best[u.index()] > best_in {
+                    best_in = self.best[u.index()];
+                    best_pred = Some(u);
+                }
+            }
+            self.best[v.index()] = best_in + plan.op(v).run_cost;
+            self.pred[v.index()] = best_pred;
+            if is_root(plan, config, v) {
+                self.lowest_root.get_or_insert(v);
+                self.cid[v.index()] = self.roots as u32;
+                self.roots += 1;
+            }
+        }
+        for v in plan.op_ids().rev() {
+            self.first_root[v.index()] = if is_root(plan, config, v) {
+                v
+            } else {
+                // Not a sink, so `v` has consumers.
+                plan.consumers(v).iter().map(|w| self.first_root[w.index()]).min().unwrap_or(v)
+            };
+        }
+    }
+
+    /// `(tr(c), tm(c))` of the collapsed operator rooted at `root`.
+    fn costs(&self, plan: &PlanDag, config: &MatConfig, pipe_const: f64, root: OpId) -> (f64, f64) {
+        let raw_run = self.best[root.index()];
+        // `CONST_pipe` applies only to dominant paths of two or more
+        // operators.
+        let run_cost =
+            if self.pred[root.index()].is_some() { raw_run * pipe_const } else { raw_run };
+        let mat_cost = if config.materializes(root) { plan.op(root).mat_cost } else { 0.0 };
+        (run_cost, mat_cost)
+    }
+
+    /// `R_Pt` of the first path [`for_each_path`](crate::paths::for_each_path)
+    /// visits on the collapse of the scanned `[plan, config]`, or `None`
+    /// for an operator-less plan, which has no path. The path's `t(c)` are
+    /// summed in the same order and with the same expressions as
+    /// [`path_runtime`](crate::cost::path_runtime), so the two agree bit
+    /// for bit.
+    pub(crate) fn first_path_runtime(
+        &self,
+        plan: &PlanDag,
+        config: &MatConfig,
+        pipe_const: f64,
+    ) -> Option<f64> {
+        // The lowest root's collapsed operator is the first source: a
+        // materialized input of one of its members would be a lower root.
+        let mut next = Some(self.lowest_root?);
+        let runtime = std::iter::from_fn(|| {
+            let root = next?;
+            // The first consumer of `root`'s collapsed operator is the
+            // lowest root whose group reads `root`. Only sinks have none.
+            next = plan.consumers(root).iter().map(|v| self.first_root[v.index()]).min();
+            let (run_cost, mat_cost) = self.costs(plan, config, pipe_const, root);
+            Some(run_cost + mat_cost)
+        })
+        .sum();
+        Some(runtime)
+    }
+
+    /// Builds the collapse of the scanned `[plan, config]` into `out`,
+    /// reusing its buffers.
+    pub(crate) fn collapse_into(
+        &mut self,
+        plan: &PlanDag,
+        config: &MatConfig,
+        pipe_const: f64,
+        out: &mut CollapsedPlan,
+    ) {
+        debug_assert_eq!(self.best.len(), plan.len());
+        debug_assert!(pipe_const > 0.0 && pipe_const <= 1.0);
+
+        let CollapsedPlan { ops, inputs, consumers } = out;
+        ops.truncate(self.roots);
+        inputs.resize_with(self.roots, Vec::new);
+        consumers.resize_with(self.roots, Vec::new);
+        for list in inputs.iter_mut().chain(consumers.iter_mut()) {
+            list.clear();
+        }
+
+        let roots = plan.op_ids().filter(|&v| is_root(plan, config, v));
+        for (ci, root) in roots.enumerate() {
+            debug_assert_eq!(self.cid[root.index()] as usize, ci);
+            if ci == ops.len() {
+                ops.push(CollapsedOp {
+                    root,
+                    members: Vec::new(),
+                    dominant_path: Vec::new(),
+                    run_cost: 0.0,
+                    mat_cost: 0.0,
+                });
+            }
+            let c = &mut ops[ci];
+            c.root = root;
+
+            // Backward closure from `root` through non-materialized inputs.
+            c.members.clear();
+            c.members.push(root);
+            self.in_group[root.index()] = true;
+            self.stack.push(root);
+            while let Some(v) = self.stack.pop() {
+                for &u in plan.inputs(v) {
+                    if !config.materializes(u) && !self.in_group[u.index()] {
+                        self.in_group[u.index()] = true;
+                        c.members.push(u);
+                        self.stack.push(u);
+                    }
+                }
+            }
+            c.members.sort_unstable();
+
+            c.dominant_path.clear();
+            let mut cur = Some(root);
+            while let Some(v) = cur {
+                c.dominant_path.push(v);
+                cur = self.pred[v.index()];
+            }
+            c.dominant_path.reverse();
+            (c.run_cost, c.mat_cost) = self.costs(plan, config, pipe_const, root);
+
+            // Cross-group edges: a materialized input of any member feeds
+            // this collapsed operator.
+            let to = CId(ci as u32);
+            for &v in &c.members {
+                self.in_group[v.index()] = false;
+                for &u in plan.inputs(v) {
+                    if config.materializes(u) {
+                        let from = CId(self.cid[u.index()]);
+                        if !inputs[ci].contains(&from) {
+                            inputs[ci].push(from);
+                            consumers[from.index()].push(to);
+                        }
+                    }
+                }
+            }
+        }
+
+        for list in inputs.iter_mut().chain(consumers.iter_mut()) {
+            list.sort_unstable();
+        }
+        #[cfg(debug_assertions)]
+        crate::invariant::check_collapse(plan, config, out, pipe_const);
     }
 }
 
@@ -378,6 +496,85 @@ mod tests {
                 for &inp in pc.inputs(id) {
                     assert!(inp < id, "collapsed inputs precede consumers");
                 }
+            }
+        }
+    }
+}
+
+/// Property tests for [`Collapser`]: the first-path precheck and the
+/// buffer-reusing collapse must agree bit for bit with what the search
+/// would otherwise compute from a fresh [`CollapsedPlan::collapse`].
+#[cfg(test)]
+mod collapser_proptests {
+    use std::ops::ControlFlow;
+
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::cost::path_runtime;
+    use crate::operator::Operator;
+    use crate::paths::for_each_path;
+
+    /// A plan of 1..=12 operators, each reading up to two earlier ones
+    /// (none makes another source), with random costs and bindings, and a
+    /// configuration of it.
+    fn arb_plan_and_config() -> impl Strategy<Value = (PlanDag, MatConfig)> {
+        let op = (0.01f64..50.0, 0.0f64..20.0, 0u8..6, any::<u64>());
+        (collection::vec(op, 1..=12), any::<u64>()).prop_map(|(specs, mask)| {
+            let mut b = PlanDag::builder();
+            for (i, (tr, tm, bind, seed)) in specs.into_iter().enumerate() {
+                let mut inputs = Vec::new();
+                for pick in [seed as usize % (i + 1), (seed >> 32) as usize % (i + 1)] {
+                    if pick < i && !inputs.contains(&OpId(pick as u32)) {
+                        inputs.push(OpId(pick as u32));
+                    }
+                }
+                let op = match bind {
+                    0..=3 => Operator::free(format!("op{i}"), tr, tm),
+                    4 => Operator::always_materialized(format!("op{i}"), tr, tm),
+                    _ => Operator::non_materializable(format!("op{i}"), tr, tm),
+                };
+                b.add(op, &inputs).unwrap();
+            }
+            let plan = b.build().unwrap();
+            let config = MatConfig::from_free_bits(&plan, mask);
+            (plan, config)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        #[cfg_attr(miri, ignore = "1024-case proptests are too slow under Miri")]
+        fn precheck_prices_the_first_path(
+            case in arb_plan_and_config(),
+            pipe_const in 0.01f64..=1.0,
+        ) {
+            let (plan, config) = case;
+            let mut collapser = Collapser::default();
+            collapser.scan(&plan, &config);
+            let precheck = collapser.first_path_runtime(&plan, &config, pipe_const);
+            let full = CollapsedPlan::collapse(&plan, &config, pipe_const);
+            let first =
+                for_each_path(&full, |path| ControlFlow::Break(path_runtime(&full, path)));
+            prop_assert_eq!(first.map(f64::to_bits), precheck.map(f64::to_bits));
+        }
+
+        /// One collapser and one output reused over a sequence of plans
+        /// and configurations, as the search reuses them.
+        #[test]
+        #[cfg_attr(miri, ignore = "1024-case proptests are too slow under Miri")]
+        fn collapse_into_matches_a_fresh_collapse(
+            cases in collection::vec(arb_plan_and_config(), 1..6),
+            pipe_const in 0.01f64..=1.0,
+        ) {
+            let mut collapser = Collapser::default();
+            let mut reused = CollapsedPlan::empty();
+            for (plan, config) in &cases {
+                collapser.scan(plan, config);
+                collapser.collapse_into(plan, config, pipe_const, &mut reused);
+                prop_assert_eq!(&reused, &CollapsedPlan::collapse(plan, config, pipe_const));
             }
         }
     }

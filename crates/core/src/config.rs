@@ -63,19 +63,25 @@ impl MatConfig {
     /// of `mask`, where bit `k` corresponds to the `k`-th free operator in
     /// topological order. Masks `0..2^n` cover the whole search space.
     pub fn from_free_bits(plan: &PlanDag, mask: u64) -> Self {
-        let mut bits = vec![false; plan.len()];
+        let mut cfg = MatConfig { bits: Vec::with_capacity(plan.len()) };
+        cfg.set_free_bits(plan, mask);
+        cfg
+    }
+
+    /// Refills `self` with [`MatConfig::from_free_bits`]`(plan, mask)`,
+    /// reusing its buffer (the search refills one configuration per mask).
+    pub(crate) fn set_free_bits(&mut self, plan: &PlanDag, mask: u64) {
         let mut k = 0usize;
-        for (id, op) in plan.iter() {
-            match op.binding {
-                Binding::AlwaysMaterialized => bits[id.index()] = true,
-                Binding::NonMaterializable => {}
-                Binding::Free => {
-                    bits[id.index()] = (mask >> k) & 1 == 1;
-                    k += 1;
-                }
+        self.bits.clear();
+        self.bits.extend(plan.iter().map(|(_, op)| match op.binding {
+            Binding::AlwaysMaterialized => true,
+            Binding::NonMaterializable => false,
+            Binding::Free => {
+                let bit = (mask >> k) & 1 == 1;
+                k += 1;
+                bit
             }
-        }
-        MatConfig { bits }
+        }));
     }
 
     /// Effective `m(o)` for operator `id`.

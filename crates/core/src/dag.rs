@@ -16,13 +16,32 @@ use crate::error::{CoreError, Result};
 use crate::operator::{Binding, OpId, Operator};
 
 /// A DAG-structured parallel execution plan `P`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct PlanDag {
     ops: Vec<Operator>,
     /// `inputs[i]` — producers feeding operator `i`.
     inputs: Vec<Vec<OpId>>,
     /// `consumers[i]` — operators consuming the output of operator `i`.
     consumers: Vec<Vec<OpId>>,
+}
+
+// Written by hand so that `clone_from` reuses every operator name and edge
+// list: the search refills one plan per candidate (`derive(Clone)` would
+// reallocate them all).
+impl Clone for PlanDag {
+    fn clone(&self) -> Self {
+        PlanDag {
+            ops: self.ops.clone(),
+            inputs: self.inputs.clone(),
+            consumers: self.consumers.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.ops.clone_from(&source.ops);
+        self.inputs.clone_from(&source.inputs);
+        self.consumers.clone_from(&source.consumers);
+    }
 }
 
 impl PlanDag {

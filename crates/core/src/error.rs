@@ -21,6 +21,13 @@ pub enum CoreError {
     InvalidParameter { what: &'static str, value: f64 },
     /// The search was invoked with an empty set of candidate plans.
     NoCandidatePlans,
+    /// A candidate plan has too many free operators for its `2^n`
+    /// materialization configurations to be counted in a `u64`.
+    TooManyFreeOperators { plan_index: usize, free_ops: usize },
+    /// No fault-tolerant plan has a finite estimated runtime: every
+    /// configuration's path costs overflow to +∞, so the search has no
+    /// winner.
+    NoFiniteEstimate,
     /// A materialization configuration was built for a different plan shape.
     ConfigMismatch { expected_ops: usize, got_ops: usize },
 }
@@ -43,6 +50,14 @@ impl fmt::Display for CoreError {
                 write!(f, "cost parameter {what} = {value} is outside its valid domain")
             }
             CoreError::NoCandidatePlans => write!(f, "no candidate plans supplied to the search"),
+            CoreError::TooManyFreeOperators { plan_index, free_ops } => write!(
+                f,
+                "candidate plan {plan_index} has {free_ops} free operators; the search \
+                 enumerates at most 63"
+            ),
+            CoreError::NoFiniteEstimate => {
+                write!(f, "no fault-tolerant plan has a finite estimated runtime (costs overflow)")
+            }
             CoreError::ConfigMismatch { expected_ops, got_ops } => write!(
                 f,
                 "materialization configuration covers {got_ops} operators but the plan has {expected_ops}"

@@ -2,12 +2,12 @@
 //!
 //! The properties the paper's procedure relies on — the collapsed plan
 //! partitioning the operator DAG (§3.3) and cost conservation modulo
-//! `CONST_pipe` (Eq. 1) — are re-checked on every
-//! [`CollapsedPlan::collapse`] call in builds with `debug_assertions`
-//! (tests and debug builds). The same properties are available as
-//! offline diagnostics through the `ftpde-analysis` crate; this module
-//! is the in-process variant. The search's pruning-counter partition is
-//! checked next to the counters themselves, in
+//! `CONST_pipe` (Eq. 1) — are re-checked on every collapse, by
+//! [`CollapsedPlan::collapse`] or inside the search, in builds with
+//! `debug_assertions` (tests and debug builds). The same properties are
+//! available as offline diagnostics through the `ftpde-analysis` crate;
+//! this module is the in-process variant. The search's pruning-counter
+//! partition is checked next to the counters themselves, in
 //! [`crate::search::find_best_ft_plan`].
 //!
 //! All checks panic with a descriptive message on violation. Release
@@ -51,8 +51,10 @@ pub fn check_collapse(
         }
         let raw: f64 = c.dominant_path.iter().map(|&o| plan.op(o).run_cost).sum();
         let expected = if c.dominant_path.len() >= 2 { raw * pipe_const } else { raw };
+        // Exact equality first: an overflowed dominant path has
+        // tr(c) = +∞, and ∞ − ∞ is NaN.
         assert!(
-            (c.run_cost - expected).abs() <= EPS * expected.max(1.0),
+            c.run_cost == expected || (c.run_cost - expected).abs() <= EPS * expected.max(1.0),
             "collapse invariant: tr({cid:?}) = {} but dominant path sums to {expected} (Eq. 1)",
             c.run_cost
         );

@@ -27,7 +27,7 @@ pub fn for_each_path<B>(
     mut visit: impl FnMut(&[CId]) -> ControlFlow<B>,
 ) -> Option<B> {
     let mut stack: Vec<CId> = Vec::with_capacity(plan.len());
-    for src in plan.sources() {
+    for src in plan.op_ids().filter(|&id| plan.inputs(id).is_empty()) {
         if let Some(b) = dfs(plan, src, &mut stack, &mut visit) {
             return Some(b);
         }

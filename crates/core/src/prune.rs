@@ -199,7 +199,7 @@ impl PathMemo {
         let slot = &mut self.entries[idx];
         if slot.as_ref().is_none_or(|(_, t)| total < *t) {
             let mut sorted = costs.to_vec();
-            sorted.sort_by(|a, b| b.partial_cmp(a).expect("costs are finite"));
+            sorted.sort_by(|a, b| b.total_cmp(a));
             *slot = Some((sorted, total));
         }
     }

@@ -15,7 +15,7 @@ use std::ops::ControlFlow;
 use ftpde_obs::{Event, NoopRecorder, Recorder};
 use serde::{Deserialize, Serialize};
 
-use crate::collapse::{CId, CollapsedPlan};
+use crate::collapse::{CId, CollapsedPlan, Collapser};
 use crate::config::MatConfig;
 use crate::cost::{path_cost, path_runtime, CostParams, FtEstimate};
 use crate::dag::PlanDag;
@@ -70,7 +70,9 @@ pub struct SearchStats {
     /// Fault-tolerant plans abandoned by the memoized dominant-path
     /// dominance check (Eq. 9).
     pub rule3_memo_stops: u64,
-    /// Execution paths visited across all fault-tolerant plans.
+    /// Execution paths visited across all fault-tolerant plans. A first
+    /// path that rule 3's runtime check stops before the plan is collapsed
+    /// still counts as examined.
     pub paths_examined: u64,
     /// Execution paths whose `T_Pt` was actually evaluated (rule 3's
     /// condition 1 and the memo check skip the cost function entirely).
@@ -165,7 +167,7 @@ fn evaluate_config(
         if opts.rule3_memo {
             sorted_scratch.clear();
             sorted_scratch.extend(path.iter().map(|&c| collapsed.op(c).total_cost()));
-            sorted_scratch.sort_by(|a, b| b.partial_cmp(a).expect("finite costs"));
+            sorted_scratch.sort_by(|a, b| b.total_cmp(a));
             if memo.dominates(&sorted_scratch) {
                 return ControlFlow::Break(Stop::Memo);
             }
@@ -210,8 +212,11 @@ fn evaluate_config(
 /// §4.3. Returns the winner and the search statistics.
 ///
 /// # Errors
-/// [`CoreError::NoCandidatePlans`] if `candidates` is empty; parameter
-/// validation errors from [`CostParams::validate`].
+/// [`CoreError::NoCandidatePlans`] if `candidates` is empty;
+/// [`CoreError::TooManyFreeOperators`] if a candidate has 64 or more free
+/// operators; [`CoreError::NoFiniteEstimate`] if every configuration's
+/// path costs overflow to +∞; parameter validation errors from
+/// [`CostParams::validate`].
 pub fn find_best_ft_plan(
     candidates: &[PlanDag],
     params: &CostParams,
@@ -240,6 +245,11 @@ pub fn find_best_ft_plan_traced(
     if candidates.is_empty() {
         return Err(CoreError::NoCandidatePlans);
     }
+    // `2^n` configurations must fit the u64 counters and masks.
+    if let Some((plan_index, c)) = candidates.iter().enumerate().find(|(_, c)| c.free_count() >= 64)
+    {
+        return Err(CoreError::TooManyFreeOperators { plan_index, free_ops: c.free_count() });
+    }
 
     let t0 = crate::sync::clock::now();
     let now_us = || crate::sync::clock::elapsed(t0).as_micros() as u64;
@@ -249,12 +259,19 @@ pub fn find_best_ft_plan_traced(
     let mut best: Option<BestFtPlan> = None;
     let mut best_t = f64::INFINITY;
 
+    // Refilled for every candidate and configuration; cloned only on a
+    // best update.
+    let mut plan = candidates[0].clone();
+    let mut config = MatConfig::none(&plan);
+    let mut collapser = Collapser::default();
+    let mut collapsed = CollapsedPlan::empty();
+
     for (plan_index, candidate) in candidates.iter().enumerate() {
         stats.plans_considered += 1;
         let free_ops = candidate.free_count() as u64;
         stats.configs_unpruned += 1u64 << free_ops;
 
-        let mut plan = candidate.clone();
+        plan.clone_from(candidate);
         let rule1_bound = if opts.rule1 { apply_rule1(&mut plan, params).len() as u64 } else { 0 };
         let rule2_bound = if opts.rule2 { apply_rule2(&mut plan, params).len() as u64 } else { 0 };
         stats.rule1_bound_ops += rule1_bound;
@@ -273,9 +290,33 @@ pub fn find_best_ft_plan_traced(
                 .arg("rule2_bound", rule2_bound)
         });
 
-        for config in MatConfig::enumerate(&plan) {
+        for mask in 0..1u64 << plan.free_count() {
             stats.configs_enumerated += 1;
-            let collapsed = CollapsedPlan::collapse(&plan, &config, params.pipe_const);
+            config.set_free_bits(&plan, mask);
+            collapser.scan(&plan, &config);
+            // Rule 3, condition 1, on the first path alone, before the plan
+            // is collapsed: most configurations stop here.
+            let first_runtime = collapser.first_path_runtime(&plan, &config, params.pipe_const);
+            let first_path_stop = opts.rule3 && first_runtime.is_some_and(|r| r >= best_t);
+            // Release builds collapse only the configurations that get
+            // past that check; debug builds collapse every one and check
+            // the precheck against the full collapse's first path.
+            if !first_path_stop || cfg!(debug_assertions) {
+                collapser.collapse_into(&plan, &config, params.pipe_const, &mut collapsed);
+                debug_assert_eq!(
+                    for_each_path(&collapsed, |p| ControlFlow::Break(
+                        path_runtime(&collapsed, p).to_bits()
+                    )),
+                    first_runtime.map(f64::to_bits),
+                    "rule-3 precheck disagrees with the first path"
+                );
+            }
+            if first_path_stop {
+                // What `evaluate_config` counts for a first-path runtime stop.
+                stats.paths_examined += 1;
+                stats.rule3_runtime_stops += 1;
+                continue;
+            }
             match evaluate_config(&collapsed, params, opts, best_t, &mut memo, &mut stats) {
                 ConfigOutcome::Abandoned => {}
                 ConfigOutcome::Complete { dominant, dominant_cost, dominant_runtime } => {
@@ -298,7 +339,7 @@ pub fn find_best_ft_plan_traced(
                         best = Some(BestFtPlan {
                             plan_index,
                             plan: plan.clone(),
-                            config,
+                            config: config.clone(),
                             estimate: FtEstimate {
                                 collapsed: collapsed.clone(),
                                 dominant_path: dominant,
@@ -350,7 +391,7 @@ pub fn find_best_ft_plan_traced(
             .arg("best_updates", stats.best_updates)
     });
 
-    Ok((best.expect("at least one config per plan completes"), stats))
+    best.map(|best| (best, stats)).ok_or(CoreError::NoFiniteEstimate)
 }
 
 #[cfg(test)]
@@ -490,6 +531,41 @@ mod tests {
             find_best_ft_plan(&[], &p, &PruneOptions::none()).unwrap_err(),
             CoreError::NoCandidatePlans
         );
+    }
+
+    #[test]
+    fn overflowing_path_costs_are_an_error() {
+        // Every path's runtime is 1e308 + 1e308 = +∞, which no
+        // configuration can beat, so nothing completes.
+        let mut b = PlanDag::builder();
+        let scan = b.free("scan", 1e308, 0.0, &[]).unwrap();
+        b.free("sink", 1e308, 0.0, &[scan]).unwrap();
+        let plan = b.build().unwrap();
+        for opts in [PruneOptions::default(), PruneOptions::none()] {
+            assert_eq!(
+                find_best_ft_plan(std::slice::from_ref(&plan), &params(60.0), &opts).unwrap_err(),
+                CoreError::NoFiniteEstimate,
+                "{opts:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn sixty_four_free_operators_are_an_error() {
+        let mut b = PlanDag::builder();
+        let mut prev = b.free("op0", 1.0, 1.0, &[]).unwrap();
+        for i in 1..64 {
+            prev = b.free(format!("op{i}"), 1.0, 1.0, &[prev]).unwrap();
+        }
+        let chain = b.build().unwrap();
+        for opts in [PruneOptions::default(), PruneOptions::none()] {
+            assert_eq!(
+                find_best_ft_plan(&[figure2_plan(), chain.clone()], &params(60.0), &opts)
+                    .unwrap_err(),
+                CoreError::TooManyFreeOperators { plan_index: 1, free_ops: 64 },
+                "{opts:?}"
+            );
+        }
     }
 
     #[test]

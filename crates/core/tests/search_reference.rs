@@ -1,0 +1,237 @@
+//! The search and the collapse against straightforward references.
+//!
+//! `reference_search` is `findBestFTPlan` without the rule-3 precheck:
+//! every candidate is cloned, every configuration is collapsed afresh and
+//! its paths are evaluated one by one. `reference_collapse` builds each
+//! collapsed operator on its own, with one backward closure and one
+//! dominant-path DP per root. `find_best_ft_plan` and
+//! `CollapsedPlan::collapse` must agree with them exactly: the same
+//! counters, the same winner and the same bits.
+
+use std::ops::ControlFlow;
+
+use proptest::prelude::*;
+
+use ftpde_core::paths::for_each_path;
+use ftpde_core::prelude::*;
+
+mod common;
+use common::arb_plan;
+
+/// What the comparison checks of a winner: plan index (and the plan with
+/// its post-pruning bindings), dominant-cost bits, configuration and
+/// dominant path.
+type Winner = (usize, PlanDag, u64, MatConfig, Vec<CId>);
+
+fn winner(best: &BestFtPlan) -> Winner {
+    (
+        best.plan_index,
+        best.plan.clone(),
+        best.estimate.dominant_cost.to_bits(),
+        best.config.clone(),
+        best.estimate.dominant_path.clone(),
+    )
+}
+
+/// The search loop of Listing 1 with rules 1–3 as `find_best_ft_plan`
+/// counts them, built only from public pieces. `None` when no
+/// configuration has a finite estimate.
+fn reference_search(
+    candidates: &[PlanDag],
+    params: &CostParams,
+    opts: &PruneOptions,
+) -> Option<(Winner, SearchStats)> {
+    enum Stop {
+        Runtime,
+        Estimate,
+        Memo,
+    }
+
+    let mut stats = SearchStats::default();
+    let mut memo = PathMemo::new();
+    let mut best = None;
+    let mut best_t = f64::INFINITY;
+    for (plan_index, candidate) in candidates.iter().enumerate() {
+        stats.plans_considered += 1;
+        let free_ops = candidate.free_count() as u64;
+        stats.configs_unpruned += 1 << free_ops;
+        let mut plan = candidate.clone();
+        let b1 = if opts.rule1 { apply_rule1(&mut plan, params).len() as u64 } else { 0 };
+        let b2 = if opts.rule2 { apply_rule2(&mut plan, params).len() as u64 } else { 0 };
+        stats.rule1_bound_ops += b1;
+        stats.rule2_bound_ops += b2;
+        stats.configs_pruned_rule1 += (1 << free_ops) - (1 << (free_ops - b1));
+        stats.configs_pruned_rule2 += (1 << (free_ops - b1)) - (1 << (free_ops - b1 - b2));
+
+        for config in MatConfig::enumerate(&plan) {
+            stats.configs_enumerated += 1;
+            let collapsed = CollapsedPlan::collapse(&plan, &config, params.pipe_const);
+            let mut dominant = Vec::new();
+            let mut dominant_cost = f64::NEG_INFINITY;
+            let stop = for_each_path(&collapsed, |path| {
+                stats.paths_examined += 1;
+                if opts.rule3 && path_runtime(&collapsed, path) >= best_t {
+                    return ControlFlow::Break(Stop::Runtime);
+                }
+                if opts.rule3_memo {
+                    let mut sorted: Vec<f64> =
+                        path.iter().map(|&c| collapsed.op(c).total_cost()).collect();
+                    sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
+                    if memo.dominates(&sorted) {
+                        return ControlFlow::Break(Stop::Memo);
+                    }
+                }
+                stats.paths_costed += 1;
+                let t = path_cost(&collapsed, path, params);
+                if t > dominant_cost {
+                    dominant_cost = t;
+                    dominant = path.to_vec();
+                }
+                if opts.rule3 && t >= best_t {
+                    return ControlFlow::Break(Stop::Estimate);
+                }
+                ControlFlow::Continue(())
+            });
+            match stop {
+                Some(Stop::Runtime) => stats.rule3_runtime_stops += 1,
+                Some(Stop::Estimate) => stats.rule3_estimate_stops += 1,
+                Some(Stop::Memo) => stats.rule3_memo_stops += 1,
+                None => {
+                    stats.configs_explored += 1;
+                    if opts.rule3_memo {
+                        let costs: Vec<f64> =
+                            dominant.iter().map(|&c| collapsed.op(c).total_cost()).collect();
+                        memo.record(&costs, dominant_cost);
+                    }
+                    if dominant_cost < best_t {
+                        best_t = dominant_cost;
+                        stats.best_updates += 1;
+                        best = Some((
+                            plan_index,
+                            plan.clone(),
+                            dominant_cost.to_bits(),
+                            config,
+                            dominant,
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    best.map(|w| (w, stats))
+}
+
+/// One collapsed operator with its input and consumer lists.
+type RefOp = (CollapsedOp, Vec<CId>, Vec<CId>);
+
+/// The collapse of §3.3, one root at a time: the root's group is the
+/// backward closure through non-materialized inputs, and its dominant path
+/// is a longest-path DP over the group's members alone.
+fn reference_collapse(plan: &PlanDag, config: &MatConfig, pipe_const: f64) -> Vec<RefOp> {
+    let is_root = |id: OpId| config.materializes(id) || plan.consumers(id).is_empty();
+    let roots: Vec<OpId> = plan.op_ids().filter(|&id| is_root(id)).collect();
+    let cid = |op: OpId| CId(roots.iter().position(|&r| r == op).unwrap() as u32);
+
+    let mut out: Vec<RefOp> = Vec::new();
+    for &root in &roots {
+        let mut members = vec![root];
+        let mut stack = vec![root];
+        while let Some(v) = stack.pop() {
+            for &u in plan.inputs(v) {
+                if !config.materializes(u) && !members.contains(&u) {
+                    members.push(u);
+                    stack.push(u);
+                }
+            }
+        }
+        members.sort_unstable();
+
+        let mut best = vec![0.0f64; plan.len()];
+        let mut pred: Vec<Option<OpId>> = vec![None; plan.len()];
+        for &v in &members {
+            for &u in plan.inputs(v) {
+                if members.contains(&u) && best[u.index()] > best[v.index()] {
+                    best[v.index()] = best[u.index()];
+                    pred[v.index()] = Some(u);
+                }
+            }
+            best[v.index()] += plan.op(v).run_cost;
+        }
+        let mut dominant_path = vec![root];
+        while let Some(p) = pred[dominant_path[dominant_path.len() - 1].index()] {
+            dominant_path.push(p);
+        }
+        dominant_path.reverse();
+        let raw = best[root.index()];
+        let run_cost = if dominant_path.len() >= 2 { raw * pipe_const } else { raw };
+        let mat_cost = if config.materializes(root) { plan.op(root).mat_cost } else { 0.0 };
+
+        let mut inputs: Vec<CId> = members
+            .iter()
+            .flat_map(|&v| plan.inputs(v))
+            .filter(|&&u| config.materializes(u))
+            .map(|&u| cid(u))
+            .collect();
+        inputs.sort_unstable();
+        inputs.dedup();
+        let op = CollapsedOp { root, members, dominant_path, run_cost, mat_cost };
+        out.push((op, inputs, Vec::new()));
+    }
+    for to in 0..out.len() {
+        for from in out[to].1.clone() {
+            out[from.index()].2.push(CId(to as u32));
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Several candidates, so `bestT` and the memo carry across them, under
+    /// every option set of the pruning-partition test.
+    #[test]
+    fn search_matches_the_reference(
+        candidates in collection::vec(arb_plan(8), 2..=6),
+        mtbf in 1.0f64..1e5,
+        mttr in 0.0f64..100.0,
+        pipe_const in 0.05f64..=1.0,
+    ) {
+        let params = CostParams::new(mtbf, mttr).with_pipe_const(pipe_const);
+        for opts in [
+            PruneOptions::none(),
+            PruneOptions::only(1),
+            PruneOptions::only(2),
+            PruneOptions::only(3),
+            PruneOptions::default(),
+        ] {
+            match (find_best_ft_plan(&candidates, &params, &opts), reference_search(&candidates, &params, &opts)) {
+                (Ok((best, stats)), Some((want, want_stats))) => {
+                    prop_assert_eq!(stats, want_stats, "{:?}", opts);
+                    prop_assert_eq!(winner(&best), want, "{:?}", opts);
+                }
+                (Err(CoreError::NoFiniteEstimate), None) => {}
+                (got, want) => prop_assert!(false, "{opts:?}: search {got:?}, reference {want:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn collapse_matches_the_per_root_reference(
+        plan in arb_plan(12),
+        mask in any::<u64>(),
+        pipe_const in 0.01f64..=1.0,
+    ) {
+        let config = MatConfig::from_free_bits(&plan, mask);
+        let collapsed = CollapsedPlan::collapse(&plan, &config, pipe_const);
+        let reference = reference_collapse(&plan, &config, pipe_const);
+        prop_assert_eq!(collapsed.len(), reference.len());
+        for ((id, c), (op, inputs, consumers)) in collapsed.iter().zip(&reference) {
+            prop_assert_eq!(c, op);
+            prop_assert_eq!(c.run_cost.to_bits(), op.run_cost.to_bits());
+            prop_assert_eq!(c.mat_cost.to_bits(), op.mat_cost.to_bits());
+            prop_assert_eq!(collapsed.inputs(id), &inputs[..]);
+            prop_assert_eq!(collapsed.consumers(id), &consumers[..]);
+        }
+    }
+}

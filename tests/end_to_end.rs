@@ -132,6 +132,55 @@ fn search_counters_match_the_recorded_values() {
     }
 }
 
+/// The whole Figure 13 search: all 1344 Q5 join orders at SF 100 under the
+/// default pruning rules, on each of the figure's three clusters. Unlike
+/// the single-plan pins above, `bestT` carries across candidates here,
+/// which is where most rule-3 stops happen. The winner and every counter
+/// are deterministic, so a change that moves any of them must update this
+/// table.
+#[test]
+fn full_q5_search_matches_the_recorded_values() {
+    use ftpde::bench::fig13::{all_q5_plans, MTBFS, SF};
+
+    let plans = all_q5_plans(SF);
+    // (winning plan, dominant cost, materialized operators, explored,
+    //  runtime / estimate / memo stops, paths examined, paths costed,
+    //  best updates)
+    let recorded = [
+        (924, 691.2436871359447, vec![], 14, [15922, 0, 0], 16828, 906, 14),
+        (924, 691.2436871359447, vec![], 14, [15922, 0, 0], 16828, 906, 14),
+        (584, 920.111542945175, vec![OpId(7)], 23, [14573, 736, 604], 17029, 1852, 23),
+    ];
+    for ((label, m), expected) in MTBFS.iter().zip(recorded) {
+        let (plan_index, cost, materialized, explored, stops, examined, costed, updates) = expected;
+        let params = Scheme::cost_params(&ClusterConfig::paper_cluster(*m));
+        let (best, s) = find_best_ft_plan(&plans, &params, &PruneOptions::default()).unwrap();
+        assert_eq!(best.plan_index, plan_index, "{label}");
+        assert_eq!(best.estimate.dominant_cost.to_bits(), f64::to_bits(cost), "{label}");
+        assert_eq!(best.config.materialized_ops(), materialized, "{label}");
+        assert_eq!(
+            s,
+            SearchStats {
+                plans_considered: 1344,
+                configs_unpruned: 43008,
+                configs_enumerated: 15936,
+                configs_pruned_rule1: 27072,
+                configs_pruned_rule2: 0,
+                configs_explored: explored,
+                rule1_bound_ops: 2096,
+                rule2_bound_ops: 0,
+                rule3_runtime_stops: stops[0],
+                rule3_estimate_stops: stops[1],
+                rule3_memo_stops: stops[2],
+                paths_examined: examined,
+                paths_costed: costed,
+                best_updates: updates,
+            },
+            "{label}"
+        );
+    }
+}
+
 /// The mid-plan aggregation of Q1C is selected as a checkpoint on
 /// unreliable clusters — the paper's flagship qualitative claim (§5.2).
 #[test]
