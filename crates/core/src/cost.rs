@@ -169,9 +169,13 @@ impl CostParams {
 
     /// `T(c)` (Eq. 8): total expected runtime of an operator of
     /// failure-free runtime `t`, including wasted re-execution time and
-    /// redeployment cost.
+    /// redeployment cost. +∞ when the attempts `a(c)` diverge, even with
+    /// `MTTR_cost` = 0, where `a(c) · MTTR_cost` alone would be NaN.
     pub fn op_cost(&self, t: f64) -> f64 {
         let a = self.attempts(t);
+        if a.is_infinite() {
+            return f64::INFINITY;
+        }
         t + a * self.wasted_runtime(t) + a * self.mttr_cost
     }
 }
@@ -409,6 +413,16 @@ mod tests {
         assert!(a > 0.0);
         let diff = with_repair.op_cost(t) - no_repair.op_cost(t);
         assert!((diff - a * 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn op_cost_is_infinite_when_attempts_diverge() {
+        // t = 100 × MTBF: η rounds to 1, so a(c) = +∞.
+        for mttr in [0.0, 5.0] {
+            let p = CostParams::new(1.0, mttr);
+            assert!(p.attempts(100.0).is_infinite());
+            assert_eq!(p.op_cost(100.0), f64::INFINITY, "MTTR = {mttr}");
+        }
     }
 
     #[test]

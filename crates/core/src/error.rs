@@ -24,9 +24,10 @@ pub enum CoreError {
     /// A candidate plan has too many free operators for its `2^n`
     /// materialization configurations to be counted in a `u64`.
     TooManyFreeOperators { plan_index: usize, free_ops: usize },
-    /// No fault-tolerant plan has a finite estimated runtime: every
-    /// configuration's path costs overflow to +∞, so the search has no
-    /// winner.
+    /// No fault-tolerant plan has a finite estimated runtime: in every
+    /// configuration some path cost is +∞ — the sum overflows, or an
+    /// operator's attempts `a(c)` diverge because it can never reach the
+    /// success target — so the search has no winner.
     NoFiniteEstimate,
     /// A materialization configuration was built for a different plan shape.
     ConfigMismatch { expected_ops: usize, got_ops: usize },
@@ -56,7 +57,11 @@ impl fmt::Display for CoreError {
                  enumerates at most 63"
             ),
             CoreError::NoFiniteEstimate => {
-                write!(f, "no fault-tolerant plan has a finite estimated runtime (costs overflow)")
+                write!(
+                    f,
+                    "no fault-tolerant plan has a finite estimated runtime (costs overflow or \
+                     attempts diverge)"
+                )
             }
             CoreError::ConfigMismatch { expected_ops, got_ops } => write!(
                 f,

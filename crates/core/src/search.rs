@@ -214,9 +214,9 @@ fn evaluate_config(
 /// # Errors
 /// [`CoreError::NoCandidatePlans`] if `candidates` is empty;
 /// [`CoreError::TooManyFreeOperators`] if a candidate has 64 or more free
-/// operators; [`CoreError::NoFiniteEstimate`] if every configuration's
-/// path costs overflow to +∞; parameter validation errors from
-/// [`CostParams::validate`].
+/// operators; [`CoreError::NoFiniteEstimate`] if every configuration has
+/// a path costed at +∞ (overflow, or attempts that diverge); parameter
+/// validation errors from [`CostParams::validate`].
 pub fn find_best_ft_plan(
     candidates: &[PlanDag],
     params: &CostParams,
@@ -544,6 +544,24 @@ mod tests {
         for opts in [PruneOptions::default(), PruneOptions::none()] {
             assert_eq!(
                 find_best_ft_plan(std::slice::from_ref(&plan), &params(60.0), &opts).unwrap_err(),
+                CoreError::NoFiniteEstimate,
+                "{opts:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn diverging_attempts_without_repair_time_are_an_error() {
+        // tr = 100 × MTBF makes a(c) = +∞, and with MTTR = 0 the term
+        // a(c) · MTTR alone is ∞ · 0 = NaN. The operator must still cost
+        // +∞, or a configuration "completes" with no dominant path.
+        let mut b = PlanDag::builder();
+        b.free("op", 100.0, 0.0, &[]).unwrap();
+        let plan = b.build().unwrap();
+        let p = CostParams::new(1.0, 0.0);
+        for opts in [PruneOptions::default(), PruneOptions::none()] {
+            assert_eq!(
+                find_best_ft_plan(std::slice::from_ref(&plan), &p, &opts).unwrap_err(),
                 CoreError::NoFiniteEstimate,
                 "{opts:?}"
             );

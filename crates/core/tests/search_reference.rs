@@ -189,14 +189,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Several candidates, so `bestT` and the memo carry across them, under
-    /// every option set of the pruning-partition test.
+    /// every option set of the pruning-partition test. Half the draws have
+    /// no repair time: the range alone never yields MTTR = 0 exactly.
     #[test]
     fn search_matches_the_reference(
         candidates in collection::vec(arb_plan(8), 2..=6),
         mtbf in 1.0f64..1e5,
         mttr in 0.0f64..100.0,
+        no_repair in any::<bool>(),
         pipe_const in 0.05f64..=1.0,
     ) {
+        let mttr = if no_repair { 0.0 } else { mttr };
         let params = CostParams::new(mtbf, mttr).with_pipe_const(pipe_const);
         for opts in [
             PruneOptions::none(),

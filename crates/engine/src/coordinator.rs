@@ -165,7 +165,12 @@ pub struct RunReport {
     /// Corrupt segments encountered (and recovered from) during this run.
     pub segments_corrupt: u64,
     /// Stages skipped because their output was already materialized in the
-    /// supplied store (only nonzero for [`run_query_resumable`]).
+    /// supplied store (only nonzero for [`run_query_resumable`]). A skip
+    /// trusts the store's metadata, and a disk store checksums a segment
+    /// only when it is first read. So a skipped stage can still execute:
+    /// when a consumer's read finds its segment corrupt, the input check
+    /// rewinds to it, and every stage the rewind revisits and skips again
+    /// counts again.
     pub stages_skipped: u64,
     /// Per-stage wall-clock accounting in execution order. One entry per
     /// stage execution: a coarse restart appends the re-executed stages

@@ -5,7 +5,7 @@
 //! ```text
 //! [ 0.. 8)  magic  "FTPDSEG1"
 //! [ 8..12)  format version, u32 LE (currently 1)
-//! [12..16)  flags, u32 LE (bit 0: payload is LZ-compressed)
+//! [12..16)  flags, u32 LE (none are defined: must be 0)
 //! [16..20)  producing operator id, u32 LE
 //! [20..28)  partition index, u64 LE (u64::MAX = replicated segment)
 //! [28..36)  row count, u64 LE
@@ -22,6 +22,10 @@
 //! bit-identical across backends" a checkable contract. A row's arity is
 //! untrusted input: the decoder checks the whole record fits in the
 //! payload before it allocates anything for it.
+//!
+//! Flag bit 0 once marked an LZ-compressed payload. No build writes it any
+//! more, so [`parse_segment`] rejects it like any other unknown flag: such
+//! a segment is demoted and its producer re-runs.
 //!
 //! The checksum is CRC-32 with the IEEE polynomial (zlib's `crc32`),
 //! computed slicing-by-16: sixteen 256-entry tables built at compile time
@@ -44,8 +48,6 @@ pub const MAGIC: [u8; 8] = *b"FTPDSEG1";
 pub const VERSION: u32 = 1;
 /// Size of the fixed segment header in bytes.
 pub const HEADER_LEN: usize = 48;
-/// Flag bit 0: the payload is compressed with [`crate::compress`].
-pub const FLAG_COMPRESSED: u32 = 1;
 /// The `node` encoding of a replicated (broadcast) segment.
 const NODE_REPLICATED: u64 = u64::MAX;
 
@@ -71,8 +73,6 @@ pub enum CodecError {
     BadTag(u8),
     /// Decoded row count disagrees with the header.
     RowCountMismatch { declared: u64, actual: u64 },
-    /// The compressed payload is malformed.
-    BadCompression(&'static str),
 }
 
 impl std::fmt::Display for CodecError {
@@ -93,7 +93,6 @@ impl std::fmt::Display for CodecError {
             CodecError::RowCountMismatch { declared, actual } => {
                 write!(f, "row count mismatch: header says {declared}, payload holds {actual}")
             }
-            CodecError::BadCompression(why) => write!(f, "malformed compressed payload: {why}"),
         }
     }
 }
@@ -157,14 +156,14 @@ pub fn crc32(data: &[u8]) -> u32 {
 const TAG_INT: u8 = 0;
 const TAG_FLOAT: u8 = 1;
 
-/// Exact encoded size of `rows` as an uncompressed payload, without
-/// materializing the bytes (the in-memory backend's accounting uses this
-/// so both backends report comparable byte volumes).
+/// Exact encoded size of `rows` as a payload, without materializing the
+/// bytes (the in-memory backend's accounting uses this so both backends
+/// report comparable byte volumes).
 pub fn encoded_rows_len(rows: &[Row]) -> u64 {
     rows.iter().map(|r| 4 + 9 * r.len() as u64).sum()
 }
 
-/// Encodes `rows` as the uncompressed payload byte sequence.
+/// Encodes `rows` as the payload byte sequence.
 pub fn encode_rows(rows: &[Row]) -> Vec<u8> {
     let mut out = Vec::with_capacity(encoded_rows_len(rows) as usize);
     for r in rows {
@@ -185,7 +184,7 @@ pub fn encode_rows(rows: &[Row]) -> Vec<u8> {
     out
 }
 
-/// Decodes an uncompressed payload back into rows.
+/// Decodes a payload back into rows.
 ///
 /// # Errors
 /// Any structural violation ([`CodecError::TruncatedRow`] /
@@ -223,41 +222,23 @@ pub fn decode_rows(bytes: &[u8]) -> Result<Vec<Row>, CodecError> {
 /// The parsed fixed header of a segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentHeader {
-    /// Flag bits ([`FLAG_COMPRESSED`]).
-    pub flags: u32,
     /// Producing operator id.
     pub op: u32,
     /// Partition index; `None` for a replicated segment.
     pub node: Option<usize>,
     /// Number of rows in the decoded payload.
     pub rows: u64,
-    /// Stored (possibly compressed) payload length in bytes.
+    /// Payload length in bytes.
     pub payload_len: u64,
     /// CRC-32 of the stored payload.
     pub crc32: u32,
 }
 
 /// Builds a complete segment file image for `rows`, returning the header
-/// it wrote alongside it (so a writer never re-parses its own image). With
-/// `compress` the payload is LZ-compressed *when that actually shrinks
-/// it* (stored uncompressed otherwise, so pathological inputs never grow).
-pub fn build_segment(
-    op: u32,
-    node: Option<usize>,
-    rows: &[Row],
-    compress: bool,
-) -> (SegmentHeader, Vec<u8>) {
-    let raw = encode_rows(rows);
-    let (payload, flags) = if compress {
-        match crate::compress::compress(&raw) {
-            Some(c) if c.len() < raw.len() => (c, FLAG_COMPRESSED),
-            _ => (raw, 0),
-        }
-    } else {
-        (raw, 0)
-    };
+/// it wrote alongside it (so a writer never re-parses its own image).
+pub fn build_segment(op: u32, node: Option<usize>, rows: &[Row]) -> (SegmentHeader, Vec<u8>) {
+    let payload = encode_rows(rows);
     let header = SegmentHeader {
-        flags,
         op,
         node,
         rows: rows.len() as u64,
@@ -267,7 +248,7 @@ pub fn build_segment(
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&header.flags.to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes()); // flags
     out.extend_from_slice(&header.op.to_le_bytes());
     out.extend_from_slice(&node.map_or(NODE_REPLICATED, |n| n as u64).to_le_bytes());
     out.extend_from_slice(&header.rows.to_le_bytes());
@@ -278,44 +259,38 @@ pub fn build_segment(
 }
 
 /// Parses and *verifies* a segment file image: magic, version, flags,
-/// length and checksum. Returns the header and the verified payload
-/// slice (still compressed if the flag is set).
+/// length and checksum. Returns the header and the verified payload slice.
 ///
 /// # Errors
 /// Every corruption class maps to a distinct [`CodecError`].
 pub fn parse_segment(bytes: &[u8]) -> Result<(SegmentHeader, &[u8]), CodecError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(CodecError::Truncated);
-    }
-    let word32 = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-    let word64 = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    if bytes[..8] != MAGIC {
+    let (fields, payload) = bytes.split_first_chunk::<HEADER_LEN>().ok_or(CodecError::Truncated)?;
+    let mut fields = fields.as_slice();
+    if take::<8>(&mut fields)? != MAGIC {
         return Err(CodecError::BadMagic);
     }
-    let version = word32(8);
+    let version = u32::from_le_bytes(take(&mut fields)?);
     if version != VERSION {
         return Err(CodecError::BadVersion(version));
     }
-    let flags = word32(12);
-    if flags & !FLAG_COMPRESSED != 0 {
+    let flags = u32::from_le_bytes(take(&mut fields)?);
+    if flags != 0 {
         return Err(CodecError::BadFlags(flags));
     }
     let header = SegmentHeader {
-        flags,
-        op: word32(16),
-        node: match word64(20) {
+        op: u32::from_le_bytes(take(&mut fields)?),
+        node: match u64::from_le_bytes(take(&mut fields)?) {
             NODE_REPLICATED => None,
             n => Some(n as usize),
         },
-        rows: word64(28),
-        payload_len: word64(36),
-        crc32: word32(44),
+        rows: u64::from_le_bytes(take(&mut fields)?),
+        payload_len: u64::from_le_bytes(take(&mut fields)?),
+        crc32: u32::from_le_bytes(take(&mut fields)?),
     };
-    let actual = (bytes.len() - HEADER_LEN) as u64;
+    let actual = payload.len() as u64;
     if header.payload_len != actual {
         return Err(CodecError::LengthMismatch { declared: header.payload_len, actual });
     }
-    let payload = &bytes[HEADER_LEN..];
     let sum = crc32(payload);
     if sum != header.crc32 {
         return Err(CodecError::ChecksumMismatch { expected: header.crc32, actual: sum });
@@ -323,22 +298,23 @@ pub fn parse_segment(bytes: &[u8]) -> Result<(SegmentHeader, &[u8]), CodecError>
     Ok((header, payload))
 }
 
-/// Decodes a verified payload into rows, decompressing when flagged and
-/// cross-checking the header's row count.
+/// Takes the next `N` bytes of a header. The caller holds all
+/// [`HEADER_LEN`] bytes, so [`CodecError::Truncated`] cannot fire here.
+fn take<const N: usize>(fields: &mut &[u8]) -> Result<[u8; N], CodecError> {
+    let (field, rest) = fields.split_first_chunk::<N>().ok_or(CodecError::Truncated)?;
+    *fields = rest;
+    Ok(*field)
+}
+
+/// Decodes a verified payload into rows, cross-checking the header's row
+/// count.
 ///
 /// # Errors
 /// Structural payload corruption the checksum could not see (it can't —
 /// the checksum covers the stored bytes, so this only fires on a
 /// mis-built segment) or a row-count mismatch.
 pub fn decode_segment_rows(header: &SegmentHeader, payload: &[u8]) -> Result<Vec<Row>, CodecError> {
-    let raw;
-    let bytes = if header.flags & FLAG_COMPRESSED != 0 {
-        raw = crate::compress::decompress(payload).ok_or(CodecError::BadCompression("lz"))?;
-        raw.as_slice()
-    } else {
-        payload
-    };
-    let rows = decode_rows(bytes)?;
+    let rows = decode_rows(payload)?;
     if rows.len() as u64 != header.rows {
         return Err(CodecError::RowCountMismatch {
             declared: header.rows,
@@ -430,44 +406,25 @@ mod tests {
     }
 
     #[test]
-    fn segment_round_trips_with_and_without_compression() {
+    fn segment_round_trips() {
         let rows = sample_rows();
-        for compress in [false, true] {
-            let (built, seg) = build_segment(7, Some(2), &rows, compress);
-            let (header, payload) = parse_segment(&seg).unwrap();
-            assert_eq!(header, built, "compress = {compress}");
-            assert_eq!(header.op, 7);
-            assert_eq!(header.node, Some(2));
-            assert_eq!(header.rows, rows.len() as u64);
-            let back = decode_segment_rows(&header, payload).unwrap();
-            assert_eq!(bits(&back), bits(&rows));
-        }
+        let (built, seg) = build_segment(7, Some(2), &rows);
+        let (header, payload) = parse_segment(&seg).unwrap();
+        assert_eq!(header, built);
+        assert_eq!(header.op, 7);
+        assert_eq!(header.node, Some(2));
+        assert_eq!(header.rows, rows.len() as u64);
+        let back = decode_segment_rows(&header, payload).unwrap();
+        assert_eq!(bits(&back), bits(&rows));
         // Replicated segments encode node = MAX.
-        let (_, seg) = build_segment(3, None, &rows, false);
+        let (_, seg) = build_segment(3, None, &rows);
         assert_eq!(parse_segment(&seg).unwrap().0.node, None);
-    }
-
-    #[test]
-    fn compression_helps_on_repetitive_data() {
-        let rows: Vec<Row> = (0..512).map(|_| int_row(&[42, 42, 42, 42])).collect();
-        let (_, plain) = build_segment(0, Some(0), &rows, false);
-        let (built, packed) = build_segment(0, Some(0), &rows, true);
-        assert!(
-            packed.len() < plain.len() / 2,
-            "repetitive rows must compress well: {} vs {}",
-            packed.len(),
-            plain.len()
-        );
-        let (h, p) = parse_segment(&packed).unwrap();
-        assert_eq!(h, built);
-        assert_eq!(h.flags & FLAG_COMPRESSED, FLAG_COMPRESSED);
-        assert_eq!(bits(&decode_segment_rows(&h, p).unwrap()), bits(&rows));
     }
 
     #[test]
     fn every_corruption_class_is_detected() {
         let rows = sample_rows();
-        let (_, seg) = build_segment(1, Some(0), &rows, false);
+        let (_, seg) = build_segment(1, Some(0), &rows);
 
         // Truncated below the header.
         assert_eq!(parse_segment(&seg[..HEADER_LEN - 1]), Err(CodecError::Truncated));
@@ -479,10 +436,13 @@ mod tests {
         let mut bad = seg.clone();
         bad[8] = 99;
         assert_eq!(parse_segment(&bad), Err(CodecError::BadVersion(99)));
-        // Unknown flags.
-        let mut bad = seg.clone();
-        bad[12] = 0x80;
-        assert_eq!(parse_segment(&bad), Err(CodecError::BadFlags(0x80)));
+        // Unknown flags, including bit 0, which once marked an
+        // LZ-compressed payload.
+        for flags in [0x80, 0x01] {
+            let mut bad = seg.clone();
+            bad[12] = flags;
+            assert_eq!(parse_segment(&bad), Err(CodecError::BadFlags(u32::from(flags))));
+        }
         // Torn payload (length mismatch).
         let torn = &seg[..seg.len() - 3];
         assert!(matches!(parse_segment(torn), Err(CodecError::LengthMismatch { .. })));
@@ -509,7 +469,7 @@ mod tests {
         bytes.extend_from_slice(&[TAG_INT; 17]);
         assert_eq!(decode_rows(&bytes), Err(CodecError::TruncatedRow));
         // Row-count mismatch against the header.
-        let (_, seg) = build_segment(1, Some(0), &sample_rows(), false);
+        let (_, seg) = build_segment(1, Some(0), &sample_rows());
         let (mut h, p) = parse_segment(&seg).unwrap();
         h.rows += 1;
         assert!(matches!(decode_segment_rows(&h, p), Err(CodecError::RowCountMismatch { .. })));

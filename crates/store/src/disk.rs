@@ -22,12 +22,32 @@
 //!
 //! # Recovery contract
 //!
-//! `open` re-reads the manifest, CRC-verifies every listed segment and
-//! *demotes* (rather than errors on) anything torn, truncated or
-//! bit-flipped: the entry is dropped, the file deleted, and a
+//! `open` re-reads the manifest, sweeps debris and checks each listed
+//! segment's file length against its manifest entry, reading no payload.
+//! A missing, truncated or over-long file is *demoted* (rather than
+//! errored on): the entry is dropped, the file deleted, and a
 //! [`CorruptSegment`] recorded for the engine to surface as a
 //! `segment_corrupt` observability event. To the coordinator a corrupt
 //! segment is simply "not materialized", so the producing stage re-runs.
+//!
+//! The checksum is checked at a slot's first `get`: it reads the file,
+//! runs [`codec::parse_segment`] (magic, version, flags, length, CRC),
+//! checks identity and row count against the manifest, decodes, caches,
+//! and demotes the slot on any failure. So a resume pays only for the
+//! segments it reads, and every row it consumes is checked exactly once.
+//! What this means for callers:
+//!
+//! * Damage that keeps the file length, such as a flipped byte, is found
+//!   at the slot's first `get`, not at `open`. Until then
+//!   `drain_corruptions` stays empty and `contains` and `len` count the
+//!   slot.
+//! * A run that reads no corrupt segment reports none. [`verify`]
+//!   (`ftpde store --verify`, `serve-metrics --store`) checksums every
+//!   segment, and the first `get` that needs a corrupt one finds it; its
+//!   rows never reach a result.
+//! * A run that does read one has already counted its producer as a
+//!   skipped stage; the coordinator's input check then rewinds to the
+//!   producer and re-executes it.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -63,12 +83,10 @@ pub struct ManifestEntry {
     pub file: String,
     /// Row count.
     pub rows: u64,
-    /// Stored payload bytes (compressed size if compressed).
+    /// Payload bytes (the file holds [`codec::HEADER_LEN`] more).
     pub payload_bytes: u64,
     /// CRC-32 of the stored payload.
     pub crc32: u32,
-    /// Whether the payload is LZ-compressed.
-    pub compressed: bool,
 }
 
 impl ManifestEntry {
@@ -106,16 +124,19 @@ struct DiskInner {
 #[derive(Debug)]
 pub struct DiskBackend {
     dir: PathBuf,
-    compress: bool,
     remove_on_drop: bool,
     inner: Mutex<DiskInner>,
 }
 
 impl DiskBackend {
-    /// Opens (creating if absent) a store directory, verifying every
-    /// committed segment's checksum and sweeping torn/uncommitted files.
-    /// Corrupt segments are demoted to "absent" and reported via
-    /// [`StoreBackend::drain_corruptions`], never as an error.
+    /// Opens (creating if absent) a store directory: parses the manifest,
+    /// sweeps torn/uncommitted files and checks that every committed
+    /// segment's file exists with the length its manifest entry implies,
+    /// reading no payload. Segments that fail are demoted to "absent" and
+    /// reported via [`StoreBackend::drain_corruptions`], never as an
+    /// error. Checksums are checked by each slot's first
+    /// [`StoreBackend::get`] (see the module's recovery contract), and by
+    /// [`verify`] for the whole directory.
     ///
     /// # Errors
     /// Only real I/O failures (permissions, disk full) — corruption is
@@ -149,11 +170,12 @@ impl DiskBackend {
             Err(e) => return Err(e),
         };
 
-        // Verify every committed segment end to end; demote failures.
+        // Check every committed segment's length; demote failures. The
+        // checksum waits for the slot's first `get`.
         let before = manifest.segments.len();
         let mut kept = Vec::with_capacity(before);
         for entry in std::mem::take(&mut manifest.segments) {
-            match verify_entry(&dir, &entry) {
+            match check_entry_length(&dir, &entry) {
                 Ok(()) => kept.push(entry),
                 Err(reason) => {
                     let _ = fs::remove_file(dir.join(&entry.file));
@@ -181,13 +203,12 @@ impl DiskBackend {
         }
 
         // Cold-start cost, live on `/metrics`: how long the manifest
-        // load + segment verification took and how many segments it
+        // load, length checks and sweep took and how many segments they
         // walked (kept or demoted).
         crate::stats::record_reopen(clock::elapsed(open_start).as_secs_f64(), before as u64);
 
         let store = DiskBackend {
             dir,
-            compress: cfg!(feature = "compress"),
             remove_on_drop: false,
             inner: Mutex::new(DiskInner { manifest, cache: HashMap::new(), corruptions }),
         };
@@ -216,14 +237,6 @@ impl DiskBackend {
         let mut store = Self::open(dir)?;
         store.remove_on_drop = true;
         Ok(store)
-    }
-
-    /// Overrides the write-side compression default (the `compress`
-    /// feature flag). Reading is format-driven either way.
-    #[must_use]
-    pub fn with_compression(mut self, on: bool) -> Self {
-        self.compress = on;
-        self
     }
 
     /// The directory this store is rooted at.
@@ -273,7 +286,7 @@ impl DiskBackend {
 
     fn put_segment(&self, op: u32, node: Option<usize>, nodes: usize, rows: Vec<Row>) {
         let started = clock::now();
-        let (header, image) = codec::build_segment(op, node, &rows, self.compress);
+        let (header, image) = codec::build_segment(op, node, &rows);
         let file = segment_file_name(op, node);
         let logical_copies = if node.is_some() { 1 } else { nodes as u64 };
         let row_count = rows.len() as u64;
@@ -309,7 +322,6 @@ impl DiskBackend {
             rows: row_count,
             payload_bytes: header.payload_len,
             crc32: header.crc32,
-            compressed: header.flags & codec::FLAG_COMPRESSED != 0,
         });
         match node {
             Some(n) => {
@@ -506,12 +518,27 @@ fn read_entry(dir: &Path, entry: &ManifestEntry) -> Result<Vec<Row>, String> {
     codec::decode_segment_rows(&header, payload).map_err(|e| e.to_string())
 }
 
-/// CRC-verifies a committed segment without decoding rows (open-time and
-/// `verify` CLI path).
+/// CRC-verifies a committed segment without decoding rows (the [`verify`]
+/// path).
 fn verify_entry(dir: &Path, entry: &ManifestEntry) -> Result<(), String> {
     let bytes = read_file(dir, &entry.file)?;
     let (header, _) = codec::parse_segment(&bytes).map_err(|e| e.to_string())?;
     check_entry_matches(entry, &header)
+}
+
+/// Checks that a committed segment's file exists and is exactly as long as
+/// its manifest entry implies, without reading it (the [`DiskBackend::open`]
+/// path).
+fn check_entry_length(dir: &Path, entry: &ManifestEntry) -> Result<(), String> {
+    let actual = fs::metadata(dir.join(&entry.file)).map_err(|e| format!("unreadable: {e}"))?.len();
+    let expected = entry.payload_bytes.checked_add(codec::HEADER_LEN as u64);
+    if expected != Some(actual) {
+        return Err(format!(
+            "segment length mismatch: manifest says {} payload bytes, file has {actual} bytes",
+            entry.payload_bytes
+        ));
+    }
+    Ok(())
 }
 
 fn read_file(dir: &Path, name: &str) -> Result<Vec<u8>, String> {
@@ -554,8 +581,6 @@ pub struct SegmentReport {
     pub payload_bytes: u64,
     /// Stored payload CRC-32.
     pub crc32: u32,
-    /// Whether the payload is compressed.
-    pub compressed: bool,
     /// `"ok"`, or the corruption reason.
     pub status: String,
 }
@@ -595,12 +620,11 @@ impl StoreReport {
                     e.rows.to_string(),
                     e.payload_bytes.to_string(),
                     format!("{:08x}", e.crc32),
-                    if e.compressed { "lz" } else { "raw" }.to_string(),
                     e.status.clone(),
                 ]
             })
             .collect();
-        s.table(&["op", "node", "rows", "bytes", "crc32", "enc", "status"], &rows);
+        s.table(&["op", "node", "rows", "bytes", "crc32", "status"], &rows);
         if !self.orphans.is_empty() {
             s.kv("orphan files", self.orphans.join(", "));
         }
@@ -660,7 +684,6 @@ fn report(dir: &Path, check: bool) -> std::io::Result<StoreReport> {
                 rows: e.rows,
                 payload_bytes: e.payload_bytes,
                 crc32: e.crc32,
-                compressed: e.compressed,
                 status,
             }
         })
@@ -750,7 +773,7 @@ mod tests {
     /// The reopen path must publish its cold-start cost to the global
     /// registry: `store.reopen_seconds` observations and a
     /// `store.segments_scanned` count covering every committed segment
-    /// the open verified.
+    /// the open length-checked.
     #[test]
     #[cfg_attr(miri, ignore = "touches the real filesystem")]
     fn reopen_records_cold_start_metrics() {
@@ -769,7 +792,7 @@ mod tests {
         // bump the global counters.
         assert!(
             snap.counter("store.segments_scanned") - scanned_before >= 2,
-            "both committed segments verified on reopen"
+            "both committed segments checked on reopen"
         );
         let h = snap.histogram("store.reopen_seconds").expect("reopen timing recorded");
         assert!(h.count - reopens_before >= 1);
@@ -791,19 +814,131 @@ mod tests {
         *bytes.last_mut().unwrap() ^= 0x40;
         fs::write(&path, &bytes).unwrap();
 
+        // The flip keeps the file length, so `open` keeps the slot and
+        // its first read finds the damage.
         let store = DiskBackend::open(&dir).unwrap();
+        assert!(store.drain_corruptions().is_empty());
+        assert!(store.contains(1, 0));
+        assert!(store.get(1, 0).is_none());
         let corruptions = store.drain_corruptions();
         assert_eq!(corruptions.len(), 1);
         assert_eq!(corruptions[0].op, 1);
         assert!(corruptions[0].reason.contains("checksum"));
         assert!(!store.contains(1, 0), "corrupt segment reads as absent");
-        assert!(store.contains(2, 0), "healthy sibling survives");
-        assert!(store.get(1, 0).is_none());
         assert_eq!(store.stats().corrupt_segments, 1);
+        assert_eq!(bits(&store.get(2, 0).unwrap()), bits(&sample_rows()), "healthy sibling reads");
         // The demotion is durable: a further reopen is already clean.
         drop(store);
         let store = DiskBackend::open(&dir).unwrap();
         assert!(store.drain_corruptions().is_empty());
+        assert!(!store.contains(1, 0));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `open` reads no payload: it demotes a segment one byte short, one
+    /// byte long or missing, and keeps one whose damage keeps its length.
+    #[test]
+    #[cfg_attr(miri, ignore = "touches the real filesystem")]
+    fn open_demotes_wrong_lengths_and_missing_files_without_a_get() {
+        let dir = tmp_dir("lengths");
+        {
+            let store = DiskBackend::open(&dir).unwrap();
+            for op in 1..=4 {
+                store.put(op, 0, sample_rows());
+            }
+        }
+        let path = |op| dir.join(segment_file_name(op, Some(0)));
+        let short = fs::read(path(1)).unwrap();
+        fs::write(path(1), &short[..short.len() - 1]).unwrap();
+        let mut long = fs::read(path(2)).unwrap();
+        long.push(0);
+        fs::write(path(2), &long).unwrap();
+        fs::remove_file(path(3)).unwrap();
+        let mut flipped = fs::read(path(4)).unwrap();
+        *flipped.last_mut().unwrap() ^= 0x01;
+        fs::write(path(4), &flipped).unwrap();
+
+        let store = DiskBackend::open(&dir).unwrap();
+        let corruptions = store.drain_corruptions();
+        let demoted: Vec<u32> = corruptions.iter().map(|c| c.op).collect();
+        assert_eq!(demoted, [1, 2, 3]);
+        assert!(corruptions[..2].iter().all(|c| c.reason.contains("length mismatch")));
+        assert!(corruptions[2].reason.contains("unreadable"));
+        assert_eq!(store.stats().corrupt_segments, 3);
+        assert!(!path(1).exists() && !path(2).exists());
+        assert!((1..=3).all(|op| !store.contains(op, 0)));
+        assert!(store.contains(4, 0), "a flipped byte survives open");
+        assert_eq!(store.len(), 1);
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A manifest written before compression was retired carries a
+    /// `compressed` field per entry; it still opens, and the field is
+    /// ignored. A segment whose header sets flag bit 0 (which marked an
+    /// LZ-compressed payload) keeps its length, so it survives `open` and
+    /// is demoted at its first `get`.
+    #[test]
+    #[cfg_attr(miri, ignore = "touches the real filesystem")]
+    fn manifest_with_compressed_fields_opens_and_flagged_segments_demote() {
+        let dir = tmp_dir("legacy");
+        fs::create_dir_all(&dir).unwrap();
+        let (_, image) = codec::build_segment(1, Some(0), &sample_rows());
+        fs::write(dir.join("seg-1-0.seg"), &image).unwrap();
+        let (_, mut image) = codec::build_segment(2, Some(0), &sample_rows());
+        image[12] |= 1;
+        fs::write(dir.join("seg-2-0.seg"), &image).unwrap();
+        let entry = |op: u32| {
+            format!(
+                r#"{{
+      "op": {op},
+      "node": 0,
+      "nodes": 1,
+      "file": "seg-{op}-0.seg",
+      "rows": 3,
+      "payload_bytes": 66,
+      "crc32": 1562949529,
+      "compressed": false
+    }}"#
+            )
+        };
+        let manifest = format!(
+            r#"{{
+  "version": 1,
+  "stats": {{
+    "logical_rows_written": 6,
+    "physical_rows_written": 6,
+    "logical_bytes_written": 132,
+    "physical_bytes_written": 228,
+    "rows_read": 0,
+    "bytes_read": 0,
+    "fsyncs": 6,
+    "segments_committed": 2,
+    "corrupt_segments": 0,
+    "write_seconds": 0.002068403,
+    "read_seconds": 0.0
+  }},
+  "segments": [
+    {},
+    {}
+  ]
+}}"#,
+            entry(1),
+            entry(2)
+        );
+        fs::write(dir.join(MANIFEST_FILE), manifest).unwrap();
+
+        let store = DiskBackend::open(&dir).unwrap();
+        assert!(store.drain_corruptions().is_empty());
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.stats().segments_committed, 2);
+        assert_eq!(bits(&store.get(1, 0).unwrap()), bits(&sample_rows()));
+        assert!(store.get(2, 0).is_none());
+        let corruptions = store.drain_corruptions();
+        assert_eq!(corruptions.len(), 1);
+        assert_eq!(corruptions[0].op, 2);
+        assert!(corruptions[0].reason.contains("flags"), "{}", corruptions[0].reason);
+        drop(store);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -883,26 +1018,6 @@ mod tests {
             assert!(dir.exists());
         }
         assert!(!dir.exists());
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "touches the real filesystem")]
-    fn compression_toggle_round_trips() {
-        let dir = tmp_dir("compress");
-        let rows: Vec<Row> = (0..256).map(|_| int_row(&[1, 1, 1, 1])).collect();
-        {
-            let store = DiskBackend::open(&dir).unwrap().with_compression(true);
-            store.put(1, 0, rows.clone());
-            let stats = store.stats();
-            assert!(
-                stats.physical_bytes_written < stats.logical_bytes_written,
-                "compressed physical bytes must undercut raw logical bytes"
-            );
-        }
-        // Readable by a store with compression off: format-driven decode.
-        let store = DiskBackend::open(&dir).unwrap().with_compression(false);
-        assert_eq!(bits(&store.get(1, 0).unwrap()), bits(&rows));
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

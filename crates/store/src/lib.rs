@@ -9,21 +9,21 @@
 //! * [`MemBackend`] — the engine's historical `Mutex<HashMap>` behavior,
 //!   extracted. Fast, volatile, the semantic baseline.
 //! * [`DiskBackend`] — per-(operator, partition) segment files with
-//!   CRC-32 checksums, optional LZ compression, an atomic
-//!   write-temp-then-rename commit protocol and a JSON manifest, so a
-//!   **brand-new process** can reopen the directory and resume a query
-//!   from its committed checkpoints ([`disk`] has the full contract).
+//!   CRC-32 checksums, an atomic write-temp-then-rename commit protocol
+//!   and a JSON manifest, so a **brand-new process** can reopen the
+//!   directory and resume a query from its committed checkpoints
+//!   ([`disk`] has the full contract).
 //!
 //! Corruption is a first-class, *recoverable* condition: a torn or
 //! bit-flipped segment is demoted to "not materialized" and reported via
-//! [`StoreBackend::drain_corruptions`]; the engine re-executes the
-//! producing stage and emits a `segment_corrupt` observability event.
+//! [`StoreBackend::drain_corruptions`] — a torn one when the directory is
+//! opened, a bit-flipped one at its first read; the engine re-executes
+//! the producing stage and emits a `segment_corrupt` observability event.
 //! Backends also meter themselves ([`StoreStats`]) — the measured write
 //! throughput is the observed `tm(o)` that `ftpde-obs`'s calibration
 //! layer compares against the cost model's assumed constants.
 
 pub mod codec;
-pub mod compress;
 pub mod disk;
 pub mod fault;
 pub mod mem;
@@ -64,9 +64,11 @@ pub struct CorruptSegment {
 /// * **Read-your-writes**: after `put(op, n, rows)` returns, `get(op, n)`
 ///   returns exactly those rows, bit-identically, until `clear` or a
 ///   replacing put.
-/// * **All-or-nothing visibility**: a slot either holds a complete,
-///   checksum-clean segment or reads as absent. Partial writes must
-///   never surface.
+/// * **All-or-nothing visibility**: `get` returns a slot's complete,
+///   checksum-clean rows or `None`; partial or damaged writes never
+///   surface as rows. `contains` and `len` report committed metadata
+///   (the disk backend's manifest), so they may count a slot whose
+///   damage only its first `get` discovers.
 /// * **Corruption demotion**: integrity failures make the slot absent
 ///   and are reported through [`drain_corruptions`]
 ///   (never a panic or an `Err` on the read path).

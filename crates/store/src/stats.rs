@@ -117,11 +117,12 @@ pub(crate) fn record_corrupt_segments(n: u64) {
     let _ = n;
 }
 
-/// Records one [`crate::DiskBackend`] reopen — manifest load plus
-/// end-to-end verification of every committed segment — into the global
-/// registry, so cold-start recovery cost is visible on `/metrics`:
-/// `store.reopen_seconds` (histogram) and `store.segments_scanned`
-/// (counter of segments verified, kept or demoted). Loom no-op. These
+/// Records one [`crate::DiskBackend`] reopen — manifest load, debris
+/// sweep and a length check of every committed segment (checksums wait
+/// for each slot's first `get`) — into the global registry, so cold-start
+/// recovery cost is visible on `/metrics`: `store.reopen_seconds`
+/// (histogram) and `store.segments_scanned` (counter of segments whose
+/// length was checked, kept or demoted). Loom no-op. These
 /// are resolved ad hoc rather than through [`LiveStoreMetrics`]: reopen
 /// is a once-per-process-lifetime path, not a hot one.
 pub(crate) fn record_reopen(elapsed_s: f64, segments_scanned: u64) {

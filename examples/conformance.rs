@@ -9,6 +9,10 @@
 //! * `target/obs/engine_q1_none_coarse.jsonl` — Q1 with nothing
 //!   materialized under coarse restart, one injected failure forcing a
 //!   full query restart;
+//! * `target/obs/engine_q3_resume_corrupt.jsonl` — Q3, everything
+//!   materialized, resumed from a disk store in which one byte of a
+//!   segment the sink reads was flipped: the sink's input check finds
+//!   the bad checksum and rewinds to the producer;
 //! * `target/obs/sim_q1_{allmat,nomat_lineage,nomat_restart}.jsonl` —
 //!   the simulator's three baseline schemes (§5.2) replaying a generated
 //!   failure trace.
@@ -75,6 +79,41 @@ fn engine_coarse() -> Traced {
     Traced { file: "engine_q1_none_coarse.jsonl", events: rec.events(), stage_plan: sp }
 }
 
+/// Q3, everything materialized, checkpointed to a disk store in a
+/// temporary directory. One byte of a segment the sink reads is flipped
+/// (the file keeps its length, so the reopened store keeps the slot), and
+/// the resumed run heals it: the non-sink stages skip, then the sink's
+/// input check reports `segment_corrupt` and `input_rewind`, and the
+/// producer re-executes. The directory is removed afterwards.
+fn engine_resume_corrupt() -> Traced {
+    let plan = q3_engine_plan();
+    let dag = plan.to_plan_dag();
+    let config = MatConfig::all(&dag);
+    let sp = StagePlan::engine_ids(&dag, &config, 1.0);
+    let catalog = catalog();
+    let dir = std::env::temp_dir().join(format!("ftpde-conformance-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = |store: &DiskBackend, rec: &MemoryRecorder| {
+        let opts = RunOptions::default();
+        let none = FailureInjector::none();
+        run_query_resumable_traced(&plan, &config, &catalog, &none, &opts, store, None, rec);
+    };
+    run(&DiskBackend::open(&dir).expect("open store"), &MemoryRecorder::new());
+
+    let input = plan.op(plan.sinks()[0]).inputs[0];
+    let store = ftpde::store::inspect(&dir).expect("inspect store");
+    let victim = store.segments.iter().find(|s| s.op == input.0).expect("sink input is stored");
+    let path = dir.join(&victim.file);
+    let mut bytes = std::fs::read(&path).expect("read segment");
+    *bytes.last_mut().expect("a segment holds its header") ^= 0x01;
+    std::fs::write(&path, &bytes).expect("write segment");
+
+    let rec = MemoryRecorder::new();
+    run(&DiskBackend::open(&dir).expect("reopen store"), &rec);
+    std::fs::remove_dir_all(&dir).expect("remove store");
+    Traced { file: "engine_q3_resume_corrupt.jsonl", events: rec.events(), stage_plan: sp }
+}
+
 /// Q1 in the simulator under one baseline scheme against a generated
 /// failure trace.
 fn sim_baseline(scheme: Scheme, file: &'static str) -> Traced {
@@ -97,6 +136,7 @@ fn main() {
     let traces = vec![
         engine_fine(),
         engine_coarse(),
+        engine_resume_corrupt(),
         sim_baseline(Scheme::AllMat, "sim_q1_allmat.jsonl"),
         sim_baseline(Scheme::NoMatLineage, "sim_q1_nomat_lineage.jsonl"),
         sim_baseline(Scheme::NoMatRestart, "sim_q1_nomat_restart.jsonl"),

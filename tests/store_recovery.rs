@@ -2,10 +2,12 @@
 //! a query checkpointed to a [`DiskBackend`] must resume bit-identically
 //! after a genuine "process restart" (all handles dropped, directory
 //! reopened by a fresh instance), and corrupted or torn segments must be
-//! detected by checksum and healed by re-execution — never by a panic.
+//! detected and healed by re-execution — never by a panic. A torn segment
+//! is found when the store opens; a corrupted one is found by checksum at
+//! its first read.
 #![cfg(not(miri))]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
@@ -38,6 +40,73 @@ fn catalog(nodes: usize) -> Catalog {
 
 fn stage_count(plan: &EnginePlan, config: &MatConfig) -> usize {
     CollapsedPlan::collapse(&plan.to_plan_dag(), config, 1.0).len()
+}
+
+/// The operators whose segments a run read: the cross-stage inputs of
+/// every stage it executed.
+fn ops_read(plan: &EnginePlan, config: &MatConfig, run: &RunReport) -> Vec<u32> {
+    let collapsed = CollapsedPlan::collapse(&plan.to_plan_dag(), config, 1.0);
+    let mut read: Vec<u32> = run
+        .stage_timings
+        .iter()
+        .filter(|t| !t.skipped)
+        .flat_map(|t| {
+            let (id, _) =
+                collapsed.iter().find(|(_, c)| c.root.0 == t.stage).expect("a stage is a root");
+            collapsed.inputs(id).iter().map(|&input| collapsed.op(input).root.0)
+        })
+        .collect();
+    read.sort_unstable();
+    read.dedup();
+    read
+}
+
+/// Runs `plan` without failures on a fresh disk store in `dir`, then drops
+/// the store.
+fn checkpoint(plan: &EnginePlan, config: &MatConfig, catalog: &Catalog, dir: &Path) -> RunReport {
+    let disk = DiskBackend::open(dir).unwrap();
+    run_query_resumable(
+        plan,
+        config,
+        catalog,
+        &FailureInjector::none(),
+        &RunOptions::default(),
+        &disk,
+    )
+}
+
+/// Flips the last byte of the first committed segment whose operator
+/// `pick` accepts, keeping the file's length. Returns its file name.
+fn flip_a_byte(dir: &Path, pick: impl Fn(u32) -> bool) -> String {
+    let report = ftpde::store::inspect(dir).unwrap();
+    let victim = report.segments.iter().find(|s| pick(s.op)).expect("a segment to damage");
+    let path = dir.join(&victim.file);
+    let mut bytes = std::fs::read(&path).unwrap();
+    *bytes.last_mut().unwrap() ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+    victim.file.clone()
+}
+
+/// Reopens the store in `dir` and resumes `plan` from it with a recorder.
+fn resume_traced(
+    plan: &EnginePlan,
+    config: &MatConfig,
+    catalog: &Catalog,
+    dir: &Path,
+) -> (RunReport, MemoryRecorder) {
+    let reopened = DiskBackend::open(dir).unwrap();
+    let rec = MemoryRecorder::new();
+    let run = run_query_resumable_traced(
+        plan,
+        config,
+        catalog,
+        &FailureInjector::none(),
+        &RunOptions::default(),
+        &reopened,
+        None,
+        &rec,
+    );
+    (run, rec)
 }
 
 /// Kills the first attempt of every non-sink stage on every node: any
@@ -212,12 +281,73 @@ fn verify_report_artifact_and_corruption_flagging() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A flipped byte keeps the segment's length, so the store opens clean.
+/// When the byte sits in a segment of the sink's input, the sink's input
+/// check reads it, finds the bad checksum and rewinds: the trace shows
+/// `segment_corrupt` and then `input_rewind`, and re-executing the
+/// producer reproduces the first run's rows.
+#[test]
+fn flipped_byte_in_a_segment_the_sink_reads_is_found_on_first_read() {
+    let plan = q3_engine_plan();
+    let config = MatConfig::all(&plan.to_plan_dag());
+    let catalog = catalog(3);
+    let dir = scratch("flip-read");
+    let first = checkpoint(&plan, &config, &catalog, &dir);
+    let input = plan.op(plan.sinks()[0]).inputs[0];
+    flip_a_byte(&dir, |op| op == input.0);
+
+    let (resumed, rec) = resume_traced(&plan, &config, &catalog, &dir);
+    assert_eq!(resumed.results, first.results);
+    assert_eq!(resumed.segments_corrupt, 1);
+    let recovery: Vec<String> = rec
+        .events()
+        .into_iter()
+        .map(|e| e.name)
+        .filter(|n| n == "segment_corrupt" || n == "input_rewind")
+        .collect();
+    assert_eq!(recovery, ["segment_corrupt", "input_rewind"]);
+    assert!(
+        resumed.stage_timings.iter().any(|t| t.stage == input.0 && !t.skipped),
+        "the producer re-executes"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A flipped byte in a segment no executed stage reads goes unreported by
+/// the run, whose rows are unaffected; `verify` still flags it.
+#[test]
+fn flipped_byte_in_an_unread_segment_is_left_to_verify() {
+    let plan = q3_engine_plan();
+    let config = MatConfig::all(&plan.to_plan_dag());
+    let catalog = catalog(3);
+    let dir = scratch("flip-unread");
+    let first = checkpoint(&plan, &config, &catalog, &dir);
+    let input = plan.op(plan.sinks()[0]).inputs[0];
+    let file = flip_a_byte(&dir, |op| op != input.0);
+
+    let (resumed, rec) = resume_traced(&plan, &config, &catalog, &dir);
+    assert_eq!(resumed.results, first.results);
+    assert_eq!(resumed.segments_corrupt, 0);
+    assert!(!rec.events().iter().any(|e| e.name == "segment_corrupt"));
+    assert_eq!(ops_read(&plan, &config, &resumed), [input.0], "only the sink executed");
+    let report = ftpde::store::verify(&dir).unwrap();
+    assert_eq!(report.corrupt, 1);
+    let bad = report.segments.iter().find(|s| s.status != "ok").unwrap();
+    assert_eq!(bad.file, file);
+    assert!(bad.status.contains("checksum"), "{}", bad.status);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Arbitrary single-segment damage — a flipped byte or a truncation at
-    /// any offset — never panics, always surfaces a `segment_corrupt`
-    /// event, and recovery reproduces the original rows bit-for-bit.
+    /// any offset — never panics, and the resumed rows are bit-identical.
+    /// A truncation is found when the store opens and a flip when the
+    /// segment is first read; either surfaces a `segment_corrupt` event.
+    /// A flip in a segment the resumed run never reads is not reported by
+    /// the run: `verify` flags exactly that segment, and the first read
+    /// after a fresh open finds it.
     #[test]
     fn random_segment_damage_recovers_bit_identically(
         which_segment in any::<u32>(),
@@ -230,17 +360,7 @@ proptest! {
         let catalog = catalog(2);
         let dir = scratch("prop");
 
-        let first = {
-            let disk = DiskBackend::open(&dir).unwrap();
-            run_query_resumable(
-                &plan,
-                &config,
-                &catalog,
-                &FailureInjector::none(),
-                &RunOptions::default(),
-                &disk,
-            )
-        };
+        let first = checkpoint(&plan, &config, &catalog, &dir);
 
         let report = ftpde::store::inspect(&dir).unwrap();
         let victim = &report.segments[which_segment as usize % report.segments.len()];
@@ -248,7 +368,8 @@ proptest! {
         let mut bytes = std::fs::read(&path).unwrap();
         // Both damage modes are guaranteed to invalidate the segment:
         // every byte is either a checked header field or CRC-covered
-        // payload, and any truncation breaks the recorded payload length.
+        // payload, and any truncation breaks the recorded payload length
+        // (which `open` checks without reading the file).
         let offset = ((bytes.len() - 1) as f64 * offset_frac) as usize;
         if flip {
             bytes[offset] ^= 0xFF;
@@ -257,22 +378,27 @@ proptest! {
             std::fs::write(&path, &bytes[..offset]).unwrap();
         }
 
-        let reopened = DiskBackend::open(&dir).unwrap();
-        let rec = MemoryRecorder::new();
-        let resumed = run_query_resumable_traced(
-            &plan,
-            &config,
-            &catalog,
-            &FailureInjector::none(),
-            &RunOptions::default(),
-            &reopened,
-            None,
-            &rec,
-        );
+        let (resumed, rec) = resume_traced(&plan, &config, &catalog, &dir);
         prop_assert_eq!(&resumed.results, &first.results);
-        prop_assert!(resumed.segments_corrupt >= 1);
-        prop_assert!(rec.events().iter().any(|e| e.name == "segment_corrupt"));
-        drop(reopened);
+        if !flip || ops_read(&plan, &config, &resumed).contains(&victim.op) {
+            prop_assert!(resumed.segments_corrupt >= 1);
+            prop_assert!(rec.events().iter().any(|e| e.name == "segment_corrupt"));
+        } else {
+            prop_assert_eq!(resumed.segments_corrupt, 0);
+            let flagged = ftpde::store::verify(&dir).unwrap();
+            let bad: Vec<&str> = flagged
+                .segments
+                .iter()
+                .filter(|s| s.status != "ok")
+                .map(|s| s.file.as_str())
+                .collect();
+            prop_assert_eq!(bad, [victim.file.as_str()]);
+            let fresh = DiskBackend::open(&dir).unwrap();
+            prop_assert!(fresh.get(victim.op, victim.node.unwrap_or(0)).is_none());
+            let drained = fresh.drain_corruptions();
+            prop_assert_eq!(drained.len(), 1);
+            prop_assert_eq!((drained[0].op, drained[0].node), (victim.op, victim.node));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
