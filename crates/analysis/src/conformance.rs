@@ -348,7 +348,7 @@ fn is_terminal(e: &Event) -> bool {
 fn check_well_formed(report: &mut Report, trace: &[(usize, &Event)]) {
     // Events that must carry a `stage` argument to mean anything.
     const STAGE_BEARING: &[&str] =
-        &["stage_skipped", "input_rewind", "node_failure", "materialize", "worker_cancelled"];
+        &["stage_skipped", "input_rewind", "node_failure", "materialize"];
 
     for &(idx, e) in trace {
         if (is_stage_span(e) || STAGE_BEARING.contains(&e.name.as_str()))

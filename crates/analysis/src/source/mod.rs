@@ -277,8 +277,8 @@ mod tests {
             ("crates/store/src/sync.rs", Some(Exempt)),
             ("crates/core/src/sync.rs", Some(Exempt)),
             ("crates/obs/src/sync/clock.rs", Some(Exempt)),
-            ("crates/bench/src/store_micro.rs", Some(Bench)),
-            ("crates/bench/benches/store_micro.rs", Some(Exempt)),
+            ("crates/bench/src/fig13.rs", Some(Bench)),
+            ("crates/bench/benches/fig13_pruning.rs", Some(Exempt)),
             ("crates/bench/src/main.rs", Some(Exempt)),
             ("crates/engine/tests/loom.rs", Some(Exempt)),
             ("examples/conformance.rs", Some(Exempt)),

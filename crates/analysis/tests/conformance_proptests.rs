@@ -390,7 +390,7 @@ fn soup(seed: u64, len: usize) -> Vec<Event> {
         "input_rewind",
         "segment_corrupt",
         "node_failure",
-        "worker_cancelled",
+        "redeploy",
         "query_restart",
         "query_completed",
         "query_aborted",

@@ -26,6 +26,5 @@ pub mod fig11;
 pub mod fig12;
 pub mod fig13;
 pub mod report;
-pub mod store_micro;
 pub mod tab02;
 pub mod tab03;

@@ -5,6 +5,12 @@
 //! paper's XDB coordinator does) or coarse-grained (restart the whole
 //! query, the classic parallel-database behaviour).
 //!
+//! A node kill takes effect in one place: the injector check a worker
+//! makes before the node reads its inputs. Both recovery modes run the same
+//! worker loop. Under coarse recovery the siblings of a killed node finish
+//! their attempt, and the coordinator discards their output when it
+//! restarts the query at the stage barrier.
+//!
 //! The stage structure is exactly the paper's collapsed plan: the engine
 //! reuses [`ftpde_core::collapse::CollapsedPlan`] on a structural mirror
 //! of the engine plan, so the recovery granularity the cost model reasons
@@ -25,12 +31,12 @@ use ftpde_store::value::Row;
 use ftpde_store::StoreBackend;
 
 use crate::failure::FailureInjector;
-use crate::ops::{merge_partials, run_stage, ExecCtx, Interrupted};
+use crate::ops::{merge_aggregates, run_stage, sorted_top_k, ExecCtx};
 use crate::plan::{EOpId, EnginePlan, OpKind};
 use crate::store::default_store;
 use crate::sync::clock;
 use crate::sync::plain::{thread, Arc};
-use crate::sync::{AtomicU64, InterruptFlag, Ordering};
+use crate::sync::{AtomicU64, Ordering};
 use crate::table::{Catalog, Distribution};
 
 /// How the coordinator recovers from node failures.
@@ -98,36 +104,18 @@ impl Recorder for FlightTee<'_> {
     }
 }
 
-/// Why a worker attempt did not produce rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WorkerError {
-    /// The injector (or the stage's cancel flag) killed the node.
-    Interrupted,
-    /// A cross-stage input read as absent mid-run: the segment was
-    /// demoted (corruption found by a concurrent reader) after the
-    /// coordinator's pre-check passed. Carries the producing operator id.
-    InputLost(u32),
-}
-
-impl From<Interrupted> for WorkerError {
-    fn from(Interrupted: Interrupted) -> Self {
-        WorkerError::Interrupted
-    }
-}
-
-/// Outcome of one node's participation in a stage barrier.
+/// Outcome of one node attempt, and of the node's part in a stage barrier.
 #[derive(Debug, Clone, PartialEq)]
 enum NodeOutcome {
     /// The node finished its sub-plan.
     Done(Vec<Row>),
-    /// An injected failure killed the node (coarse recovery: the stage is
-    /// doomed and the query restarts).
+    /// An injected failure killed the node before it read its inputs
+    /// (coarse recovery: the stage is doomed and the query restarts).
     Failed,
-    /// A sibling's failure raised the stage's cancel flag; this node
-    /// aborted early instead of finishing work the restart will discard.
-    Cancelled,
-    /// A cross-stage input vanished mid-run; the coordinator must re-run
-    /// its input check (which rewinds to the producer).
+    /// A cross-stage input read as absent: the worker's read found the
+    /// segment corrupt and demoted it after the coordinator's input check
+    /// passed. Carries the producing operator id; the coordinator must
+    /// re-run its input check, which rewinds to the producer.
     InputLost(u32),
 }
 
@@ -430,165 +418,69 @@ pub fn run_query_resumable_traced(
 
             let stage_start = now_us();
             let retries_before = node_retries.load(Ordering::Relaxed);
-            // Raised by the first coarse-recovery failure so sibling
-            // workers abort at their next batch boundary: the restart
-            // discards their output anyway. Fine-grained workers recover
-            // per-node and never consult it.
-            let cancel = InterruptFlag::new();
+
+            // One node's part in the stage. Its first attempt is its own
+            // attempt 0 under fine-grained recovery and the query restart
+            // count under coarse recovery: the coordinate the injector
+            // addresses.
+            let run_node = |node: usize| {
+                let mut attempt = match opts.recovery {
+                    EngineRecovery::FineGrained => 0,
+                    EngineRecovery::CoarseRestart => query_restarts,
+                };
+                loop {
+                    let attempt_start = now_us();
+                    let outcome = run_stage_on_node(
+                        plan, &members, root, node, attempt, catalog, store, injector,
+                    );
+                    match &outcome {
+                        NodeOutcome::Done(rows) => rec.record_with(|| {
+                            worker_span(attempt_start, now_us(), root, node, attempt, true)
+                                .arg("rows", rows.len())
+                        }),
+                        // Retrying cannot help: the segment stays absent
+                        // until the coordinator rewinds to its producer.
+                        NodeOutcome::InputLost(_) => {}
+                        NodeOutcome::Failed => {
+                            rec.record_with(|| {
+                                failure_instant(now_us(), attempt_start, root, node, attempt)
+                            });
+                            // Repair time passes in virtual time only.
+                            if opts.repair_ms > 0 {
+                                clock::advance(std::time::Duration::from_millis(opts.repair_ms));
+                            }
+                            // Coarse recovery gives up here: the stage is
+                            // doomed, its siblings finish their attempt and
+                            // the query restarts at the barrier.
+                            if opts.recovery == EngineRecovery::FineGrained {
+                                // Fine-grained recovery: the failed node's
+                                // sub-plan is redeployed on the spot.
+                                node_retries.fetch_add(1, Ordering::Relaxed);
+                                attempt += 1;
+                                assert!(attempt < 10_000, "injector never lets node finish");
+                                rec.record_with(|| {
+                                    Event::instant("redeploy", "engine", now_us())
+                                        .tid(node as u32 + 1)
+                                        .arg("stage", root.0)
+                                        .arg("node", node)
+                                        .arg("attempt", attempt)
+                                });
+                                continue;
+                            }
+                        }
+                    }
+                    break outcome;
+                }
+            };
 
             // Execute the stage on every node.
             let partials: Vec<NodeOutcome> = thread::scope(|s| {
-                let handles: Vec<_> = (0..nodes)
-                    .map(|node| {
-                        let members = &members;
-                        let node_retries = &node_retries;
-                        let cancel = &cancel;
-                        s.spawn(move || match opts.recovery {
-                            EngineRecovery::FineGrained => {
-                                let mut attempt = 0u32;
-                                loop {
-                                    let attempt_start = now_us();
-                                    match run_stage_on_node(
-                                        plan, members, root, node, attempt, catalog, store,
-                                        injector, None,
-                                    ) {
-                                        Ok(rows) => {
-                                            rec.record_with(|| {
-                                                worker_span(
-                                                    attempt_start,
-                                                    now_us(),
-                                                    root,
-                                                    node,
-                                                    attempt,
-                                                    true,
-                                                )
-                                                .arg("rows", rows.len())
-                                            });
-                                            break NodeOutcome::Done(rows);
-                                        }
-                                        Err(WorkerError::InputLost(producer)) => {
-                                            // Retrying cannot help: the
-                                            // segment stays absent until
-                                            // the coordinator rewinds to
-                                            // its producer.
-                                            break NodeOutcome::InputLost(producer);
-                                        }
-                                        Err(WorkerError::Interrupted) => {
-                                            rec.record_with(|| {
-                                                failure_instant(
-                                                    now_us(),
-                                                    attempt_start,
-                                                    root,
-                                                    node,
-                                                    attempt,
-                                                )
-                                            });
-                                            node_retries.fetch_add(1, Ordering::Relaxed);
-                                            attempt += 1;
-                                            assert!(
-                                                attempt < 10_000,
-                                                "injector never lets node finish"
-                                            );
-                                            // Repair time passes in
-                                            // virtual time only.
-                                            if opts.repair_ms > 0 {
-                                                clock::advance(std::time::Duration::from_millis(
-                                                    opts.repair_ms,
-                                                ));
-                                            }
-                                            // Fine-grained recovery: the
-                                            // failed node's sub-plan is
-                                            // redeployed on the spot.
-                                            rec.record_with(|| {
-                                                Event::instant("redeploy", "engine", now_us())
-                                                    .tid(node as u32 + 1)
-                                                    .arg("stage", root.0)
-                                                    .arg("node", node)
-                                                    .arg("attempt", attempt)
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                            EngineRecovery::CoarseRestart => {
-                                let attempt_start = now_us();
-                                match run_stage_on_node(
-                                    plan,
-                                    members,
-                                    root,
-                                    node,
-                                    query_restarts,
-                                    catalog,
-                                    store,
-                                    injector,
-                                    Some(cancel),
-                                ) {
-                                    Ok(rows) => {
-                                        rec.record_with(|| {
-                                            worker_span(
-                                                attempt_start,
-                                                now_us(),
-                                                root,
-                                                node,
-                                                query_restarts,
-                                                true,
-                                            )
-                                            .arg("rows", rows.len())
-                                        });
-                                        NodeOutcome::Done(rows)
-                                    }
-                                    Err(WorkerError::InputLost(producer)) => {
-                                        NodeOutcome::InputLost(producer)
-                                    }
-                                    Err(WorkerError::Interrupted) => {
-                                        // Distinguish a genuine injected
-                                        // kill from a cooperative abort
-                                        // after a sibling's kill
-                                        // (should_fail is idempotent).
-                                        if injector.should_fail(root.0, node, query_restarts) {
-                                            cancel.set();
-                                            rec.record_with(|| {
-                                                failure_instant(
-                                                    now_us(),
-                                                    attempt_start,
-                                                    root,
-                                                    node,
-                                                    query_restarts,
-                                                )
-                                            });
-                                            // Repair time before the
-                                            // restart, in virtual time.
-                                            if opts.repair_ms > 0 {
-                                                clock::advance(std::time::Duration::from_millis(
-                                                    opts.repair_ms,
-                                                ));
-                                            }
-                                            NodeOutcome::Failed
-                                        } else {
-                                            rec.record_with(|| {
-                                                Event::instant(
-                                                    "worker_cancelled",
-                                                    "engine",
-                                                    now_us(),
-                                                )
-                                                .tid(node as u32 + 1)
-                                                .arg("stage", root.0)
-                                                .arg("node", node)
-                                                .arg("attempt", query_restarts)
-                                            });
-                                            NodeOutcome::Cancelled
-                                        }
-                                    }
-                                }
-                            }
-                        })
-                    })
-                    .collect();
+                let handles: Vec<_> =
+                    (0..nodes).map(|node| s.spawn(move || run_node(node))).collect();
                 handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
             });
 
-            let stage_failed =
-                partials.iter().any(|o| matches!(o, NodeOutcome::Failed | NodeOutcome::Cancelled));
+            let stage_failed = partials.iter().any(|o| matches!(o, NodeOutcome::Failed));
             let lost_input = partials.iter().any(|o| matches!(o, NodeOutcome::InputLost(_)));
             stage_timings.push(StageTiming {
                 stage: root.0,
@@ -666,7 +558,6 @@ pub fn run_query_resumable_traced(
             // partitioned.
             let root_op = plan.op(root);
             let is_sink = plan.consumers(root).is_empty();
-            let merge_ctx = ExecCtx { catalog, node: 0, interrupted: &|| false };
             if root_op.kind.is_gather() {
                 let global = match dists[root_op.inputs[0].index()] {
                     // Replicated input: every node's partial already is the
@@ -674,13 +565,11 @@ pub fn run_query_resumable_traced(
                     Distribution::Replicated => partials.into_iter().next().unwrap(),
                     Distribution::Partitioned => match &root_op.kind {
                         OpKind::HashAgg { group_cols, aggs } => {
-                            merge_partials(&partials, group_cols, aggs, &merge_ctx)
-                                .expect("coordinator-side merge cannot be interrupted")
+                            merge_aggregates(&partials, group_cols, aggs)
                         }
                         OpKind::TopK { sort_col, ascending, k } => {
                             let all: Vec<Row> = partials.into_iter().flatten().collect();
-                            crate::ops::top_k(&all, *sort_col, *ascending, *k, &merge_ctx)
-                                .expect("coordinator-side merge cannot be interrupted")
+                            sorted_top_k(&all, *sort_col, *ascending, *k)
                         }
                         _ => unreachable!("is_gather covers exactly these kinds"),
                     },
@@ -854,9 +743,10 @@ fn failure_instant(at_us: u64, start_us: u64, root: EOpId, node: usize, attempt:
         .arg("lost_s", at_us.saturating_sub(start_us) as f64 / 1e6)
 }
 
-/// Executes the sub-plan `members` (rooted at `root`) on one node,
-/// checking the failure injector (and, under coarse recovery, the
-/// stage's shared [`InterruptFlag`]) at batch boundaries.
+/// Executes the sub-plan `members` (rooted at `root`) on one node. The
+/// injector is checked once, before the node reads its inputs: a planned
+/// kill takes the node down there even when its partition holds no rows,
+/// and a node that passes it runs the stage to the end.
 #[allow(clippy::too_many_arguments)]
 fn run_stage_on_node(
     plan: &EnginePlan,
@@ -867,31 +757,28 @@ fn run_stage_on_node(
     catalog: &Catalog,
     store: &dyn StoreBackend,
     injector: &FailureInjector,
-    cancel: Option<&InterruptFlag>,
-) -> Result<Vec<Row>, WorkerError> {
-    let interrupted =
-        || injector.should_fail(root.0, node, attempt) || cancel.is_some_and(InterruptFlag::is_set);
-    // A planned kill takes the node down even when its partition holds no
-    // rows — without this check an empty-input attempt would never reach a
-    // batch boundary and the injection would silently not fire.
-    if interrupted() {
-        return Err(WorkerError::Interrupted);
+) -> NodeOutcome {
+    if injector.should_fail(root.0, node, attempt) {
+        return NodeOutcome::Failed;
     }
     // Cross-stage inputs come from the fault-tolerant store, one read per
     // member input. The coordinator's input check ran `get` on each of them
-    // before deploying this worker — but a concurrent reader can demote the
-    // segment between that check and this read (corruption discovered on
-    // `get`), so a miss here is a recoverable lost-input, not a bug.
+    // before deploying this worker — but a later `get` can still find the
+    // segment corrupt and demote it, so a miss here is a recoverable
+    // lost input, not a bug.
     let mut stored: Vec<(EOpId, Arc<Vec<Row>>)> = Vec::new();
     for &m in members {
         for &p in &plan.op(m).inputs {
             if !members.contains(&p) {
-                stored.push((p, store.get(p.0, node).ok_or(WorkerError::InputLost(p.0))?));
+                let Some(rows) = store.get(p.0, node) else {
+                    return NodeOutcome::InputLost(p.0);
+                };
+                stored.push((p, rows));
             }
         }
     }
     let stored: Vec<(EOpId, &[Row])> =
         stored.iter().map(|(p, rows)| (*p, rows.as_slice())).collect();
-    let ctx = ExecCtx { catalog, node, interrupted: &interrupted };
-    Ok(run_stage(plan, members, root, &stored, &ctx)?)
+    let ctx = ExecCtx { catalog, node, interrupted: &|| false };
+    NodeOutcome::Done(run_stage(plan, members, root, &stored, &ctx))
 }

@@ -3,12 +3,12 @@
 //! The paper injects process kills from pre-generated traces. Wall-clock
 //! traces make in-process tests flaky, so the engine injects failures at a
 //! *logical* coordinate instead: `(stage, node, attempt)` — kill node
-//! `node` while it executes the sub-plan rooted at `stage` for the
-//! `attempt`-th time. This exercises exactly the same recovery code paths
-//! (partial work discarded, redeployment, re-execution from the last
-//! materialized intermediate) with perfectly reproducible schedules; the
-//! time-domain behaviour is the discrete-event simulator's job
-//! (`ftpde-sim`).
+//! `node` when it is deployed on the sub-plan rooted at `stage` for the
+//! `attempt`-th time, before it reads its inputs. This exercises exactly
+//! the same recovery code paths (the attempt's work lost, redeployment,
+//! re-execution from the last materialized intermediate) with perfectly
+//! reproducible schedules; the time-domain behaviour is the discrete-event
+//! simulator's job (`ftpde-sim`).
 
 use std::collections::HashSet;
 

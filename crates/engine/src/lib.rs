@@ -53,7 +53,6 @@ pub mod prelude {
         q5_engine_plan,
     };
     pub use crate::store::{default_store, IntermediateStore};
-    pub use crate::sync::InterruptFlag;
     pub use crate::table::{hash_key, Catalog, Distribution, PartitionedTable};
     pub use ftpde_store::{
         int_row, row, DiskBackend, MemBackend, Row, StoreBackend, StoreStats, Value,

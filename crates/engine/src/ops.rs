@@ -10,10 +10,10 @@
 //! as few pipelines as its shape allows, so a row becomes a [`Row`] only
 //! where it must outlive its pipeline.
 //!
-//! Sources poll the interrupt flag every `BATCH` rows, and so does the
-//! loop that builds a join's hash table, so an injected node failure aborts
-//! the stage mid-flight — partial work is discarded exactly as when a real
-//! process dies.
+//! A node kill never lands inside a kernel: the coordinator decides it
+//! before the node reads its inputs, so the stage driver runs to the end.
+//! The public kernels ([`execute`], [`top_k`], [`merge_partials`]) check
+//! [`ExecCtx::interrupted`] once, on entry.
 
 use std::collections::HashMap;
 
@@ -22,12 +22,9 @@ use crate::plan::{Agg, AggFunc, EOpId, EnginePlan, OpKind};
 use crate::table::Catalog;
 use ftpde_store::value::{Row, Value};
 
-/// Execution failure: the node was killed while running the operator.
+/// Execution failure: the node was killed before running the operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interrupted;
-
-/// How many rows are processed between interrupt checks.
-const BATCH: usize = 256;
 
 /// Per-node execution context.
 pub struct ExecCtx<'a> {
@@ -35,14 +32,14 @@ pub struct ExecCtx<'a> {
     pub catalog: &'a Catalog,
     /// This worker's node index.
     pub node: usize,
-    /// Returns `true` when the node has been killed.
+    /// Returns `true` when the node has been killed. The public kernels
+    /// check it once, on entry.
     pub interrupted: &'a dyn Fn() -> bool,
 }
 
 impl ExecCtx<'_> {
-    #[allow(clippy::manual_is_multiple_of)] // usize::is_multiple_of needs Rust 1.87; MSRV is 1.82
-    fn check(&self, processed: usize) -> Result<(), Interrupted> {
-        if processed % BATCH == 0 && (self.interrupted)() {
+    fn check(&self) -> Result<(), Interrupted> {
+        if (self.interrupted)() {
             Err(Interrupted)
         } else {
             Ok(())
@@ -57,15 +54,16 @@ pub fn execute(
     inputs: &[&[Row]],
     ctx: &ExecCtx<'_>,
 ) -> Result<Vec<Row>, Interrupted> {
+    ctx.check()?;
     if let OpKind::TopK { sort_col, ascending, k } = *kind {
-        return top_k(inputs[0], sort_col, ascending, k, ctx);
+        return Ok(sorted_top_k(inputs[0], sort_col, ascending, k));
     }
-    let pipe = Pipe::step(kind, || inputs[0], Pipe::sink(kind), ctx)?;
+    let pipe = Pipe::step(kind, || inputs[0], Pipe::sink(kind));
     let source = match streamed_port(kind) {
         Some(port) => Source::Rows(inputs[port]),
         None => Source::scan(kind, ctx),
     };
-    source.run(pipe, ctx)
+    Ok(source.run(pipe))
 }
 
 /// The input an operator reads row by row, so that it can stream from its
@@ -97,7 +95,7 @@ pub(crate) fn run_stage(
     root: EOpId,
     stored: &[(EOpId, &[Row])],
     ctx: &ExecCtx<'_>,
-) -> Result<Vec<Row>, Interrupted> {
+) -> Vec<Row> {
     let streams = |id: EOpId| match plan.consumers(id) {
         [c] => {
             let consumer = plan.op(*c);
@@ -109,7 +107,7 @@ pub(crate) fn run_stage(
     };
     let mut memo: HashMap<EOpId, Vec<Row>> = HashMap::new();
     for &m in members.iter().filter(|&&m| m != root && !streams(m)) {
-        let rows = materialize(plan, m, &streams, &memo, stored, ctx)?;
+        let rows = materialize(plan, m, &streams, &memo, stored, ctx);
         memo.insert(m, rows);
     }
     materialize(plan, root, &streams, &memo, stored, ctx)
@@ -125,7 +123,7 @@ fn materialize(
     memo: &HashMap<EOpId, Vec<Row>>,
     stored: &[(EOpId, &[Row])],
     ctx: &ExecCtx<'_>,
-) -> Result<Vec<Row>, Interrupted> {
+) -> Vec<Row> {
     let input = |p: EOpId| match memo.get(&p) {
         Some(rows) => rows.as_slice(),
         None => match stored.iter().find(|(s, _)| *s == p) {
@@ -135,19 +133,19 @@ fn materialize(
     };
     let op = plan.op(id);
     if let OpKind::TopK { sort_col, ascending, k } = op.kind {
-        return top_k(input(op.inputs[0]), sort_col, ascending, k, ctx);
+        return sorted_top_k(input(op.inputs[0]), sort_col, ascending, k);
     }
     let mut pipe = Pipe::sink(&op.kind);
     let mut cur = op;
     let source = loop {
-        pipe = Pipe::step(&cur.kind, || input(cur.inputs[0]), pipe, ctx)?;
+        pipe = Pipe::step(&cur.kind, || input(cur.inputs[0]), pipe);
         match streamed_port(&cur.kind) {
             Some(port) if streams(cur.inputs[port]) => cur = plan.op(cur.inputs[port]),
             Some(port) => break Source::Rows(input(cur.inputs[port])),
             None => break Source::scan(&cur.kind, ctx),
         }
     };
-    source.run(pipe, ctx)
+    source.run(pipe)
 }
 
 /// Where a pipeline's rows come from.
@@ -172,25 +170,22 @@ impl<'a> Source<'a> {
         }
     }
 
-    /// Pushes every row into `pipe`, polling for an interrupt every
-    /// [`BATCH`] rows, and returns the pipe's output.
-    fn run(self, mut pipe: Pipe<'_>, ctx: &ExecCtx<'_>) -> Result<Vec<Row>, Interrupted> {
-        self.drive(&mut pipe, ctx)?;
-        Ok(pipe.finish())
+    /// Pushes every row into `pipe` and returns the pipe's output.
+    fn run(self, mut pipe: Pipe<'_>) -> Vec<Row> {
+        self.drive(&mut pipe);
+        pipe.finish()
     }
 
-    fn drive(self, pipe: &mut Pipe<'_>, ctx: &ExecCtx<'_>) -> Result<(), Interrupted> {
+    fn drive(self, pipe: &mut Pipe<'_>) {
         match self {
             Source::Rows(rows) => {
-                for (i, r) in rows.iter().enumerate() {
-                    ctx.check(i)?;
+                for r in rows {
                     pipe.push(r);
                 }
             }
             Source::Scan { rows, filter, project } => {
                 let mut buf = Vec::with_capacity(project.map_or(0, <[usize]>::len));
-                for (i, r) in rows.iter().enumerate() {
-                    ctx.check(i)?;
+                for r in rows {
                     if filter.is_some_and(|f| !f.eval_bool(r)) {
                         continue;
                     }
@@ -205,7 +200,6 @@ impl<'a> Source<'a> {
                 }
             }
         }
-        Ok(())
     }
 }
 
@@ -246,24 +240,18 @@ impl<'a> Pipe<'a> {
     }
 
     /// Puts the push step of `kind` in front of `next`. A join first builds
-    /// its hash table over `build()`, polling every [`BATCH`] rows. A scan
-    /// (a source) and an aggregation (a sink) add no step.
-    fn step(
-        kind: &'a OpKind,
-        build: impl FnOnce() -> &'a [Row],
-        next: Self,
-        ctx: &ExecCtx<'_>,
-    ) -> Result<Self, Interrupted> {
+    /// its hash table over `build()`. A scan (a source) and an aggregation
+    /// (a sink) add no step.
+    fn step(kind: &'a OpKind, build: impl FnOnce() -> &'a [Row], next: Self) -> Self {
         let next = Box::new(next);
-        Ok(match kind {
+        match kind {
             OpKind::Filter { predicate } => Pipe::Filter { predicate, next },
             OpKind::Project { exprs } => {
                 Pipe::Project { exprs, buf: Vec::with_capacity(exprs.len()), next }
             }
             OpKind::HashJoin { build_key, probe_key, residual } => {
                 let mut table: HashMap<i64, Vec<&Row>> = HashMap::new();
-                for (i, r) in build().iter().enumerate() {
-                    ctx.check(i)?;
+                for r in build() {
                     table.entry(r[*build_key].as_int()).or_default().push(r);
                 }
                 Pipe::Probe {
@@ -275,7 +263,7 @@ impl<'a> Pipe<'a> {
                 }
             }
             OpKind::Scan { .. } | OpKind::HashAgg { .. } | OpKind::TopK { .. } => *next,
-        })
+        }
     }
 
     fn push(&mut self, row: &[Value]) {
@@ -330,7 +318,12 @@ pub fn top_k(
     k: usize,
     ctx: &ExecCtx<'_>,
 ) -> Result<Vec<Row>, Interrupted> {
-    ctx.check(0)?; // single interruption point: sorting is one burst
+    ctx.check()?;
+    Ok(sorted_top_k(rows, sort_col, ascending, k))
+}
+
+/// [`top_k`] without the interrupt check.
+pub(crate) fn sorted_top_k(rows: &[Row], sort_col: usize, ascending: bool, k: usize) -> Vec<Row> {
     let mut out: Vec<Row> = rows.to_vec();
     let cmp = |a: &Row, b: &Row| {
         let primary = a[sort_col].total_cmp(&b[sort_col]);
@@ -345,7 +338,7 @@ pub fn top_k(
     };
     out.sort_by(cmp);
     out.truncate(k);
-    Ok(out)
+    out
 }
 
 /// Hash aggregation with deterministic (group-key-sorted) output order.
@@ -452,6 +445,16 @@ pub fn merge_partials(
     aggs: &[Agg],
     ctx: &ExecCtx<'_>,
 ) -> Result<Vec<Row>, Interrupted> {
+    ctx.check()?;
+    Ok(merge_aggregates(partials, group_cols, aggs))
+}
+
+/// [`merge_partials`] without the interrupt check.
+pub(crate) fn merge_aggregates(
+    partials: &[Vec<Row>],
+    group_cols: &[usize],
+    aggs: &[Agg],
+) -> Vec<Row> {
     let merge_group: Vec<usize> = (0..group_cols.len()).collect();
     let merge_aggs: Vec<Agg> = aggs
         .iter()
@@ -460,9 +463,9 @@ pub fn merge_partials(
         .collect();
     let mut merged = Pipe::Aggregate(Aggregate::new(&merge_group, &merge_aggs));
     for rows in partials {
-        Source::Rows(rows).drive(&mut merged, ctx)?;
+        Source::Rows(rows).drive(&mut merged);
     }
-    Ok(merged.finish())
+    merged.finish()
 }
 
 #[cfg(test)]
@@ -592,55 +595,6 @@ mod tests {
         assert_eq!(merged, vec![int_row(&[1, 30, 5, 1]), int_row(&[2, 5, 1, 5])]);
     }
 
-    /// scan → filter → hash aggregate over a 10 000-row table: one stage,
-    /// one pipeline.
-    fn fused_stage() -> (Catalog, EnginePlan) {
-        let mut c = Catalog::new();
-        c.register(PartitionedTable::replicated(
-            "t",
-            (0..10_000).map(|k| int_row(&[k, k % 3])).collect(),
-            1,
-        ));
-        let mut p = EnginePlan::new();
-        let scan =
-            p.add("scan", OpKind::Scan { table: "t".into(), filter: None, project: None }, &[]);
-        let filter =
-            p.add("filter", OpKind::Filter { predicate: Expr::col(0).ge(Expr::lit(0)) }, &[scan]);
-        p.add(
-            "agg",
-            OpKind::HashAgg {
-                group_cols: vec![1],
-                aggs: vec![Agg { func: AggFunc::Count, expr: Expr::lit(1) }],
-            },
-            &[filter],
-        );
-        (c, p.finish())
-    }
-
-    #[test]
-    fn fused_stage_polls_every_batch() {
-        let (c, plan) = fused_stage();
-        let members: Vec<EOpId> = plan.op_ids().collect();
-        // Runs the stage with an `interrupted` that answers `true` from its
-        // `fail_from`-th call on; returns the outcome and the call count.
-        let run = |fail_from: usize| {
-            let calls = std::cell::Cell::new(0usize);
-            let interrupted = || {
-                calls.set(calls.get() + 1);
-                calls.get() >= fail_from
-            };
-            let cx = ExecCtx { catalog: &c, node: 0, interrupted: &interrupted };
-            let out = run_stage(&plan, &members, EOpId(2), &[], &cx);
-            (out, calls.get())
-        };
-        let (out, calls) = run(usize::MAX);
-        assert_eq!(out, Ok(vec![int_row(&[0, 3334]), int_row(&[1, 3333]), int_row(&[2, 3333])]));
-        assert!(calls >= 10_000 / BATCH, "polled {calls} times");
-        let (out, calls) = run(4);
-        assert_eq!(out, Err(Interrupted));
-        assert!(calls <= 4, "polled {calls} times");
-    }
-
     #[test]
     fn interruption_aborts_execution() {
         let mut c = Catalog::new();
@@ -652,5 +606,9 @@ mod tests {
         let cx = ExecCtx { catalog: &c, node: 0, interrupted: &|| true };
         let kind = OpKind::Scan { table: "t".into(), filter: None, project: None };
         assert_eq!(execute(&kind, &[], &cx), Err(Interrupted));
+        let rows = vec![int_row(&[1, 1])];
+        assert_eq!(top_k(&rows, 0, true, 1, &cx), Err(Interrupted));
+        let aggs = [Agg { func: AggFunc::Count, expr: Expr::lit(1) }];
+        assert_eq!(merge_partials(&[rows], &[0], &aggs, &cx), Err(Interrupted));
     }
 }

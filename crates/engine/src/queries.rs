@@ -590,6 +590,70 @@ mod tests {
     }
 
     #[test]
+    fn coarse_kill_lets_siblings_finish_and_replays_identically() {
+        use crate::coordinator::run_query_traced;
+        use ftpde_obs::export::{canonical_trace, to_jsonl};
+        use ftpde_obs::{ArgValue, MemoryRecorder, Phase};
+
+        let plan = q3_engine_plan();
+        let dag = plan.to_plan_dag();
+        let config = MatConfig::none(&dag);
+        // With nothing materialized, Q3 is one stage, rooted at its sink.
+        let stage = plan.sinks()[0].0;
+        let injector = FailureInjector::with([Injection { stage, node: 0, attempt: 0 }]);
+        let catalog = load_catalog(&db(), 3);
+        let opts = RunOptions { recovery: EngineRecovery::CoarseRestart, ..Default::default() };
+        let traced = || {
+            let rec = MemoryRecorder::new();
+            let got = run_query_traced(&plan, &config, &catalog, &injector, &opts, None, &rec);
+            assert_eq!(got.query_restarts, 1);
+            rec.events()
+        };
+        let events = traced();
+
+        // The failed attempt is everything before the restart. On the
+        // worker tracks it holds node 0's kill and the ok attempts of its
+        // two siblings, which ran to the end.
+        let restart = events.iter().position(|e| e.name == "query_restart").expect("restarted");
+        let mut workers: Vec<_> = events[..restart].iter().filter(|e| e.tid != 0).collect();
+        workers.sort_by_key(|e| e.tid);
+        let shape: Vec<_> = workers.iter().map(|e| (e.tid, e.name.as_str(), e.phase)).collect();
+        assert_eq!(
+            shape,
+            [
+                (1, "node_failure", Phase::Instant),
+                (2, "attempt", Phase::Span),
+                (3, "attempt", Phase::Span)
+            ]
+        );
+        assert!(workers[1..].iter().all(|e| e.get_arg("ok") == Some(&ArgValue::Bool(true))));
+        // No other event kind, such as a cancellation, appears anywhere.
+        let mut names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        let stage_span = format!("stage {stage}");
+        assert_eq!(
+            names,
+            [
+                "attempt",
+                "node_failure",
+                "query_completed",
+                "query_restart",
+                &stage_span,
+                "store_stats"
+            ]
+        );
+
+        // Same kill, same execution: the canonical projection keeps every
+        // track and `bytes_read`, and 20 runs agree on it byte for byte.
+        let canon = to_jsonl(&canonical_trace(&events));
+        assert!(canon.contains("bytes_read"));
+        for _ in 1..20 {
+            assert_eq!(to_jsonl(&canonical_trace(&traced())), canon);
+        }
+    }
+
+    #[test]
     fn coarse_restart_aborts_at_limit() {
         let plan = q1_engine_plan();
         let dag = plan.to_plan_dag();

@@ -2,25 +2,24 @@
 //! normally, `loom` under `--cfg loom`.
 //!
 //! The coordinator's concurrency surface is deliberately small — scoped
-//! worker threads, a retry counter, a stage-local interrupt flag, and the
-//! internally-synchronized [`ftpde_store::StoreBackend`] — and everything
-//! shared crosses this module (or `ftpde_store::sync`), so the loom CI job
+//! worker threads, a retry counter, and the internally-synchronized
+//! [`ftpde_store::StoreBackend`] — and everything shared crosses this
+//! module (or `ftpde_store::sync`), so the loom CI job
 //! (`RUSTFLAGS="--cfg loom"`) model-checks the very primitives the
 //! production build runs. The loom protocol models live in
-//! `crates/engine/tests/loom.rs`: kill-during-batch, rewind-after-
-//! corruption, and concurrent partition writers over the real
-//! [`MemBackend`](ftpde_store::MemBackend).
+//! `crates/engine/tests/loom.rs`: rewind-after-corruption and concurrent
+//! partition writers over the real [`MemBackend`](ftpde_store::MemBackend).
 //!
 //! Scoped spawning itself stays on [`std::thread::scope`] in both builds:
 //! loom threads are `'static` and cannot borrow the coordinator's stack,
-//! so the models drive the shared state (flag + counter + store) through
-//! loom threads rather than running the whole coordinator under the model.
+//! so the models drive the shared store through loom threads rather than
+//! running the whole coordinator under the model.
 
 #[cfg(not(loom))]
-pub use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+pub use std::sync::atomic::{AtomicU64, Ordering};
 
 #[cfg(loom)]
-pub use loom::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+pub use loom::sync::atomic::{AtomicU64, Ordering};
 
 pub use ftpde_store::sync::{Mutex, MutexGuard};
 
@@ -35,48 +34,4 @@ pub mod plain {
     pub use std::thread;
 
     pub use parking_lot::Mutex;
-}
-
-/// A cooperative cancellation flag shared by one stage's worker threads.
-///
-/// Under coarse-grained recovery the first injected node failure dooms the
-/// whole stage — the query restarts regardless of what the surviving
-/// workers produce. The coordinator sets this flag when a worker dies so
-/// its siblings abort at their next batch boundary instead of completing
-/// work the restart will discard (the engine analogue of the paper's
-/// coordinator killing outstanding sub-plan deployments on restart).
-#[derive(Debug, Default)]
-pub struct InterruptFlag(AtomicBool);
-
-impl InterruptFlag {
-    /// A cleared flag.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Raises the flag. Idempotent.
-    pub fn set(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether the flag has been raised. Workers poll this at row-batch
-    /// boundaries (see `ops::ExecCtx`).
-    pub fn is_set(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(all(test, not(loom)))]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn interrupt_flag_latches() {
-        let f = InterruptFlag::new();
-        assert!(!f.is_set());
-        f.set();
-        assert!(f.is_set());
-        f.set();
-        assert!(f.is_set(), "set is idempotent");
-    }
 }

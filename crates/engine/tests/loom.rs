@@ -1,95 +1,38 @@
 //! Loom models of the coordinator's recovery protocol.
 //!
 //! Compiled and run only under `RUSTFLAGS="--cfg loom"` (the CI `loom`
-//! job): the `engine::sync` / `ftpde_store::sync` shims then route the
-//! interrupt flag, retry counter and the real [`MemBackend`]'s mutex
-//! through the loom model checker, and each `model` body below is
-//! explored across many thread interleavings.
+//! job): the `ftpde_store::sync` shim then routes the real
+//! [`MemBackend`]'s mutex through the loom model checker, and each `model`
+//! body below is explored across many thread interleavings.
 //!
-//! Three interleaving families from the recovery protocol are modeled:
+//! Two interleaving families from the recovery protocol are modeled:
 //!
-//! 1. **Kill during batch** — under coarse recovery the first injected
-//!    failure raises the stage's [`InterruptFlag`]; a sibling worker
-//!    polling at batch boundaries must either finish cleanly *before*
-//!    the flag is raised or observe it and abort — it must never publish
-//!    output after observing the kill.
-//! 2. **Rewind after corruption** — a reader racing a store `clear()`
+//! 1. **Rewind after corruption** — a reader racing a store `clear()`
 //!    (the demotion/coarse-restart path) must see either the complete
 //!    committed segment or a clean miss, never a torn state; a miss after
 //!    a successful `contains` is legal (the lost-input rewind path the
-//!    coordinator handles via `WorkerError::InputLost`).
-//! 3. **Concurrent partition writers** — per-node workers materializing
+//!    coordinator handles via `NodeOutcome::InputLost`).
+//! 2. **Concurrent partition writers** — per-node workers materializing
 //!    different partitions of the same operator concurrently (plus a
 //!    replicated gather write) must leave the store with every segment
 //!    visible and the logical/physical accounting exact.
+//!
+//! A node kill needs no model: the coordinator decides it once per
+//! attempt, before the worker reads anything, so no worker observes
+//! another's kill.
 
 #![cfg(loom)]
 
-use ftpde_engine::sync::{AtomicU64, InterruptFlag, Ordering};
 use ftpde_store::value::int_row;
 use ftpde_store::{MemBackend, StoreBackend};
 use loom::sync::Arc;
 use loom::thread;
 
-/// Worker B runs a 3-batch stage, polling the flag at each boundary as
-/// `ops::ExecCtx::check` does; worker A is killed mid-batch and raises
-/// the flag. B must never complete a batch after having observed the
-/// kill.
-#[test]
-fn kill_during_batch() {
-    loom::model(|| {
-        let cancel = Arc::new(InterruptFlag::new());
-        let published = Arc::new(AtomicU64::new(0));
-
-        let killer = {
-            let cancel = Arc::clone(&cancel);
-            thread::spawn(move || {
-                // Injected node failure: A dies and dooms the stage.
-                cancel.set();
-            })
-        };
-        let worker = {
-            let cancel = Arc::clone(&cancel);
-            let published = Arc::clone(&published);
-            thread::spawn(move || {
-                let mut aborted = false;
-                for _batch in 0..3 {
-                    if cancel.is_set() {
-                        aborted = true;
-                        break;
-                    }
-                    // One batch of work produced.
-                    published.fetch_add(1, Ordering::SeqCst);
-                }
-                // The abort is cooperative, so a batch already in flight
-                // when the flag rises still completes — but nothing is
-                // published *after* the worker observed the kill.
-                if aborted {
-                    assert!(
-                        published.load(Ordering::SeqCst) < 3,
-                        "worker kept publishing after observing the interrupt"
-                    );
-                }
-                aborted
-            })
-        };
-
-        killer.join().unwrap();
-        let aborted = worker.join().unwrap();
-        // Whatever the interleaving, the flag is latched by now; a
-        // worker deployed after the failure aborts before batch 0.
-        assert!(cancel.is_set());
-        if !aborted {
-            assert_eq!(published.load(Ordering::SeqCst), 3, "clean finish publishes all batches");
-        }
-    });
-}
-
 /// A reader races a `clear()` on the real `MemBackend`. Every
 /// interleaving must yield either the full committed segment or a clean
 /// miss; `contains == true` followed by `get == None` is an allowed
 /// outcome (the demotion race `run_stage_on_node` maps to
-/// `WorkerError::InputLost`), a torn or partial read is not.
+/// `NodeOutcome::InputLost`), a torn or partial read is not.
 #[test]
 fn rewind_after_corruption() {
     loom::model(|| {

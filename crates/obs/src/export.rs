@@ -37,24 +37,6 @@ pub fn from_jsonl(s: &str) -> Result<Vec<Event>, serde_json::Error> {
 /// projection strips them.
 const TIMING_ARGS: &[&str] = &["lost_s", "write_bytes_per_s", "read_bytes_per_s"];
 
-/// Which tracks [`canonical_trace`] keeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CanonicalScope {
-    /// Every `(pid, tid)` track — for runs whose per-track event order
-    /// is deterministic (e.g. fine-grained recovery, where each worker's
-    /// events happen-before the stage join that publishes them).
-    AllTracks,
-    /// Only coordinator events (`tid == 0`) plus `materialize` instants
-    /// (emitted by the coordinator after the stage join, merely *tagged*
-    /// with a worker tid). For runs whose worker tracks race by design —
-    /// coarse restarts cancel sibling workers at arbitrary batch
-    /// boundaries, so whether a `worker_cancelled` event exists at all
-    /// is a scheduler coin-flip. For the same reason the `store_stats`
-    /// instant loses its `bytes_read` arg: that lifetime counter includes
-    /// the stored inputs a sibling worker read before it saw the cancel.
-    CoordinatorOnly,
-}
-
 /// Projects an event log onto its *canonical* form: the part of a trace
 /// that must be byte-identical when the same seeded run executes twice.
 ///
@@ -68,29 +50,22 @@ pub enum CanonicalScope {
 /// * `ts_us` becomes the event's sequence index in the projected log and
 ///   `dur_us` becomes zero;
 /// * wall-clock measurement args (`lost_s`, `write_bytes_per_s`,
-///   `read_bytes_per_s`) are dropped, and under
-///   [`CanonicalScope::CoordinatorOnly`] so is `store_stats`' racy
-///   `bytes_read`.
+///   `read_bytes_per_s`) are dropped.
 ///
-/// The simulation harness compares `to_jsonl(&canonical_trace(..))` of a
-/// run against its replay; any byte difference is an FT301 finding.
-pub fn canonical_trace(events: &[Event], scope: CanonicalScope) -> Vec<Event> {
+/// Every track and every other arg is kept. The simulation harness
+/// compares `to_jsonl(&canonical_trace(..))` of a run against its replay;
+/// any byte difference is an FT301 finding.
+pub fn canonical_trace(events: &[Event]) -> Vec<Event> {
     let mut tracks: Vec<(u32, u32)> = events.iter().map(|e| (e.pid, e.tid)).collect();
     tracks.sort_unstable();
     tracks.dedup();
     let mut out = Vec::with_capacity(events.len());
     for (pid, tid) in tracks {
         for e in events.iter().filter(|e| e.pid == pid && e.tid == tid) {
-            if scope == CanonicalScope::CoordinatorOnly && e.tid != 0 && e.name != "materialize" {
-                continue;
-            }
             let mut c = e.clone();
             c.ts_us = out.len() as u64;
             c.dur_us = 0;
             c.args.retain(|(k, _)| !TIMING_ARGS.contains(&k.as_str()));
-            if scope == CanonicalScope::CoordinatorOnly && c.name == "store_stats" {
-                c.args.retain(|(k, _)| k != "bytes_read");
-            }
             out.push(c);
         }
     }
@@ -371,8 +346,8 @@ mod tests {
             Event::span("attempt", "engine", 3900, 10).tid(1).arg("rows", 5u64),
             Event::span("stage", "engine", 3800, 1000).arg("nodes", 2u64),
         ];
-        let ca = canonical_trace(&a, CanonicalScope::AllTracks);
-        let cb = canonical_trace(&b, CanonicalScope::AllTracks);
+        let ca = canonical_trace(&a);
+        let cb = canonical_trace(&b);
         assert_eq!(to_jsonl(&ca), to_jsonl(&cb));
         // Sequence-index timestamps, zero durations, no timing args.
         assert_eq!(ca.iter().map(|e| e.ts_us).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
@@ -380,34 +355,6 @@ mod tests {
         assert!(ca.iter().all(|e| e.args.iter().all(|(k, _)| k != "lost_s")));
         // Track order: tid 0 first, then 1, then 2.
         assert_eq!(ca.iter().map(|e| e.tid).collect::<Vec<_>>(), vec![0, 1, 2, 2]);
-    }
-
-    #[test]
-    fn canonical_trace_coordinator_scope_drops_racy_worker_tracks() {
-        let events = vec![
-            Event::span("stage", "engine", 0, 10),
-            Event::instant("worker_cancelled", "engine", 3).tid(2),
-            Event::instant("materialize", "engine", 5).tid(1).arg("rows", 9u64),
-            Event::instant("query_completed", "engine", 9),
-        ];
-        let c = canonical_trace(&events, CanonicalScope::CoordinatorOnly);
-        let names: Vec<&str> = c.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, vec!["stage", "query_completed", "materialize"]);
-
-        // Two runs whose cancelled siblings read different amounts of
-        // stored input before stopping: only the coordinator-scope
-        // projection may call them equal.
-        let stats = |bytes_read: u64| {
-            vec![Event::instant("store_stats", "engine", 9)
-                .arg("fsyncs", 4u64)
-                .arg("bytes_read", bytes_read)]
-        };
-        let (a, b) = (stats(100), stats(250));
-        let coord = |e: &[Event]| to_jsonl(&canonical_trace(e, CanonicalScope::CoordinatorOnly));
-        assert_eq!(coord(&a), coord(&b));
-        assert!(coord(&a).contains("fsyncs"));
-        let all = |e: &[Event]| to_jsonl(&canonical_trace(e, CanonicalScope::AllTracks));
-        assert_ne!(all(&a), all(&b));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! A [`FaultSchedule`] is the serialized middle of the simulation
 //! harness's pipeline: one seed deterministically derives a workload and
 //! a schedule, the schedule is injected into a real engine run (kills
-//! through the engine's `FailureInjector` interrupt path, storage faults
-//! through the `FaultStore` decorator), and a failing schedule is what
-//! the shrinker minimizes and the bug base replays. The types live here —
+//! through the engine's `FailureInjector`, storage faults through the
+//! `FaultStore` decorator), and a failing schedule is what the shrinker
+//! minimizes and the bug base replays. The types live here —
 //! next to the discrete-event simulator's own [`crate::event::SimEvent`]
 //! vocabulary — so every layer that speaks "what went wrong, where"
 //! shares one definition without depending on the harness itself.
@@ -28,8 +28,9 @@ use serde::{Deserialize, Serialize};
 /// is the wire format of [`FaultSchedule`] entries in the bug base.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FaultEvent {
-    /// Kill `node` during its `attempt`-th execution of the sub-plan
-    /// rooted at `stage` (the engine's interrupt path).
+    /// Kill `node` as its `attempt`-th execution of the sub-plan rooted at
+    /// `stage` starts, before it reads its inputs (through the engine's
+    /// `FailureInjector`).
     KillNode {
         /// Root operator id of the stage being executed.
         stage: u32,
@@ -85,7 +86,7 @@ pub enum FaultEvent {
 
 impl FaultEvent {
     /// Whether this fault is injected through the storage decorator
-    /// (as opposed to the engine's interrupt path).
+    /// (as opposed to the engine's `FailureInjector`).
     pub fn is_store_fault(&self) -> bool {
         !matches!(self, FaultEvent::KillNode { .. })
     }

@@ -9,9 +9,9 @@
 //! 2. **Reference run** — the same workload, no faults. Its result is
 //!    ground truth for the divergence oracle.
 //! 3. **Faulted run** — the schedule's kills go through the engine's
-//!    [`FailureInjector`] interrupt path, its storage faults through the
-//!    [`FaultStore`] decorator, under `catch_unwind`: a panic anywhere in
-//!    the engine is **FT303**, not a harness crash.
+//!    [`FailureInjector`], its storage faults through the [`FaultStore`]
+//!    decorator, under `catch_unwind`: a panic anywhere in the engine is
+//!    **FT303**, not a harness crash.
 //! 4. **FT1xx** — the recorded trace replays through the conformance
 //!    checker (`check_trace`): track discipline, stage identity, the
 //!    §2.2 recovery contract, Eq. 1 conservation.
@@ -19,8 +19,8 @@
 //!    the reference's. Recovery may cost time; it must never change the
 //!    answer.
 //! 6. **FT301** — the whole faulted run replays from scratch; the two
-//!    canonical trace projections must be identical. Same seed, same
-//!    history.
+//!    canonical trace projections must be identical, on every track and
+//!    under either recovery mode. Same seed, same history.
 //! 7. **FT304** (warn) — scheduled faults that never fired mean the
 //!    schedule outran the run: the case tests less than it claims.
 //!
@@ -37,7 +37,7 @@ use ftpde_engine::prelude::{
     load_catalog, run_query_resumable_traced, Catalog, EnginePlan, FailureInjector, Injection,
     RunOptions, RunReport,
 };
-use ftpde_obs::export::{canonical_trace, to_jsonl, CanonicalScope};
+use ftpde_obs::export::{canonical_trace, to_jsonl};
 use ftpde_obs::{Event, MemoryRecorder};
 use ftpde_sim::prelude::FaultSchedule;
 use ftpde_store::{FaultStore, MemBackend, StoreBug};
@@ -45,7 +45,6 @@ use ftpde_tpch::prelude::Database;
 use serde::{Deserialize, Serialize};
 
 use crate::case::SimCase;
-use crate::workload::RecoveryKind;
 
 /// The TPC-H generator seed every harness database uses. Varying data
 /// per case would buy little coverage and cost shrink stability (a
@@ -205,16 +204,6 @@ fn result_hash(report: &RunReport) -> String {
     format!("{hash:016x}")
 }
 
-/// The canonical projection scope for a workload: coarse-restart runs
-/// keep only the coordinator's track (worker cancellation is racy by
-/// design); fine-grained runs canonicalize every track.
-fn scope_for(recovery: RecoveryKind) -> CanonicalScope {
-    match recovery {
-        RecoveryKind::Fine => CanonicalScope::AllTracks,
-        RecoveryKind::Coarse => CanonicalScope::CoordinatorOnly,
-    }
-}
-
 /// Runs the full oracle pipeline on `case`.
 pub fn run_case(case: &SimCase) -> CaseOutcome {
     let subject = format!("sim seed {}", case.seed);
@@ -305,8 +294,7 @@ pub fn run_case(case: &SimCase) -> CaseOutcome {
             }
 
             // Oracle 6: replay determinism (FT301).
-            let scope = scope_for(case.workload.recovery);
-            let canon = canonical_trace(&faulted.events, scope);
+            let canon = canonical_trace(&faulted.events);
             match &replay.outcome {
                 Err(msg) => report.push(Diagnostic::new(
                     Code::FT301,
@@ -314,7 +302,7 @@ pub fn run_case(case: &SimCase) -> CaseOutcome {
                     format!("replay of the same schedule panicked: {msg}"),
                 )),
                 Ok(replay_run) => {
-                    let canon_replay = canonical_trace(&replay.events, scope);
+                    let canon_replay = canonical_trace(&replay.events);
                     if to_jsonl(&canon) != to_jsonl(&canon_replay) {
                         let first = canon
                             .iter()
@@ -413,6 +401,26 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    #[test]
+    fn the_first_coarse_seed_whose_storage_fault_fires_runs_clean() {
+        use crate::workload::RecoveryKind;
+        use ftpde_sim::prelude::FaultEvent;
+        // A coarse restart replays deterministically on every track, so
+        // its seeds carry storage faults like fine-grained ones.
+        let outcome = (0..256u64)
+            .map(SimCase::derive)
+            .filter(|c| {
+                c.workload.recovery == RecoveryKind::Coarse
+                    && c.schedule.events.iter().any(FaultEvent::is_store_fault)
+            })
+            .map(|c| run_case(&c))
+            .find(|o| {
+                o.summary.as_ref().is_some_and(|s| s.fired.iter().any(|f| !f.starts_with("kill ")))
+            })
+            .expect("a coarse seed in 0..256 fires a storage fault");
+        assert!(outcome.report.is_clean(), "{}", outcome.report.render());
     }
 
     #[test]

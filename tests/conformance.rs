@@ -74,9 +74,9 @@ fn engine_coarse_restart_trace_is_conformant() {
     let config = MatConfig::none(&dag);
     let sp = StagePlan::engine_ids(&dag, &config, 1.0);
     let first_stage = u32::try_from(sp.stages()[0].id).expect("root op ids are u32");
-    // One injected failure on the first query attempt: the coordinator
-    // cancels the sibling workers, restarts the query, and the second
-    // attempt runs clean.
+    // One injected failure on the first query attempt: the sibling
+    // workers finish their attempt, the coordinator discards their output
+    // and restarts the query, and the second attempt runs clean.
     let injector = FailureInjector::with([Injection { stage: first_stage, node: 0, attempt: 0 }]);
     let opts = RunOptions {
         recovery: EngineRecovery::CoarseRestart,
