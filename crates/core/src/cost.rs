@@ -232,8 +232,9 @@ pub struct StageEstimate {
 }
 
 /// An [`FtEstimate`] decomposed per stage — the predicted side of the
-/// calibration join (serialize it, or feed it to `simulate_traced` /
-/// `run_query_traced`, which tag their stage spans with these numbers).
+/// calibration join (serialize it, or feed it to `simulate_traced` or the
+/// engine's `RunOptions::pred`, which tag their stage spans with these
+/// numbers).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EstimateBreakdown {
     /// `T_Pt` of the dominant path (the plan's headline prediction).

@@ -16,27 +16,35 @@
 //! of the engine plan, so the recovery granularity the cost model reasons
 //! about is the granularity the engine actually executes.
 //!
-//! Since the pluggable store ([`crate::store`]) the coordinator runs over
-//! any [`StoreBackend`] and treats storage-level corruption as a third
-//! failure class next to node failures: a stage whose materialized input
-//! turns out corrupt (checksum mismatch, torn write after a crash) is not
-//! an error — the coordinator emits a `segment_corrupt` event, walks back
-//! to the producing stage and re-executes forward from there.
+//! The coordinator runs over any [`StoreBackend`] and treats
+//! storage-level corruption as a third failure class next to node
+//! failures: a stage whose materialized input turns out corrupt (checksum
+//! mismatch, torn write after a crash) is not an error — the coordinator
+//! emits a `segment_corrupt` event, walks back to the producing stage and
+//! re-executes forward from there.
+//!
+//! Every fact about a run is emitted once, as a private `Fact`, on the
+//! coordinator's thread: workers hand theirs back at the stage barrier.
+//! One fold (`Run::emit`) turns each fact into the [`RunReport`], the
+//! run's `/queries` row and one trace event for the caller's recorder and
+//! the flight ring; `Run::finish` adds the `engine.*` metrics from the same
+//! state. So the channels agree, and the trace's order is deterministic.
+
+use std::time::Instant;
 
 use ftpde_core::collapse::CollapsedPlan;
 use ftpde_core::config::MatConfig;
 use ftpde_core::cost::EstimateBreakdown;
+use ftpde_obs::progress::QueryHandle;
 use ftpde_obs::{Event, NoopRecorder, Recorder};
 use ftpde_store::value::Row;
-use ftpde_store::StoreBackend;
+use ftpde_store::{CorruptSegment, MemBackend, StoreBackend, StoreStats};
 
 use crate::failure::FailureInjector;
 use crate::ops::{merge_aggregates, run_stage, sorted_top_k, ExecCtx};
 use crate::plan::{EOpId, EnginePlan, OpKind};
-use crate::store::default_store;
 use crate::sync::clock;
 use crate::sync::plain::{thread, Arc};
-use crate::sync::{AtomicU64, Ordering};
 use crate::table::{Catalog, Distribution};
 
 /// How the coordinator recovers from node failures.
@@ -51,8 +59,8 @@ pub enum EngineRecovery {
 }
 
 /// Coordinator options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunOptions {
+#[derive(Clone, Copy)]
+pub struct RunOptions<'a> {
     /// Recovery mode.
     pub recovery: EngineRecovery,
     /// Whole-query restarts after which a coarse run aborts (paper: 100).
@@ -63,44 +71,32 @@ pub struct RunOptions {
     /// the engine's historical behavior; the simulation harness sets it
     /// so recovery stretches observed spans without a real sleep.
     pub repair_ms: u64,
+    /// Receives the run's `"engine"` events, stamped in microseconds from
+    /// the run's start: a span per stage (tid 0) and per completed node
+    /// attempt (tid = node + 1), and instants for failures, redeploys,
+    /// writes, corrupt segments, restarts, the store's measured throughput
+    /// (the observed `tm(o)`) and termination. The always-on flight ring
+    /// gets the same events; the default [`NoopRecorder`] drops its copy.
+    pub rec: &'a dyn Recorder,
+    /// The cost model's estimate of this plan
+    /// ([`ftpde_core::cost::FtEstimate::breakdown`]): tags each stage span
+    /// with its predicted costs (by root operator id), opens the trace with
+    /// a `plan_estimate` instant and gives `/queries` its predicted
+    /// runtime, so the trace is self-contained for calibration
+    /// ([`ftpde_obs::CalibrationReport`]). Predictions are in cost units,
+    /// engine spans in wall-clock seconds.
+    pub pred: Option<&'a EstimateBreakdown>,
 }
 
-impl Default for RunOptions {
+impl Default for RunOptions<'_> {
     fn default() -> Self {
-        RunOptions { recovery: EngineRecovery::FineGrained, max_restarts: 100, repair_ms: 0 }
-    }
-}
-
-/// Tees every event the run records into the process-global flight
-/// recorder ([`ftpde_obs::flight::global`]) on top of the caller's
-/// recorder — the engine's feed into the live telemetry plane. The ring
-/// is always on, so `enabled()` is unconditionally `true`; the caller's
-/// sink still gates its own copy, and with a [`NoopRecorder`] attached
-/// the event is moved (not cloned) into the ring. Under `--cfg loom`
-/// the global ring's primitives are loom types unusable outside a
-/// model, so the tee degrades to a plain pass-through.
-struct FlightTee<'a> {
-    inner: &'a dyn Recorder,
-}
-
-impl Recorder for FlightTee<'_> {
-    fn enabled(&self) -> bool {
-        cfg!(not(loom)) || self.inner.enabled()
-    }
-
-    fn record(&self, event: Event) {
-        #[cfg(not(loom))]
-        {
-            let flight = ftpde_obs::flight::global();
-            if self.inner.enabled() {
-                flight.record(event.clone());
-                self.inner.record(event);
-            } else {
-                flight.record(event);
-            }
+        RunOptions {
+            recovery: EngineRecovery::FineGrained,
+            max_restarts: 100,
+            repair_ms: 0,
+            rec: &NoopRecorder,
+            pred: None,
         }
-        #[cfg(loom)]
-        self.inner.record(event);
     }
 }
 
@@ -125,7 +121,8 @@ pub struct StageTiming {
     /// The stage's root operator id.
     pub stage: u32,
     /// Wall-clock duration of the stage barrier (all nodes, including
-    /// retries), microseconds. Zero for skipped stages.
+    /// retries), microseconds: the `dur_us` of the stage's trace span.
+    /// Zero for skipped stages.
     pub wall_us: u64,
     /// Fine-grained re-executions within this stage execution.
     pub retries: u64,
@@ -134,13 +131,14 @@ pub struct StageTiming {
 }
 
 /// Outcome of a query run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// Result rows per sink operator, in sink id order.
     pub results: Vec<(EOpId, Vec<Row>)>,
     /// Fine-grained per-node sub-plan re-executions.
     pub node_retries: u64,
-    /// Coarse whole-query restarts.
+    /// Coarse whole-query restarts, counting the failure that aborted the
+    /// run.
     pub query_restarts: u32,
     /// `true` iff the coarse restart limit was hit.
     pub aborted: bool,
@@ -167,8 +165,8 @@ pub struct RunReport {
 }
 
 /// Runs `plan` under materialization configuration `config` on `catalog`'s
-/// sharded database, injecting failures from `injector`. Uses the backend
-/// selected by [`crate::store::BACKEND_ENV`] (in-memory by default).
+/// sharded database over a fresh in-memory store, injecting failures from
+/// `injector`.
 ///
 /// # Panics
 /// Panics if `config` does not match the plan shape or a fine-grained node
@@ -181,38 +179,7 @@ pub fn run_query(
     injector: &FailureInjector,
     opts: &RunOptions,
 ) -> RunReport {
-    run_query_resumable(plan, config, catalog, injector, opts, &*default_store())
-}
-
-/// Like [`run_query`], additionally mirroring the execution into an
-/// observability [`Recorder`] as `"engine"`-category events with
-/// wall-clock microsecond timestamps measured from the call's start:
-/// a coordinator-track span per stage (tid 0), a worker-track span per
-/// completed node attempt (tid = node + 1), instants for injected node
-/// failures, redeploys, materialization writes, corrupt segments, coarse
-/// restarts and query termination (including a final `store_stats` instant
-/// carrying the backend's measured throughput — the observed `tm(o)`).
-/// With a [`NoopRecorder`] every site costs one branch.
-///
-/// When `pred` carries the cost model's estimate of this plan (see
-/// [`ftpde_core::cost::FtEstimate::breakdown`]), stage spans are tagged
-/// with their predicted costs (matched by root operator id) and a
-/// `plan_estimate` instant is emitted, making the trace self-contained
-/// for offline calibration ([`ftpde_obs::CalibrationReport`],
-/// `ftpde obs --trace`). Note the engine's observed side is wall-clock
-/// seconds while predictions are in cost units — calibration against
-/// engine runs measures the unit mismatch too, which is the point.
-#[allow(clippy::too_many_arguments)]
-pub fn run_query_traced(
-    plan: &EnginePlan,
-    config: &MatConfig,
-    catalog: &Catalog,
-    injector: &FailureInjector,
-    opts: &RunOptions,
-    pred: Option<&EstimateBreakdown>,
-    rec: &dyn Recorder,
-) -> RunReport {
-    run_query_resumable_traced(plan, config, catalog, injector, opts, &*default_store(), pred, rec)
+    run_query_resumable(plan, config, catalog, injector, opts, &MemBackend::new())
 }
 
 /// Like [`run_query`], but resuming from (and writing to) an external
@@ -236,134 +203,38 @@ pub fn run_query_resumable(
     opts: &RunOptions,
     store: &dyn StoreBackend,
 ) -> RunReport {
-    run_query_resumable_traced(plan, config, catalog, injector, opts, store, None, &NoopRecorder)
-}
-
-/// [`run_query_resumable`] with the event mirroring and prediction
-/// tagging of [`run_query_traced`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_query_resumable_traced(
-    plan: &EnginePlan,
-    config: &MatConfig,
-    catalog: &Catalog,
-    injector: &FailureInjector,
-    opts: &RunOptions,
-    store: &dyn StoreBackend,
-    pred: Option<&EstimateBreakdown>,
-    rec: &dyn Recorder,
-) -> RunReport {
-    // Every event this run records — including those below with a no-op
-    // caller sink — is mirrored into the always-on flight recorder.
-    let tee = FlightTee { inner: rec };
-    let rec: &dyn Recorder = &tee;
     let dag = plan.to_plan_dag();
     config.validate(&dag).expect("config matches plan");
     let collapsed = CollapsedPlan::collapse(&dag, config, 1.0);
     let dists = plan.distributions(catalog);
     let nodes = catalog.nodes();
     assert!(nodes > 0, "catalog has no tables");
-    let node_retries = AtomicU64::new(0);
-    let mut query_restarts = 0u32;
-    let mut stages_skipped = 0u64;
-    let mut segments_corrupt = 0u64;
-    let mut input_recoveries = 0u64;
-    let mut first_attempt = true;
-    let mut stage_timings: Vec<StageTiming> = Vec::new();
-    let stats_at_start = store.stats();
-    let t0 = clock::now();
-    let now_us = move || clock::elapsed(t0).as_micros() as u64;
-    // Always-on metrics: the run is visible in the process-global
-    // registry even when `rec` is a no-op. Per-query totals fold in at
-    // the single `report` choke point below.
-    ftpde_obs::global().counter_add("engine.queries_total", 1);
-
-    if let Some(p) = pred {
-        rec.record_with(|| {
-            Event::instant("plan_estimate", "engine", now_us())
-                .arg("pred_cost_s", p.dominant_cost)
-                .arg("pred_runtime_s", p.dominant_runtime)
-        });
-    }
 
     // Stages in execution (topological) order. The loop below walks this
     // list by index rather than iterating directly so input corruption can
     // *back up*: when a stage's materialized input fails its checksum, the
     // cursor rewinds to the producing stage and re-executes forward.
     let stage_list: Vec<_> = collapsed.op_ids().collect();
-    // Live per-query progress for `/queries` and `ftpde top`, labelled
-    // with the query's sink operator. Stage/retry/restart updates below
-    // are single atomic RMWs on the run's handle; the `report` choke
-    // point finishes the entry.
-    let progress = ftpde_obs::progress::global().start(
-        stage_list.last().map_or_else(
-            || "query".to_owned(),
-            |&cid| plan.op(EOpId(collapsed.op(cid).root.0)).name.clone(),
-        ),
-        stage_list.len() as u64,
-        pred.map(|p| p.dominant_runtime),
+    // The `/queries` row is labelled with the query's sink operator.
+    let label = stage_list.last().map_or_else(
+        || "query".to_owned(),
+        |&cid| plan.op(EOpId(collapsed.op(cid).root.0)).name.clone(),
     );
-    // Surface whatever a disk backend demoted while opening (crash debris).
-    let drained = emit_corruptions(store, rec, &now_us);
-    segments_corrupt += drained;
-    progress.add_corrupt(drained);
-
-    let report = |results: Vec<(EOpId, Vec<Row>)>,
-                  aborted: bool,
-                  query_restarts: u32,
-                  stages_skipped: u64,
-                  segments_corrupt: u64,
-                  stage_timings: Vec<StageTiming>,
-                  node_retries: u64| {
-        let stats = store.stats();
-        let g = ftpde_obs::global();
-        g.counter_add("engine.node_retries_total", node_retries);
-        g.counter_add("engine.query_restarts_total", u64::from(query_restarts));
-        g.counter_add("engine.stages_skipped_total", stages_skipped);
-        g.counter_add("engine.segments_corrupt_total", segments_corrupt);
-        if aborted {
-            g.counter_add("engine.queries_aborted_total", 1);
-        }
-        g.observe("engine.query_seconds", clock::elapsed(t0).as_secs_f64());
-        let executed = stage_timings.iter().filter(|t| !t.skipped);
-        let mut stages_total = 0u64;
-        for t in executed {
-            stages_total += 1;
-            g.observe("engine.stage_seconds", t.wall_us as f64 / 1e6);
-        }
-        g.counter_add("engine.stages_total", stages_total);
-        progress.set_materialized(
-            stats.physical_bytes_written - stats_at_start.physical_bytes_written,
-            stats.logical_rows_written - stats_at_start.logical_rows_written,
-        );
-        progress.complete(aborted);
-        RunReport {
-            results,
-            node_retries,
-            query_restarts,
-            aborted,
-            rows_materialized: stats.logical_rows_written - stats_at_start.logical_rows_written,
-            bytes_materialized: stats.physical_bytes_written
-                - stats_at_start.physical_bytes_written,
-            segments_corrupt,
-            stages_skipped,
-            stage_timings,
-        }
-    };
+    let mut run = Run::start(*opts, store, nodes, label, stage_list.len());
 
     'query: loop {
         // A resumed first attempt keeps the store's surviving state; any
         // coarse restart discards everything (no-mat semantics).
-        if !first_attempt {
+        if run.report.query_restarts > 0 {
             store.clear();
         }
-        first_attempt = false;
         let mut results: Vec<(EOpId, Vec<Row>)> = Vec::new();
         let mut idx = 0usize;
 
         while idx < stage_list.len() {
             let cid = stage_list[idx];
             let c = collapsed.op(cid);
-            let root = EOpId(c.root.0);
+            let (root, stage) = (EOpId(c.root.0), c.root.0);
             let members: Vec<EOpId> = c.members.iter().map(|m| EOpId(m.0)).collect();
 
             // Resume: a non-sink stage whose output fully survived in the
@@ -371,19 +242,9 @@ pub fn run_query_resumable_traced(
             // check; if the segment later fails its checksum on read, the
             // consumer's input check below rewinds to this stage, by then
             // demoted to absent.)
-            let is_sink_stage = plan.consumers(root).is_empty();
-            if !is_sink_stage && (0..nodes).all(|n| store.contains(root.0, n)) {
-                stages_skipped += 1;
-                stage_timings.push(StageTiming {
-                    stage: root.0,
-                    wall_us: 0,
-                    retries: 0,
-                    skipped: true,
-                });
-                rec.record_with(|| {
-                    Event::instant("stage_skipped", "engine", now_us()).arg("stage", root.0)
-                });
-                progress.stage_done();
+            let is_sink = plan.consumers(root).is_empty();
+            if !is_sink && (0..nodes).all(|n| store.contains(stage, n)) {
+                run.emit(Fact::StageSkipped { stage });
                 idx += 1;
                 continue;
             }
@@ -393,159 +254,106 @@ pub fn run_query_resumable_traced(
             // segment is demoted by the failed read; rewind to its
             // producer and re-execute forward from there.
             if let Some(producer) = first_unavailable_input(plan, &members, store, nodes) {
-                let drained = emit_corruptions(store, rec, &now_us);
-                segments_corrupt += drained;
-                progress.add_corrupt(drained);
+                run.drain_corruptions();
                 let back = stage_list
                     .iter()
                     .position(|&pc| collapsed.op(pc).root.0 == producer)
                     .expect("producer of a collapsed input is an earlier stage root");
                 debug_assert!(back <= idx, "inputs come from earlier stages");
-                rec.record_with(|| {
-                    Event::instant("input_rewind", "engine", now_us())
-                        .arg("stage", root.0)
-                        .arg("producer", producer)
-                });
-                input_recoveries += 1;
-                ftpde_obs::global().counter_add("engine.input_rewinds_total", 1);
+                run.emit(Fact::InputRewind { stage, producer });
                 assert!(
-                    input_recoveries < 10_000,
+                    run.input_rewinds < 10_000,
                     "storage keeps corrupting faster than stages re-execute"
                 );
                 idx = back;
                 continue;
             }
 
-            let stage_start = now_us();
-            let retries_before = node_retries.load(Ordering::Relaxed);
-
-            // One node's part in the stage. Its first attempt is its own
-            // attempt 0 under fine-grained recovery and the query restart
-            // count under coarse recovery: the coordinate the injector
-            // addresses.
+            // One node's part in the stage, and the facts it learned. Its
+            // first attempt is its own attempt 0 under fine-grained
+            // recovery and the query restart count under coarse recovery:
+            // the coordinate the injector addresses. The worker shares only
+            // the store (and read-only inputs) with the coordinator.
+            let (recovery, repair_ms, t0) = (opts.recovery, opts.repair_ms, run.t0);
+            let first_attempt = match recovery {
+                EngineRecovery::FineGrained => 0,
+                EngineRecovery::CoarseRestart => run.report.query_restarts,
+            };
             let run_node = |node: usize| {
-                let mut attempt = match opts.recovery {
-                    EngineRecovery::FineGrained => 0,
-                    EngineRecovery::CoarseRestart => query_restarts,
-                };
+                let (mut attempt, mut facts) = (first_attempt, Vec::new());
                 loop {
-                    let attempt_start = now_us();
+                    let start_us = micros_since(t0);
                     let outcome = run_stage_on_node(
                         plan, &members, root, node, attempt, catalog, store, injector,
                     );
-                    match &outcome {
-                        NodeOutcome::Done(rows) => rec.record_with(|| {
-                            worker_span(attempt_start, now_us(), root, node, attempt, true)
-                                .arg("rows", rows.len())
-                        }),
-                        // Retrying cannot help: the segment stays absent
-                        // until the coordinator rewinds to its producer.
-                        NodeOutcome::InputLost(_) => {}
-                        NodeOutcome::Failed => {
-                            rec.record_with(|| {
-                                failure_instant(now_us(), attempt_start, root, node, attempt)
-                            });
-                            // Repair time passes in virtual time only.
-                            if opts.repair_ms > 0 {
-                                clock::advance(std::time::Duration::from_millis(opts.repair_ms));
-                            }
-                            // Coarse recovery gives up here: the stage is
-                            // doomed, its siblings finish their attempt and
-                            // the query restarts at the barrier.
-                            if opts.recovery == EngineRecovery::FineGrained {
-                                // Fine-grained recovery: the failed node's
-                                // sub-plan is redeployed on the spot.
-                                node_retries.fetch_add(1, Ordering::Relaxed);
-                                attempt += 1;
-                                assert!(attempt < 10_000, "injector never lets node finish");
-                                rec.record_with(|| {
-                                    Event::instant("redeploy", "engine", now_us())
-                                        .tid(node as u32 + 1)
-                                        .arg("stage", root.0)
-                                        .arg("node", node)
-                                        .arg("attempt", attempt)
-                                });
-                                continue;
-                            }
-                        }
+                    let end_us = micros_since(t0);
+                    if let NodeOutcome::Done(rows) = &outcome {
+                        let rows = rows.len();
+                        facts.push(Fact::Attempt { stage, node, attempt, start_us, end_us, rows });
                     }
-                    break outcome;
+                    // A lost input is not retried: the segment stays absent
+                    // until the coordinator rewinds to its producer.
+                    if !matches!(outcome, NodeOutcome::Failed) {
+                        break (outcome, facts);
+                    }
+                    facts.push(Fact::NodeFailure { stage, node, attempt, start_us, end_us });
+                    // Repair time passes in virtual time only.
+                    if repair_ms > 0 {
+                        clock::advance(std::time::Duration::from_millis(repair_ms));
+                    }
+                    // Coarse recovery gives up here: the stage is doomed, its
+                    // siblings finish their attempt and the query restarts at
+                    // the barrier.
+                    if recovery == EngineRecovery::CoarseRestart {
+                        break (outcome, facts);
+                    }
+                    // Fine-grained recovery: the failed node's sub-plan is
+                    // redeployed on the spot.
+                    attempt += 1;
+                    assert!(attempt < 10_000, "injector never lets node finish");
+                    let at_us = micros_since(t0);
+                    facts.push(Fact::Redeploy { stage, node, attempt, at_us });
                 }
             };
 
-            // Execute the stage on every node.
-            let partials: Vec<NodeOutcome> = thread::scope(|s| {
+            // Execute the stage on every node, then emit what the workers
+            // learned, in node order, before the stage span.
+            let stage_start = micros_since(t0);
+            let partials: Vec<(NodeOutcome, Vec<Fact>)> = thread::scope(|s| {
                 let handles: Vec<_> =
                     (0..nodes).map(|node| s.spawn(move || run_node(node))).collect();
                 handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
             });
-
-            let stage_failed = partials.iter().any(|o| matches!(o, NodeOutcome::Failed));
-            let lost_input = partials.iter().any(|o| matches!(o, NodeOutcome::InputLost(_)));
-            stage_timings.push(StageTiming {
-                stage: root.0,
-                wall_us: now_us() - stage_start,
-                retries: node_retries.load(Ordering::Relaxed) - retries_before,
-                skipped: false,
-            });
-            progress.add_retries(node_retries.load(Ordering::Relaxed) - retries_before);
-            rec.record_with(|| {
-                let mut span = Event::span(
-                    format!("stage {}", root.0),
-                    "engine",
-                    stage_start,
-                    now_us() - stage_start,
-                )
-                .arg("stage", root.0)
-                .arg("nodes", nodes)
-                .arg("failed", stage_failed || lost_input);
-                if let Some(s) = pred.and_then(|p| p.by_root(root.0)) {
-                    span = span
-                        .arg("pred_run_s", s.run_cost)
-                        .arg("pred_mat_s", s.mat_cost)
-                        .arg("pred_rec_s", s.recovery_cost)
-                        .arg("pred_cost_s", s.ft_cost)
-                        .arg("dominant", s.on_dominant_path);
-                }
-                span
-            });
+            let wall_us = micros_since(t0) - stage_start;
+            let mut outcomes = Vec::with_capacity(nodes);
+            for (outcome, facts) in partials {
+                facts.into_iter().for_each(|f| run.emit(f));
+                outcomes.push(outcome);
+            }
+            let stage_failed = outcomes.iter().any(|o| matches!(o, NodeOutcome::Failed));
+            let lost_input = outcomes.iter().any(|o| matches!(o, NodeOutcome::InputLost(_)));
+            let failed = stage_failed || lost_input;
+            run.emit(Fact::Stage { stage, start_us: stage_start, wall_us, failed });
 
             if !stage_failed && lost_input {
                 // A worker observed a pre-checked input vanish (a
                 // concurrent read demoted the segment). Surface the
                 // corruption and re-enter the same stage: the input check
                 // will find the slot absent and rewind to its producer.
-                let drained = emit_corruptions(store, rec, &now_us);
-                segments_corrupt += drained;
-                progress.add_corrupt(drained);
+                run.drain_corruptions();
                 continue;
             }
             if stage_failed {
-                // A node died under coarse recovery: restart the query.
-                query_restarts += 1;
-                if query_restarts >= opts.max_restarts {
-                    rec.record_with(|| {
-                        Event::instant("query_aborted", "engine", now_us())
-                            .arg("restarts", query_restarts)
-                    });
-                    return report(
-                        Vec::new(),
-                        true,
-                        query_restarts,
-                        stages_skipped,
-                        segments_corrupt,
-                        stage_timings,
-                        node_retries.load(Ordering::Relaxed),
-                    );
+                // A node died under coarse recovery: restart the query, or
+                // give up once this failure reaches the restart limit.
+                if run.report.query_restarts + 1 >= opts.max_restarts {
+                    run.emit(Fact::QueryAborted);
+                    return run.finish(Vec::new());
                 }
-                rec.record_with(|| {
-                    Event::instant("query_restart", "engine", now_us())
-                        .arg("attempt", query_restarts)
-                });
-                progress.restart();
+                run.emit(Fact::QueryRestart);
                 continue 'query;
             }
-            let partials: Vec<Vec<Row>> = partials
+            let partials: Vec<Vec<Row>> = outcomes
                 .into_iter()
                 .map(|o| match o {
                     NodeOutcome::Done(rows) => rows,
@@ -557,7 +365,6 @@ pub fn run_query_resumable_traced(
             // merge globally and are broadcast; other roots stay
             // partitioned.
             let root_op = plan.op(root);
-            let is_sink = plan.consumers(root).is_empty();
             if root_op.kind.is_gather() {
                 let global = match dists[root_op.inputs[0].index()] {
                     // Replicated input: every node's partial already is the
@@ -578,31 +385,20 @@ pub fn run_query_resumable_traced(
                     results.push((root, global));
                 } else {
                     let before = store.stats().physical_bytes_written;
-                    let rows_n = global.len();
-                    store.put_replicated(root.0, global, nodes);
-                    rec.record_with(|| {
-                        Event::instant("materialize", "engine", now_us())
-                            .arg("stage", root.0)
-                            .arg("rows", rows_n)
-                            .arg("bytes", store.stats().physical_bytes_written - before)
-                            .arg("replicated", true)
-                    });
+                    let rows = global.len();
+                    store.put_replicated(stage, global, nodes);
+                    let bytes = store.stats().physical_bytes_written - before;
+                    run.emit(Fact::Materialize { stage, node: None, rows, bytes });
                 }
             } else if config.materializes(c.root) {
                 // Sinks are non-materializable (EnginePlan::finish), so a
                 // materialized non-agg root keeps its per-node partitions.
-                for (node, rows) in partials.into_iter().enumerate() {
+                for (node, part) in partials.into_iter().enumerate() {
                     let before = store.stats().physical_bytes_written;
-                    let rows_n = rows.len();
-                    store.put(root.0, node, rows);
-                    rec.record_with(|| {
-                        Event::instant("materialize", "engine", now_us())
-                            .tid(node as u32 + 1)
-                            .arg("stage", root.0)
-                            .arg("node", node)
-                            .arg("rows", rows_n)
-                            .arg("bytes", store.stats().physical_bytes_written - before)
-                    });
+                    let rows = part.len();
+                    store.put(stage, node, part);
+                    let bytes = store.stats().physical_bytes_written - before;
+                    run.emit(Fact::Materialize { stage, node: Some(node), rows, bytes });
                 }
             } else {
                 // Collapse boundaries are materialization points or sinks.
@@ -613,37 +409,303 @@ pub fn run_query_resumable_traced(
                 };
                 results.push((root, rows));
             }
-            progress.stage_done();
-            let s = store.stats();
-            progress.set_materialized(
-                s.physical_bytes_written - stats_at_start.physical_bytes_written,
-                s.logical_rows_written - stats_at_start.logical_rows_written,
-            );
             idx += 1;
         }
 
-        segments_corrupt += emit_corruptions(store, rec, &now_us);
-        rec.record_with(|| store_stats_instant(store, now_us()));
-        rec.record_with(|| {
-            Event::instant("query_completed", "engine", now_us())
-                .arg("node_retries", node_retries.load(Ordering::Relaxed))
-                .arg("query_restarts", query_restarts)
-                .arg(
-                    "rows_materialized",
-                    store.stats().logical_rows_written - stats_at_start.logical_rows_written,
-                )
-                .arg("stages_skipped", stages_skipped)
-        });
-        return report(
-            results,
-            false,
-            query_restarts,
-            stages_skipped,
-            segments_corrupt,
-            stage_timings,
-            node_retries.load(Ordering::Relaxed),
-        );
+        run.drain_corruptions();
+        run.emit(Fact::StoreStats);
+        run.emit(Fact::QueryCompleted);
+        return run.finish(results);
     }
+}
+
+/// One fact about a run. The coordinator emits each exactly once, on its
+/// own thread, through [`Run::emit`]. Worker facts carry the worker's clock
+/// reads; the coordinator's other facts are stamped when emitted.
+enum Fact {
+    /// The cost model's headline prediction for the plan.
+    PlanEstimate { cost_s: f64, runtime_s: f64 },
+    /// A stage resumed from the store without running.
+    StageSkipped { stage: u32 },
+    /// A stage's input read as absent: the cursor rewinds to its producer.
+    InputRewind { stage: u32, producer: u32 },
+    /// The store found a segment corrupt and demoted it.
+    SegmentCorrupt(CorruptSegment),
+    /// A node attempt that finished its sub-plan with `rows` output rows.
+    Attempt { stage: u32, node: usize, attempt: u32, start_us: u64, end_us: u64, rows: usize },
+    /// An injected failure killed a node attempt at `end_us`.
+    NodeFailure { stage: u32, node: usize, attempt: u32, start_us: u64, end_us: u64 },
+    /// Fine-grained recovery redeployed a failed node's sub-plan as
+    /// `attempt`.
+    Redeploy { stage: u32, node: usize, attempt: u32, at_us: u64 },
+    /// A stage barrier: every node's part, retries included. `failed`
+    /// when a node died or lost an input.
+    Stage { stage: u32, start_us: u64, wall_us: u64, failed: bool },
+    /// A stage's output written to the store: one partition, or with no
+    /// `node` the replicated gather result.
+    Materialize { stage: u32, node: Option<usize>, rows: usize, bytes: u64 },
+    /// A node failure under coarse recovery restarts the query.
+    QueryRestart,
+    /// A node failure under coarse recovery reached the restart limit.
+    QueryAborted,
+    /// The store's lifetime accounting, at the end of a completed run.
+    StoreStats,
+    /// The query finished.
+    QueryCompleted,
+}
+
+/// One run's state: its report so far, and what folding a fact needs.
+struct Run<'a> {
+    opts: RunOptions<'a>,
+    store: &'a dyn StoreBackend,
+    nodes: usize,
+    t0: Instant,
+    stats_at_start: StoreStats,
+    progress: QueryHandle,
+    report: RunReport,
+    input_rewinds: u64,
+    /// Redeploys since the last stage event: the next timeline entry's
+    /// `retries`.
+    stage_retries: u64,
+}
+
+impl<'a> Run<'a> {
+    /// Starts a run: registers it with the metrics and `/queries`, then
+    /// emits the plan estimate and whatever a disk backend demoted while
+    /// opening (crash debris).
+    fn start(
+        opts: RunOptions<'a>,
+        store: &'a dyn StoreBackend,
+        nodes: usize,
+        label: String,
+        stages: usize,
+    ) -> Self {
+        let (stats_at_start, t0) = (store.stats(), clock::now());
+        ftpde_obs::global().counter_add("engine.queries_total", 1);
+        let predicted_s = opts.pred.map(|p| p.dominant_runtime);
+        let progress = ftpde_obs::progress::global().start(label, stages as u64, predicted_s);
+        let mut run = Run {
+            opts,
+            store,
+            nodes,
+            t0,
+            stats_at_start,
+            progress,
+            report: RunReport::default(),
+            input_rewinds: 0,
+            stage_retries: 0,
+        };
+        if let Some(p) = opts.pred {
+            run.emit(Fact::PlanEstimate { cost_s: p.dominant_cost, runtime_s: p.dominant_runtime });
+        }
+        run.drain_corruptions();
+        run
+    }
+
+    /// Physical bytes and logical rows this run has written to the store.
+    fn materialized(&self) -> (u64, u64) {
+        let s = self.store.stats();
+        (
+            s.physical_bytes_written - self.stats_at_start.physical_bytes_written,
+            s.logical_rows_written - self.stats_at_start.logical_rows_written,
+        )
+    }
+
+    /// Emits a [`Fact::SegmentCorrupt`] per entry of the store's
+    /// corruption log.
+    fn drain_corruptions(&mut self) {
+        for c in self.store.drain_corruptions() {
+            self.emit(Fact::SegmentCorrupt(c));
+        }
+    }
+
+    /// The fact fold: adds `fact` to the run's report, stage timeline and
+    /// `/queries` row, and records it as one trace event in the caller's
+    /// recorder and the flight ring.
+    fn emit(&mut self, fact: Fact) {
+        let now = micros_since(self.t0);
+        let event = match fact {
+            Fact::PlanEstimate { cost_s, runtime_s } => {
+                Event::instant("plan_estimate", "engine", now)
+                    .arg("pred_cost_s", cost_s)
+                    .arg("pred_runtime_s", runtime_s)
+            }
+            Fact::StageSkipped { stage } => {
+                self.report.stages_skipped += 1;
+                let retries = std::mem::take(&mut self.stage_retries);
+                let timing = StageTiming { stage, wall_us: 0, retries, skipped: true };
+                self.report.stage_timings.push(timing);
+                self.progress.stage_done();
+                Event::instant("stage_skipped", "engine", now).arg("stage", stage)
+            }
+            Fact::InputRewind { stage, producer } => {
+                self.input_rewinds += 1;
+                Event::instant("input_rewind", "engine", now)
+                    .arg("stage", stage)
+                    .arg("producer", producer)
+            }
+            Fact::SegmentCorrupt(c) => {
+                self.report.segments_corrupt += 1;
+                self.progress.add_corrupt(1);
+                let ev = Event::instant("segment_corrupt", "engine", now)
+                    .arg("op", c.op)
+                    .arg("reason", c.reason);
+                match c.node {
+                    Some(n) => ev.arg("node", n),
+                    None => ev,
+                }
+            }
+            Fact::Attempt { stage, node, attempt, start_us, end_us, rows } => {
+                Event::span("attempt", "engine", start_us, end_us.saturating_sub(start_us))
+                    .tid(node as u32 + 1)
+                    .arg("stage", stage)
+                    .arg("node", node)
+                    .arg("attempt", attempt)
+                    .arg("ok", true)
+                    .arg("rows", rows)
+            }
+            // `lost_s` is the wall-clock work discarded with the attempt.
+            Fact::NodeFailure { stage, node, attempt, start_us, end_us } => {
+                Event::instant("node_failure", "engine", end_us)
+                    .tid(node as u32 + 1)
+                    .arg("stage", stage)
+                    .arg("node", node)
+                    .arg("attempt", attempt)
+                    .arg("lost_s", end_us.saturating_sub(start_us) as f64 / 1e6)
+            }
+            Fact::Redeploy { stage, node, attempt, at_us } => {
+                self.report.node_retries += 1;
+                self.stage_retries += 1;
+                self.progress.add_retries(1);
+                Event::instant("redeploy", "engine", at_us)
+                    .tid(node as u32 + 1)
+                    .arg("stage", stage)
+                    .arg("node", node)
+                    .arg("attempt", attempt)
+            }
+            Fact::Stage { stage, start_us, wall_us, failed } => {
+                let retries = std::mem::take(&mut self.stage_retries);
+                let timing = StageTiming { stage, wall_us, retries, skipped: false };
+                self.report.stage_timings.push(timing);
+                if !failed {
+                    self.progress.stage_done();
+                }
+                let span = Event::span(format!("stage {stage}"), "engine", start_us, wall_us)
+                    .arg("stage", stage)
+                    .arg("nodes", self.nodes)
+                    .arg("failed", failed);
+                match self.opts.pred.and_then(|p| p.by_root(stage)) {
+                    Some(s) => span
+                        .arg("pred_run_s", s.run_cost)
+                        .arg("pred_mat_s", s.mat_cost)
+                        .arg("pred_rec_s", s.recovery_cost)
+                        .arg("pred_cost_s", s.ft_cost)
+                        .arg("dominant", s.on_dominant_path),
+                    None => span,
+                }
+            }
+            Fact::Materialize { stage, node, rows, bytes } => {
+                let (total_bytes, total_rows) = self.materialized();
+                self.progress.set_materialized(total_bytes, total_rows);
+                match node {
+                    Some(n) => Event::instant("materialize", "engine", now)
+                        .tid(n as u32 + 1)
+                        .arg("stage", stage)
+                        .arg("node", n)
+                        .arg("rows", rows)
+                        .arg("bytes", bytes),
+                    None => Event::instant("materialize", "engine", now)
+                        .arg("stage", stage)
+                        .arg("rows", rows)
+                        .arg("bytes", bytes)
+                        .arg("replicated", true),
+                }
+            }
+            Fact::QueryRestart => {
+                self.report.query_restarts += 1;
+                self.progress.restart();
+                Event::instant("query_restart", "engine", now)
+                    .arg("attempt", self.report.query_restarts)
+            }
+            Fact::QueryAborted => {
+                self.report.query_restarts += 1;
+                self.report.aborted = true;
+                Event::instant("query_aborted", "engine", now)
+                    .arg("restarts", self.report.query_restarts)
+            }
+            // The backend's lifetime accounting, including measured
+            // throughput: the observed `tm(o)` that `ftpde_obs::calibrate`
+            // joins against the cost model's assumptions.
+            Fact::StoreStats => {
+                let s = self.store.stats();
+                let mut ev = Event::instant("store_stats", "engine", now)
+                    .arg("logical_rows_written", s.logical_rows_written)
+                    .arg("physical_rows_written", s.physical_rows_written)
+                    .arg("physical_bytes_written", s.physical_bytes_written)
+                    .arg("bytes_read", s.bytes_read)
+                    .arg("fsyncs", s.fsyncs)
+                    .arg("segments_committed", s.segments_committed)
+                    .arg("corrupt_segments", s.corrupt_segments);
+                if let Some(v) = s.write_bytes_per_s() {
+                    ev = ev.arg("write_bytes_per_s", v);
+                }
+                if let Some(v) = s.read_bytes_per_s() {
+                    ev = ev.arg("read_bytes_per_s", v);
+                }
+                ev
+            }
+            Fact::QueryCompleted => Event::instant("query_completed", "engine", now)
+                .arg("node_retries", self.report.node_retries)
+                .arg("query_restarts", self.report.query_restarts)
+                .arg("rows_materialized", self.materialized().1)
+                .arg("stages_skipped", self.report.stages_skipped),
+        };
+        // Under `--cfg loom` the global ring's primitives are loom types
+        // unusable outside a model, so only the caller's recorder sees it.
+        #[cfg(not(loom))]
+        {
+            let flight = ftpde_obs::flight::global();
+            if self.opts.rec.enabled() {
+                flight.record(event.clone());
+                self.opts.rec.record(event);
+            } else {
+                flight.record(event);
+            }
+        }
+        #[cfg(loom)]
+        self.opts.rec.record_with(|| event);
+    }
+
+    /// Ends the run: completes its report, adds its totals to the
+    /// `engine.*` metrics and closes its `/queries` row.
+    fn finish(self, results: Vec<(EOpId, Vec<Row>)>) -> RunReport {
+        let (bytes_materialized, rows_materialized) = self.materialized();
+        let r = RunReport { results, rows_materialized, bytes_materialized, ..self.report };
+        let g = ftpde_obs::global();
+        g.counter_add("engine.node_retries_total", r.node_retries);
+        g.counter_add("engine.query_restarts_total", u64::from(r.query_restarts));
+        g.counter_add("engine.stages_skipped_total", r.stages_skipped);
+        g.counter_add("engine.segments_corrupt_total", r.segments_corrupt);
+        g.counter_add("engine.input_rewinds_total", self.input_rewinds);
+        if r.aborted {
+            g.counter_add("engine.queries_aborted_total", 1);
+        }
+        g.observe("engine.query_seconds", clock::elapsed(self.t0).as_secs_f64());
+        let executed: Vec<_> = r.stage_timings.iter().filter(|t| !t.skipped).collect();
+        for t in &executed {
+            g.observe("engine.stage_seconds", t.wall_us as f64 / 1e6);
+        }
+        g.counter_add("engine.stages_total", executed.len() as u64);
+        self.progress.set_materialized(bytes_materialized, rows_materialized);
+        self.progress.complete(r.aborted);
+        r
+    }
+}
+
+/// Microseconds since `t0` on the engine's [`clock`]: every timestamp a
+/// run's trace carries.
+fn micros_since(t0: Instant) -> u64 {
+    clock::elapsed(t0).as_micros() as u64
 }
 
 /// Checks that every cross-stage input the stage will read is actually
@@ -670,77 +732,6 @@ fn first_unavailable_input(
         }
     }
     None
-}
-
-/// Drains the store's corruption log, emitting one `segment_corrupt`
-/// instant per entry. Returns how many were drained.
-fn emit_corruptions(store: &dyn StoreBackend, rec: &dyn Recorder, now_us: &dyn Fn() -> u64) -> u64 {
-    let corruptions = store.drain_corruptions();
-    for c in &corruptions {
-        rec.record_with(|| {
-            let mut ev = Event::instant("segment_corrupt", "engine", now_us())
-                .arg("op", c.op)
-                .arg("reason", c.reason.as_str());
-            if let Some(n) = c.node {
-                ev = ev.arg("node", n);
-            }
-            ev
-        });
-    }
-    corruptions.len() as u64
-}
-
-/// The final `store_stats` instant: the backend's lifetime accounting,
-/// including measured write throughput — the observed `tm(o)` that
-/// `ftpde_obs::calibrate` joins against the cost model's assumptions.
-fn store_stats_instant(store: &dyn StoreBackend, at_us: u64) -> Event {
-    let s = store.stats();
-    let mut ev = Event::instant("store_stats", "engine", at_us)
-        .arg("logical_rows_written", s.logical_rows_written)
-        .arg("physical_rows_written", s.physical_rows_written)
-        .arg("physical_bytes_written", s.physical_bytes_written)
-        .arg("bytes_read", s.bytes_read)
-        .arg("fsyncs", s.fsyncs)
-        .arg("segments_committed", s.segments_committed)
-        .arg("corrupt_segments", s.corrupt_segments);
-    if let Some(v) = s.write_bytes_per_s() {
-        ev = ev.arg("write_bytes_per_s", v);
-    }
-    if let Some(v) = s.read_bytes_per_s() {
-        ev = ev.arg("read_bytes_per_s", v);
-    }
-    ev
-}
-
-/// A completed worker-attempt span on the node's track (tid = node + 1;
-/// tid 0 is the coordinator's stage track).
-fn worker_span(
-    start_us: u64,
-    end_us: u64,
-    root: EOpId,
-    node: usize,
-    attempt: u32,
-    ok: bool,
-) -> Event {
-    Event::span("attempt", "engine", start_us, end_us.saturating_sub(start_us))
-        .tid(node as u32 + 1)
-        .arg("stage", root.0)
-        .arg("node", node)
-        .arg("attempt", attempt)
-        .arg("ok", ok)
-}
-
-/// An injected-failure instant on the node's track. `lost_s` is the
-/// wall-clock work discarded with the attempt — the engine redeploys
-/// immediately (no repair window), so it is also the failure's whole
-/// observed recovery cost.
-fn failure_instant(at_us: u64, start_us: u64, root: EOpId, node: usize, attempt: u32) -> Event {
-    Event::instant("node_failure", "engine", at_us)
-        .tid(node as u32 + 1)
-        .arg("stage", root.0)
-        .arg("node", node)
-        .arg("attempt", attempt)
-        .arg("lost_s", at_us.saturating_sub(start_us) as f64 / 1e6)
 }
 
 /// Executes the sub-plan `members` (rooted at `root`) on one node. The

@@ -34,15 +34,13 @@ pub mod failure;
 pub mod ops;
 pub mod plan;
 pub mod queries;
-pub mod store;
 pub mod sync;
 pub mod table;
 
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
     pub use crate::coordinator::{
-        run_query, run_query_resumable, run_query_resumable_traced, run_query_traced,
-        EngineRecovery, RunOptions, RunReport, StageTiming,
+        run_query, run_query_resumable, EngineRecovery, RunOptions, RunReport, StageTiming,
     };
     pub use crate::expr::{ArithOp, CmpOp, Expr};
     pub use crate::failure::{FailureInjector, Injection};
@@ -52,7 +50,6 @@ pub mod prelude {
         load_catalog, q1_engine_plan, q1c_engine_plan, q2c_engine_plan, q3_engine_plan,
         q5_engine_plan,
     };
-    pub use crate::store::{default_store, IntermediateStore};
     pub use crate::table::{hash_key, Catalog, Distribution, PartitionedTable};
     pub use ftpde_store::{
         int_row, row, DiskBackend, MemBackend, Row, StoreBackend, StoreStats, Value,

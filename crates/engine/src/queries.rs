@@ -591,7 +591,6 @@ mod tests {
 
     #[test]
     fn coarse_kill_lets_siblings_finish_and_replays_identically() {
-        use crate::coordinator::run_query_traced;
         use ftpde_obs::export::{canonical_trace, to_jsonl};
         use ftpde_obs::{ArgValue, MemoryRecorder, Phase};
 
@@ -602,10 +601,14 @@ mod tests {
         let stage = plan.sinks()[0].0;
         let injector = FailureInjector::with([Injection { stage, node: 0, attempt: 0 }]);
         let catalog = load_catalog(&db(), 3);
-        let opts = RunOptions { recovery: EngineRecovery::CoarseRestart, ..Default::default() };
         let traced = || {
             let rec = MemoryRecorder::new();
-            let got = run_query_traced(&plan, &config, &catalog, &injector, &opts, None, &rec);
+            let opts = RunOptions {
+                recovery: EngineRecovery::CoarseRestart,
+                rec: &rec,
+                ..Default::default()
+            };
+            let got = run_query(&plan, &config, &catalog, &injector, &opts);
             assert_eq!(got.query_restarts, 1);
             rec.events()
         };
@@ -710,13 +713,12 @@ mod tests {
     #[test]
     fn resume_skips_surviving_stages() {
         use crate::coordinator::run_query_resumable;
-        use crate::store::IntermediateStore;
-        use ftpde_store::StoreBackend;
+        use ftpde_store::{MemBackend, StoreBackend};
         let plan = q5_engine_plan();
         let dag = plan.to_plan_dag();
         let config = MatConfig::all(&dag);
         let catalog = load_catalog(&db(), 4);
-        let store = IntermediateStore::new();
+        let store = MemBackend::new();
 
         // First submission: everything executes and is materialized.
         let first = run_query_resumable(
@@ -758,13 +760,12 @@ mod tests {
     #[test]
     fn resume_recomputes_missing_stages_only() {
         use crate::coordinator::run_query_resumable;
-        use crate::store::IntermediateStore;
-        use ftpde_store::StoreBackend;
+        use ftpde_store::{MemBackend, StoreBackend};
         let plan = q3_engine_plan();
         let dag = plan.to_plan_dag();
         let config = MatConfig::all(&dag);
         let catalog = load_catalog(&db(), 3);
-        let full_store = IntermediateStore::new();
+        let full_store = MemBackend::new();
         let expected = run_query_resumable(
             &plan,
             &config,
@@ -776,7 +777,7 @@ mod tests {
 
         // Simulate a partially-survived store: only the first join's
         // output made it.
-        let partial = IntermediateStore::new();
+        let partial = MemBackend::new();
         let j1 = plan.op_ids().find(|id| plan.op(*id).name == "⋈ C,O").unwrap();
         for n in 0..3 {
             partial.put(j1.0, n, full_store.get(j1.0, n).unwrap().as_ref().clone());
@@ -795,7 +796,6 @@ mod tests {
 
     #[test]
     fn traced_run_mirrors_stage_structure_and_failures() {
-        use crate::coordinator::run_query_traced;
         use ftpde_obs::{MemoryRecorder, Phase};
 
         let plan = q3_engine_plan();
@@ -809,15 +809,8 @@ mod tests {
         let injector = FailureInjector::with([Injection { stage: sink.0, node: 1, attempt: 0 }]);
         let catalog = load_catalog(&db(), 4);
         let rec = MemoryRecorder::new();
-        let got = run_query_traced(
-            &plan,
-            &config,
-            &catalog,
-            &injector,
-            &RunOptions::default(),
-            None,
-            &rec,
-        );
+        let opts = RunOptions { rec: &rec, ..Default::default() };
+        let got = run_query(&plan, &config, &catalog, &injector, &opts);
         assert_eq!(got.results, expected);
         assert_eq!(got.node_retries, 1);
 

@@ -2,8 +2,9 @@
 //! normally, `loom` under `--cfg loom`.
 //!
 //! The coordinator's concurrency surface is deliberately small — scoped
-//! worker threads, a retry counter, and the internally-synchronized
-//! [`ftpde_store::StoreBackend`] — and everything shared crosses this
+//! worker threads and the internally-synchronized
+//! [`ftpde_store::StoreBackend`], the one piece of state the coordinator
+//! shares with its workers — and everything shared crosses this
 //! module (or `ftpde_store::sync`), so the loom CI job
 //! (`RUSTFLAGS="--cfg loom"`) model-checks the very primitives the
 //! production build runs. The loom protocol models live in
@@ -14,12 +15,6 @@
 //! loom threads are `'static` and cannot borrow the coordinator's stack,
 //! so the models drive the shared store through loom threads rather than
 //! running the whole coordinator under the model.
-
-#[cfg(not(loom))]
-pub use std::sync::atomic::{AtomicU64, Ordering};
-
-#[cfg(loom)]
-pub use loom::sync::atomic::{AtomicU64, Ordering};
 
 pub use ftpde_store::sync::{Mutex, MutexGuard};
 

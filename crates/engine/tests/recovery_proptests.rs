@@ -3,13 +3,15 @@
 //! query results must be bit-identical to a failure-free single-node
 //! evaluation that runs one operator at a time through the kernels, so
 //! the coordinator's fused stages are checked against the unfused
-//! operators.
+//! operators. Each run's report must also equal a fold of its own trace.
 
 use proptest::prelude::*;
 
 use ftpde_core::collapse::CollapsedPlan;
 use ftpde_core::config::MatConfig;
-use ftpde_engine::coordinator::{run_query, EngineRecovery, RunOptions};
+use ftpde_engine::coordinator::{
+    run_query, run_query_resumable, EngineRecovery, RunOptions, RunReport,
+};
 use ftpde_engine::failure::{FailureInjector, Injection};
 use ftpde_engine::ops::{execute, merge_partials, top_k, ExecCtx};
 use ftpde_engine::plan::{EnginePlan, OpKind};
@@ -17,7 +19,9 @@ use ftpde_engine::queries::{
     load_catalog, q1_engine_plan, q1c_engine_plan, q2c_engine_plan, q3_engine_plan, q5_engine_plan,
 };
 use ftpde_engine::table::{Catalog, Distribution};
+use ftpde_obs::{ArgValue, Event, MemoryRecorder};
 use ftpde_store::value::Row;
+use ftpde_store::{DiskBackend, MemBackend, StoreBackend};
 use ftpde_tpch::datagen::Database;
 
 const NODES: usize = 3;
@@ -59,6 +63,77 @@ fn reference(plan: &EnginePlan) -> SinkResults {
     plan.sinks().into_iter().map(|s| (s, std::mem::take(&mut outputs[s.index()]))).collect()
 }
 
+/// A run's counters and its stage timeline, one `(stage, skipped,
+/// retries, wall_us)` entry per stage event.
+#[derive(Debug, Default, PartialEq)]
+struct Tally {
+    node_retries: u64,
+    query_restarts: u32,
+    aborted: bool,
+    stages_skipped: u64,
+    segments_corrupt: u64,
+    rows_materialized: u64,
+    timeline: Vec<(u32, bool, u64, u64)>,
+}
+
+impl Tally {
+    fn of_report(r: &RunReport) -> Self {
+        Tally {
+            node_retries: r.node_retries,
+            query_restarts: r.query_restarts,
+            aborted: r.aborted,
+            stages_skipped: r.stages_skipped,
+            segments_corrupt: r.segments_corrupt,
+            rows_materialized: r.rows_materialized,
+            timeline: r
+                .stage_timings
+                .iter()
+                .map(|t| (t.stage, t.skipped, t.retries, t.wall_us))
+                .collect(),
+        }
+    }
+
+    /// Folds a trace in file order. A retry is a `redeploy`; a restart is
+    /// a `query_restart` or the `query_aborted` that ends the run. A
+    /// timeline entry counts the redeploys since the previous stage event,
+    /// and a stage span's `dur_us` is its `wall_us`. The materialized rows
+    /// are `query_completed`'s argument.
+    fn of_trace(events: &[Event]) -> Self {
+        let arg = |e: &Event, k: &str| match e.get_arg(k) {
+            Some(ArgValue::U64(n)) => *n,
+            other => panic!("`{}` has no integer `{k}`: {other:?}", e.name),
+        };
+        let mut t = Tally::default();
+        let mut redeploys = 0;
+        for e in events {
+            match e.name.as_str() {
+                "redeploy" => {
+                    t.node_retries += 1;
+                    redeploys += 1;
+                }
+                "query_restart" => t.query_restarts += 1,
+                "query_aborted" => {
+                    t.query_restarts += 1;
+                    t.aborted = true;
+                }
+                "segment_corrupt" => t.segments_corrupt += 1,
+                "query_completed" => t.rows_materialized = arg(e, "rows_materialized"),
+                "stage_skipped" => {
+                    t.stages_skipped += 1;
+                    let stage = arg(e, "stage") as u32;
+                    t.timeline.push((stage, true, std::mem::take(&mut redeploys), 0));
+                }
+                name if name.starts_with("stage ") => {
+                    let stage = arg(e, "stage") as u32;
+                    t.timeline.push((stage, false, std::mem::take(&mut redeploys), e.dur_us));
+                }
+                _ => {}
+            }
+        }
+        t
+    }
+}
+
 fn plan_by_index(i: u8) -> EnginePlan {
     match i % 5 {
         0 => q1_engine_plan(),
@@ -73,13 +148,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Fine-grained recovery under random failure schedules and random
-    /// materialization configurations reproduces the reference result.
+    /// materialization configurations, over either store backend,
+    /// reproduces the reference result, and its report agrees with its
+    /// trace.
     #[test]
     fn random_failures_never_change_results(
         which in 0u8..5,
         mask in any::<u64>(),
         fail_p in 0.0f64..0.8,
         seed in any::<u64>(),
+        disk in any::<bool>(),
     ) {
         let plan = plan_by_index(which);
         let dag = plan.to_plan_dag();
@@ -93,10 +171,18 @@ proptest! {
             pc.iter().map(|(_, c)| c.root.0).collect()
         };
         let injector = FailureInjector::random_first_attempts(&stage_roots, NODES, fail_p, seed);
-        let report = run_query(&plan, &config, &catalog, &injector, &RunOptions::default());
+        let store: Box<dyn StoreBackend> = if disk {
+            Box::new(DiskBackend::ephemeral().expect("temporary store directory"))
+        } else {
+            Box::new(MemBackend::new())
+        };
+        let rec = MemoryRecorder::new();
+        let opts = RunOptions { rec: &rec, ..Default::default() };
+        let report = run_query_resumable(&plan, &config, &catalog, &injector, &opts, &*store);
         prop_assert_eq!(&report.results, &expected);
         prop_assert_eq!(report.node_retries, injector.fired().len() as u64);
         prop_assert!(!report.aborted);
+        prop_assert_eq!(Tally::of_trace(&rec.events()), Tally::of_report(&report));
     }
 
     /// Repeated failures on the same node (multiple attempts) still
@@ -127,7 +213,8 @@ proptest! {
     }
 
     /// Coarse restart under random single failures reproduces the
-    /// reference result, counting one restart per injected failure.
+    /// reference result, counting one restart per injected failure, and
+    /// its report agrees with its trace.
     #[test]
     fn coarse_restart_correctness(
         which in 0u8..5,
@@ -145,11 +232,18 @@ proptest! {
         let injector = FailureInjector::with(
             (0..restarts).map(|a| Injection { stage: sink.0, node, attempt: a }),
         );
-        let opts = RunOptions { recovery: EngineRecovery::CoarseRestart, max_restarts: 50, ..Default::default() };
+        let rec = MemoryRecorder::new();
+        let opts = RunOptions {
+            recovery: EngineRecovery::CoarseRestart,
+            max_restarts: 50,
+            rec: &rec,
+            ..Default::default()
+        };
         let report = run_query(&plan, &config, &catalog, &injector, &opts);
         prop_assert!(!report.aborted);
         prop_assert_eq!(report.query_restarts, restarts);
         prop_assert_eq!(&report.results, &expected);
+        prop_assert_eq!(Tally::of_trace(&rec.events()), Tally::of_report(&report));
     }
 
     /// The materialized-row count is identical across failure schedules

@@ -40,36 +40,32 @@ const TIMING_ARGS: &[&str] = &["lost_s", "write_bytes_per_s", "read_bytes_per_s"
 /// Projects an event log onto its *canonical* form: the part of a trace
 /// that must be byte-identical when the same seeded run executes twice.
 ///
-/// Raw logs are append-ordered in real time, so two identical executions
-/// interleave their worker tracks differently and stamp every event with
-/// a different wall-clock microsecond. The projection removes exactly
-/// those freedoms and nothing else:
+/// Every producer emits its events in a deterministic order (the engine
+/// from its coordinator thread alone), so two identical executions differ
+/// only in their wall-clock readings. The projection removes exactly those
+/// and nothing else:
 ///
-/// * events are regrouped by `(pid, tid)` track (ascending), preserving
-///   the within-track order — the order that *is* deterministic;
-/// * `ts_us` becomes the event's sequence index in the projected log and
-///   `dur_us` becomes zero;
+/// * events keep their file order, and `ts_us` becomes the event's index
+///   in it;
+/// * `dur_us` becomes zero;
 /// * wall-clock measurement args (`lost_s`, `write_bytes_per_s`,
 ///   `read_bytes_per_s`) are dropped.
 ///
-/// Every track and every other arg is kept. The simulation harness
+/// Every event and every other arg is kept. The simulation harness
 /// compares `to_jsonl(&canonical_trace(..))` of a run against its replay;
 /// any byte difference is an FT301 finding.
 pub fn canonical_trace(events: &[Event]) -> Vec<Event> {
-    let mut tracks: Vec<(u32, u32)> = events.iter().map(|e| (e.pid, e.tid)).collect();
-    tracks.sort_unstable();
-    tracks.dedup();
-    let mut out = Vec::with_capacity(events.len());
-    for (pid, tid) in tracks {
-        for e in events.iter().filter(|e| e.pid == pid && e.tid == tid) {
+    events
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
             let mut c = e.clone();
-            c.ts_us = out.len() as u64;
+            c.ts_us = i as u64;
             c.dur_us = 0;
             c.args.retain(|(k, _)| !TIMING_ARGS.contains(&k.as_str()));
-            out.push(c);
-        }
-    }
-    out
+            c
+        })
+        .collect()
 }
 
 fn arg_to_json(v: &ArgValue) -> Value {
@@ -331,30 +327,32 @@ mod tests {
     }
 
     #[test]
-    fn canonical_trace_is_invariant_across_interleavings() {
-        // The same logical run, logged under two different thread
-        // interleavings and wall clocks.
+    fn canonical_trace_ignores_timing_but_not_order() {
+        // The same logical run, logged twice under different wall clocks.
         let a = vec![
-            Event::span("stage", "engine", 100, 900).arg("nodes", 2u64),
             Event::span("attempt", "engine", 110, 300).tid(1).arg("rows", 5u64),
             Event::instant("node_failure", "engine", 200).tid(2).arg("lost_s", 0.25),
             Event::span("attempt", "engine", 210, 600).tid(2).arg("rows", 7u64),
+            Event::span("stage", "engine", 100, 900).arg("nodes", 2u64),
         ];
         let b = vec![
+            Event::span("attempt", "engine", 3900, 10).tid(1).arg("rows", 5u64),
             Event::instant("node_failure", "engine", 4000).tid(2).arg("lost_s", 0.75),
             Event::span("attempt", "engine", 4100, 333).tid(2).arg("rows", 7u64),
-            Event::span("attempt", "engine", 3900, 10).tid(1).arg("rows", 5u64),
             Event::span("stage", "engine", 3800, 1000).arg("nodes", 2u64),
         ];
         let ca = canonical_trace(&a);
-        let cb = canonical_trace(&b);
-        assert_eq!(to_jsonl(&ca), to_jsonl(&cb));
-        // Sequence-index timestamps, zero durations, no timing args.
+        assert_eq!(to_jsonl(&ca), to_jsonl(&canonical_trace(&b)));
+        // File-order index timestamps, zero durations, no timing args.
         assert_eq!(ca.iter().map(|e| e.ts_us).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         assert!(ca.iter().all(|e| e.dur_us == 0));
         assert!(ca.iter().all(|e| e.args.iter().all(|(k, _)| k != "lost_s")));
-        // Track order: tid 0 first, then 1, then 2.
-        assert_eq!(ca.iter().map(|e| e.tid).collect::<Vec<_>>(), vec![0, 1, 2, 2]);
+        assert_eq!(ca.iter().map(|e| e.tid).collect::<Vec<_>>(), vec![1, 2, 2, 0]);
+        // The same events in another order are another trace, even when
+        // every track keeps its own order.
+        let mut reordered = b.clone();
+        reordered.swap(0, 1);
+        assert_ne!(to_jsonl(&ca), to_jsonl(&canonical_trace(&reordered)));
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!    the reference's. Recovery may cost time; it must never change the
 //!    answer.
 //! 6. **FT301** — the whole faulted run replays from scratch; the two
-//!    canonical trace projections must be identical, on every track and
-//!    under either recovery mode. Same seed, same history.
+//!    canonical trace projections must be identical, event for event in
+//!    file order, under either recovery mode. Same seed, same history.
 //! 7. **FT304** (warn) — scheduled faults that never fired mean the
 //!    schedule outran the run: the case tests less than it claims.
 //!
@@ -34,8 +34,8 @@ use ftpde_analysis::prelude::{
 };
 use ftpde_core::prelude::MatConfig;
 use ftpde_engine::prelude::{
-    load_catalog, run_query_resumable_traced, Catalog, EnginePlan, FailureInjector, Injection,
-    RunOptions, RunReport,
+    load_catalog, run_query_resumable, Catalog, EnginePlan, FailureInjector, Injection, RunOptions,
+    RunReport,
 };
 use ftpde_obs::export::{canonical_trace, to_jsonl};
 use ftpde_obs::{Event, MemoryRecorder};
@@ -154,8 +154,9 @@ fn execute(
             attempt,
         }));
     let rec = MemoryRecorder::new();
+    let opts = RunOptions { rec: &rec, ..*opts };
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        run_query_resumable_traced(plan, config, catalog, &injector, opts, &store, None, &rec)
+        run_query_resumable(plan, config, catalog, &injector, &opts, &store)
     }))
     .map_err(|payload| {
         payload
@@ -407,7 +408,7 @@ mod tests {
     fn the_first_coarse_seed_whose_storage_fault_fires_runs_clean() {
         use crate::workload::RecoveryKind;
         use ftpde_sim::prelude::FaultEvent;
-        // A coarse restart replays deterministically on every track, so
+        // A coarse restart replays deterministically, event for event, so
         // its seeds carry storage faults like fine-grained ones.
         let outcome = (0..256u64)
             .map(SimCase::derive)

@@ -165,7 +165,7 @@ impl Workload {
     }
 
     /// The engine run options this workload implies.
-    pub fn run_options(&self) -> RunOptions {
+    pub fn run_options(&self) -> RunOptions<'static> {
         RunOptions {
             recovery: match self.recovery {
                 RecoveryKind::Fine => EngineRecovery::FineGrained,

@@ -222,8 +222,7 @@ impl DiskBackend {
     }
 
     /// Opens a store in a fresh unique temporary directory that is
-    /// removed when the backend is dropped. Used by tests, benches and
-    /// the `FTPDE_STORE_BACKEND=disk` engine default.
+    /// removed when the backend is dropped. Used by tests and benches.
     ///
     /// # Errors
     /// Propagates directory-creation failures.

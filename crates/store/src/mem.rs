@@ -133,6 +133,14 @@ mod tests {
     }
 
     #[test]
+    fn overwrite_replaces() {
+        let store = MemBackend::new();
+        store.put(1, 0, vec![int_row(&[1])]);
+        store.put(1, 0, vec![int_row(&[2]), int_row(&[3])]);
+        assert_eq!(store.get(1, 0).unwrap().len(), 2);
+    }
+
+    #[test]
     fn replication_is_one_physical_copy() {
         let store = MemBackend::new();
         store.put_replicated(9, vec![int_row(&[5]), int_row(&[6])], 4);

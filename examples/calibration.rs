@@ -64,15 +64,8 @@ fn main() {
     let injector = FailureInjector::with([Injection { stage: sink.0, node: 1, attempt: 0 }]);
     let catalog = load_catalog(&Database::generate(0.001, 42), 4);
     let engine_rec = MemoryRecorder::new();
-    let report = run_query_traced(
-        &engine_plan,
-        &config,
-        &catalog,
-        &injector,
-        &RunOptions::default(),
-        Some(&engine_breakdown),
-        &engine_rec,
-    );
+    let opts = RunOptions { rec: &engine_rec, pred: Some(&engine_breakdown), ..Default::default() };
+    let report = run_query(&engine_plan, &config, &catalog, &injector, &opts);
     println!("engine ran Q3, killed node 1 once: {} retry\n", report.node_retries);
 
     // --- 4. calibrate both traces: predicted vs observed ----------------

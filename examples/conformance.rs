@@ -56,7 +56,8 @@ fn engine_fine() -> Traced {
     let roots: Vec<u32> = sp.stages().iter().map(|s| s.id as u32).collect();
     let injector = FailureInjector::random_first_attempts(&roots, NODES, 0.5, 11);
     let rec = MemoryRecorder::new();
-    run_query_traced(&plan, &config, &catalog(), &injector, &RunOptions::default(), None, &rec);
+    let opts = RunOptions { rec: &rec, ..Default::default() };
+    run_query(&plan, &config, &catalog(), &injector, &opts);
     Traced { file: "engine_q3_all_fine.jsonl", events: rec.events(), stage_plan: sp }
 }
 
@@ -69,13 +70,14 @@ fn engine_coarse() -> Traced {
     let sp = StagePlan::engine_ids(&dag, &config, 1.0);
     let first = sp.stages()[0].id as u32;
     let injector = FailureInjector::with([Injection { stage: first, node: 0, attempt: 0 }]);
+    let rec = MemoryRecorder::new();
     let opts = RunOptions {
         recovery: EngineRecovery::CoarseRestart,
         max_restarts: 10,
+        rec: &rec,
         ..Default::default()
     };
-    let rec = MemoryRecorder::new();
-    run_query_traced(&plan, &config, &catalog(), &injector, &opts, None, &rec);
+    run_query(&plan, &config, &catalog(), &injector, &opts);
     Traced { file: "engine_q1_none_coarse.jsonl", events: rec.events(), stage_plan: sp }
 }
 
@@ -94,9 +96,8 @@ fn engine_resume_corrupt() -> Traced {
     let dir = std::env::temp_dir().join(format!("ftpde-conformance-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let run = |store: &DiskBackend, rec: &MemoryRecorder| {
-        let opts = RunOptions::default();
-        let none = FailureInjector::none();
-        run_query_resumable_traced(&plan, &config, &catalog, &none, &opts, store, None, rec);
+        let opts = RunOptions { rec, ..Default::default() };
+        run_query_resumable(&plan, &config, &catalog, &FailureInjector::none(), &opts, store);
     };
     run(&DiskBackend::open(&dir).expect("open store"), &MemoryRecorder::new());
 

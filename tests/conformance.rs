@@ -53,15 +53,8 @@ fn engine_fine_grained_failure_injected_trace_is_conformant() {
     // any materialized segment is lost mid-flight.
     let injector = FailureInjector::random_first_attempts(&stage_roots, nodes, 0.5, 11);
     let rec = MemoryRecorder::new();
-    run_query_traced(
-        &plan,
-        &config,
-        &small_catalog(nodes),
-        &injector,
-        &RunOptions::default(),
-        None,
-        &rec,
-    );
+    let opts = RunOptions { rec: &rec, ..Default::default() };
+    run_query(&plan, &config, &small_catalog(nodes), &injector, &opts);
     let report = check_trace("engine-fine", &rec.events(), Some(&sp), &CheckOptions::default());
     assert!(report.is_clean(), "fine-grained trace not conformant:\n{}", report.render());
 }
@@ -78,13 +71,14 @@ fn engine_coarse_restart_trace_is_conformant() {
     // workers finish their attempt, the coordinator discards their output
     // and restarts the query, and the second attempt runs clean.
     let injector = FailureInjector::with([Injection { stage: first_stage, node: 0, attempt: 0 }]);
+    let rec = MemoryRecorder::new();
     let opts = RunOptions {
         recovery: EngineRecovery::CoarseRestart,
         max_restarts: 10,
+        rec: &rec,
         ..Default::default()
     };
-    let rec = MemoryRecorder::new();
-    let r = run_query_traced(&plan, &config, &small_catalog(nodes), &injector, &opts, None, &rec);
+    let r = run_query(&plan, &config, &small_catalog(nodes), &injector, &opts);
     assert!(r.query_restarts >= 1, "the injection must force a restart");
     let report = check_trace("engine-coarse", &rec.events(), Some(&sp), &CheckOptions::default());
     assert!(report.is_clean(), "coarse-restart trace not conformant:\n{}", report.render());
@@ -98,15 +92,8 @@ fn damaged_engine_trace_is_rejected_with_the_right_code() {
     let config = MatConfig::all(&dag);
     let sp = StagePlan::engine_ids(&dag, &config, 1.0);
     let rec = MemoryRecorder::new();
-    run_query_traced(
-        &plan,
-        &config,
-        &small_catalog(nodes),
-        &FailureInjector::none(),
-        &RunOptions::default(),
-        None,
-        &rec,
-    );
+    let opts = RunOptions { rec: &rec, ..Default::default() };
+    run_query(&plan, &config, &small_catalog(nodes), &FailureInjector::none(), &opts);
     let mut events = rec.events();
     // Erase one stage entirely — the execution span and its worker
     // attempts — so the completed query no longer covers the plan.

@@ -247,7 +247,7 @@ fn traced_run_jsonl() -> String {
     let injector = FailureInjector::with([Injection { stage: sink.0, node: 1, attempt: 0 }]);
     let catalog = load_catalog(&Database::generate(0.001, 42), 4);
     let rec = MemoryRecorder::new();
-    run_query_traced(&plan, &config, &catalog, &injector, &RunOptions::default(), None, &rec);
+    run_query(&plan, &config, &catalog, &injector, &RunOptions { rec: &rec, ..Default::default() });
     export::to_jsonl(&rec.events())
 }
 

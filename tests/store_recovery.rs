@@ -96,16 +96,9 @@ fn resume_traced(
 ) -> (RunReport, MemoryRecorder) {
     let reopened = DiskBackend::open(dir).unwrap();
     let rec = MemoryRecorder::new();
-    let run = run_query_resumable_traced(
-        plan,
-        config,
-        catalog,
-        &FailureInjector::none(),
-        &RunOptions::default(),
-        &reopened,
-        None,
-        &rec,
-    );
+    let opts = RunOptions { rec: &rec, ..Default::default() };
+    let run =
+        run_query_resumable(plan, config, catalog, &FailureInjector::none(), &opts, &reopened);
     (run, rec)
 }
 
@@ -216,16 +209,9 @@ fn torn_segment_is_detected_and_reexecuted() {
 
     let reopened = DiskBackend::open(&dir).unwrap();
     let rec = MemoryRecorder::new();
-    let resumed = run_query_resumable_traced(
-        &plan,
-        &config,
-        &catalog,
-        &FailureInjector::none(),
-        &RunOptions::default(),
-        &reopened,
-        None,
-        &rec,
-    );
+    let opts = RunOptions { rec: &rec, ..Default::default() };
+    let resumed =
+        run_query_resumable(&plan, &config, &catalog, &FailureInjector::none(), &opts, &reopened);
     assert_eq!(resumed.results, first.results);
     assert!(resumed.segments_corrupt >= 1, "the torn segment must be reported");
     // Exactly the victim stage and the sink re-execute.

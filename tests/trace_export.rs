@@ -23,8 +23,8 @@ fn traced_failure_run() -> (Vec<Event>, usize, u32) {
     let injector = FailureInjector::with([Injection { stage: sink.0, node: 1, attempt: 0 }]);
     let catalog = load_catalog(&Database::generate(0.001, 42), 4);
     let rec = MemoryRecorder::new();
-    let report =
-        run_query_traced(&plan, &config, &catalog, &injector, &RunOptions::default(), None, &rec);
+    let opts = RunOptions { rec: &rec, ..Default::default() };
+    let report = run_query(&plan, &config, &catalog, &injector, &opts);
     assert_eq!(report.node_retries, 1, "exactly the injected failure");
     assert!(!report.results.is_empty());
     (rec.events(), stages, sink.0)
