@@ -4,10 +4,11 @@
 //! the paper's recovery contract.
 //!
 //! The engine (`ftpde-engine`) and the simulator (`ftpde-sim`) both emit
-//! JSONL traces through `ftpde-obs`. This module is the *outside auditor*
-//! of those traces: it never trusts the producing layer, only the event
-//! stream, and re-derives from first principles what a conforming
-//! execution must look like —
+//! JSONL traces through `ftpde-obs`, in one vocabulary that names each
+//! stage by its collapsed root's operator id. This module is the
+//! *outside auditor* of those traces: it never trusts the producing
+//! layer, only the event stream, and re-derives from first principles
+//! what a conforming execution must look like —
 //!
 //! * **FT101** trace well-formedness: required arguments present, floats
 //!   finite, exactly one terminal (`query_completed`/`query_aborted`),
@@ -38,41 +39,29 @@
 //!   least that long under failures); engine attempt time plus lost work
 //!   never exceeds the stage wall-clock that contains it.
 //!
-//! Timestamps, not file order, drive the ordering checks: concurrent
-//! layers legitimately interleave their emissions (the simulator groups
-//! events per stage, engine workers race the recorder). File order is
-//! used only where it is authoritative — attempt windows are delimited
-//! by `query_restart` markers the single-threaded coordinator emits.
+//! Timestamps, not file order, drive the ordering checks: both producers
+//! record a stage's per-node facts (attempts, failures) in node order
+//! before the stage's span, so file order is not chronological. File
+//! order is used only where it is authoritative — attempt windows are
+//! delimited by `query_restart` markers, which both producers record
+//! between stage executions.
 
 use std::collections::{HashMap, HashSet};
 
-use ftpde_core::collapse::CollapsedPlan;
+use ftpde_core::collapse::{CId, CollapsedPlan};
 use ftpde_core::config::MatConfig;
 use ftpde_core::dag::PlanDag;
 use ftpde_obs::{ArgValue, Event, Phase};
 
 use crate::diag::{Code, Diagnostic, Report, Severity};
 
-/// Which id space the trace's `stage` arguments live in.
-///
-/// The engine names stages by their collapsed root's *plan operator id*
-/// ([`CollapsedOp::root`](ftpde_core::collapse::CollapsedOp)); the
-/// simulator names them by dense collapsed index
-/// ([`CId`](ftpde_core::collapse::CId)). Same plan, two vocabularies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IdSpace {
-    /// `stage` args are collapsed-root operator ids (`cat: "engine"`).
-    EngineRoots,
-    /// `stage` args are dense collapsed indices (`cat: "sim"`).
-    SimIndices,
-}
-
-/// One collapsed stage as the checker sees it, in the trace's id space.
+/// One collapsed stage as the checker sees it.
 #[derive(Debug, Clone)]
 pub struct StageInfo {
-    /// Stage id as it appears in trace `stage` arguments.
+    /// Stage id as it appears in trace `stage` arguments: the plan
+    /// operator id of the stage's collapsed root.
     pub id: u64,
-    /// Producing stages (cross-stage inputs), same id space.
+    /// Producing stages (cross-stage inputs), by their root ids.
     pub inputs: Vec<u64>,
     /// Whether the configuration materializes this stage's root.
     pub materializes: bool,
@@ -86,7 +75,8 @@ pub struct StageInfo {
 
 /// The plan-side ground truth the checker verifies a trace against: the
 /// collapsed stages, their dependencies, materialization flags and
-/// predicted costs, keyed by the id space the trace uses.
+/// predicted costs, keyed by root operator id — the name both the engine
+/// and the simulator give a stage.
 #[derive(Debug, Clone)]
 pub struct StagePlan {
     stages: Vec<StageInfo>,
@@ -94,21 +84,18 @@ pub struct StagePlan {
 }
 
 impl StagePlan {
-    /// Projects a collapsed plan into the checker's view.
-    pub fn from_collapsed(pc: &CollapsedPlan, config: &MatConfig, ids: IdSpace) -> Self {
-        let to_id = |cid: ftpde_core::collapse::CId| -> u64 {
-            match ids {
-                IdSpace::EngineRoots => u64::from(pc.op(cid).root.0),
-                IdSpace::SimIndices => u64::from(cid.0),
-            }
-        };
+    /// Collapses `plan` under `config` and projects it into the checker's
+    /// view.
+    pub fn new(plan: &PlanDag, config: &MatConfig, pipe_const: f64) -> Self {
+        let pc = CollapsedPlan::collapse(plan, config, pipe_const);
+        let root = |cid: CId| u64::from(pc.op(cid).root.0);
         let stages: Vec<StageInfo> = pc
             .op_ids()
             .map(|cid| {
                 let op = pc.op(cid);
                 StageInfo {
-                    id: to_id(cid),
-                    inputs: pc.inputs(cid).iter().map(|&p| to_id(p)).collect(),
+                    id: root(cid),
+                    inputs: pc.inputs(cid).iter().map(|&p| root(p)).collect(),
                     materializes: config.materializes(op.root),
                     is_sink: pc.consumers(cid).is_empty(),
                     run_cost: op.run_cost,
@@ -118,26 +105,6 @@ impl StagePlan {
             .collect();
         let index = stages.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
         StagePlan { stages, index }
-    }
-
-    /// Collapses `plan` under `config` and projects it for an
-    /// engine-produced trace (stage ids are collapsed-root operator ids).
-    pub fn engine_ids(plan: &PlanDag, config: &MatConfig, pipe_const: f64) -> Self {
-        Self::from_collapsed(
-            &CollapsedPlan::collapse(plan, config, pipe_const),
-            config,
-            IdSpace::EngineRoots,
-        )
-    }
-
-    /// Collapses `plan` under `config` and projects it for a
-    /// simulator-produced trace (stage ids are dense collapsed indices).
-    pub fn sim_ids(plan: &PlanDag, config: &MatConfig, pipe_const: f64) -> Self {
-        Self::from_collapsed(
-            &CollapsedPlan::collapse(plan, config, pipe_const),
-            config,
-            IdSpace::SimIndices,
-        )
     }
 
     /// The stages, in collapsed (topological) order.
@@ -1217,21 +1184,18 @@ mod tests {
     }
 
     #[test]
-    fn stage_plan_projects_both_id_spaces() {
+    fn stage_plan_names_stages_by_root_operator() {
         let (plan, config) = plan_and_config();
-        let eng = StagePlan::engine_ids(&plan, &config, 1.0);
-        let sim = StagePlan::sim_ids(&plan, &config, 1.0);
-        assert_eq!(eng.stages().len(), sim.stages().len());
-        // Sim ids are dense 0..n.
-        for (i, s) in sim.stages().iter().enumerate() {
-            assert_eq!(s.id, i as u64);
-        }
-        // Engine ids are root operator ids; each must resolve.
-        for s in eng.stages() {
-            assert!(eng.get(s.id).is_some());
+        let sp = StagePlan::new(&plan, &config, 1.0);
+        let pc = CollapsedPlan::collapse(&plan, &config, 1.0);
+        let roots: Vec<u64> = pc.iter().map(|(_, c)| u64::from(c.root.0)).collect();
+        assert_eq!(sp.stages().iter().map(|s| s.id).collect::<Vec<_>>(), roots);
+        for s in sp.stages() {
+            assert!(sp.get(s.id).is_some());
+            assert!(s.inputs.iter().all(|p| roots.contains(p)));
         }
         // Figure 2 fans out into the two reduce UDF sinks.
-        assert_eq!(eng.stages().iter().filter(|s| s.is_sink).count(), 2);
+        assert_eq!(sp.stages().iter().filter(|s| s.is_sink).count(), 2);
     }
 
     #[test]

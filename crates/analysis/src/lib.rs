@@ -79,7 +79,7 @@ pub mod source;
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
     pub use crate::conformance::{
-        check_trace, check_trace_jsonl, CheckOptions, IdSpace, StageInfo, StagePlan,
+        check_trace, check_trace_jsonl, CheckOptions, StageInfo, StagePlan,
     };
     pub use crate::diag::{Code, Diagnostic, Report, ReportSet, Severity};
     pub use crate::oracle::{

@@ -1,7 +1,7 @@
 //! Mutation proptests for the trace-conformance checker.
 //!
 //! Strategy: build a random chain plan and materialization configuration,
-//! obtain a *valid* trace two ways — a real `simulate_traced` run and a
+//! obtain a *valid* trace two ways — a real recorded `simulate` run and a
 //! synthetic engine-style trace derived from the collapsed stages — then
 //! apply one random mutation (drop an execution span, reorder producer
 //! and consumer, delete a rewind, delete a materialized-stage skip, …)
@@ -60,17 +60,17 @@ fn scenario_from(n: usize, mask_bits: u64, seed: u64) -> Scenario {
 }
 
 /// Runs the simulator over the scenario and returns the recorded trace
-/// plus the checker's view of the collapsed plan (sim id space).
+/// plus the checker's view of the collapsed plan.
 fn sim_trace(sc: &Scenario, mtbf: f64) -> (Vec<Event>, StagePlan) {
     let plan = chain_plan(&sc.costs);
     let config = mat_config(&plan, &sc.mask);
-    let opts = SimOptions::default();
+    let rec = MemoryRecorder::new();
+    let opts = SimOptions { rec: &rec, ..Default::default() };
     let cluster = ClusterConfig::new(4, mtbf, 1.0);
     let horizon = suggested_horizon(&plan, &cluster, &opts);
     let trace = FailureTrace::generate(&cluster, horizon, sc.seed);
-    let rec = MemoryRecorder::new();
-    simulate_traced(&plan, &config, Recovery::FineGrained, &cluster, &trace, &opts, None, &rec);
-    let sp = StagePlan::sim_ids(&plan, &config, opts.pipe_const);
+    simulate(&plan, &config, Recovery::FineGrained, &cluster, &trace, &opts);
+    let sp = StagePlan::new(&plan, &config, opts.pipe_const);
     (rec.events(), sp)
 }
 
@@ -82,13 +82,6 @@ fn exec_positions(events: &[Event]) -> Vec<usize> {
         .filter(|(_, e)| e.name.starts_with("stage ") && e.get_arg("stage").is_some())
         .map(|(i, _)| i)
         .collect()
-}
-
-fn stage_of(e: &Event) -> u64 {
-    match e.get_arg("stage") {
-        Some(ftpde_obs::ArgValue::U64(v)) => *v,
-        other => panic!("stage spans carry a u64 stage argument, got {other:?}"),
-    }
 }
 
 /// Applies one of the simulator-trace mutations; returns the damaged
@@ -105,11 +98,10 @@ fn mutate_sim(mut events: Vec<Event>, kind: usize, pick: usize) -> (Vec<Event>, 
             (events, Code::FT103)
         }
         // Rewind a consumer's clock to 0: it now starts before its
-        // producer finished.
+        // producer finished. Spans come in chain order, so every one but
+        // the first consumes its predecessor.
         1 => {
-            let consumers: Vec<usize> =
-                execs.iter().copied().filter(|&i| stage_of(&events[i]) > 0).collect();
-            let i = consumers[pick % consumers.len()];
+            let i = execs[1 + pick % (execs.len() - 1)];
             events[i].ts_us = 0;
             (events, Code::FT104)
         }
@@ -265,7 +257,7 @@ fn engine_trace(sp: &StagePlan, rewind_at: Option<u64>, skip_first: usize) -> Ve
 fn engine_stage_plan(sc: &Scenario) -> StagePlan {
     let plan = chain_plan(&sc.costs);
     let config = mat_config(&plan, &sc.mask);
-    StagePlan::engine_ids(&plan, &config, 1.0)
+    StagePlan::new(&plan, &config, 1.0)
 }
 
 /// Applies one engine-trace mutation; returns the damaged trace and the

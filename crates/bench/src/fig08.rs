@@ -5,7 +5,8 @@
 
 use ftpde_cluster::config::ClusterConfig;
 use ftpde_sim::scheme::Scheme;
-use ftpde_tpch::costing::{baseline_runtime, CostModel};
+use ftpde_sim::simulate::baseline_runtime;
+use ftpde_tpch::costing::CostModel;
 use ftpde_tpch::queries::Query;
 
 use crate::common::{scheme_overheads, TRACES};
@@ -40,7 +41,7 @@ fn panel(mtbf_factor: f64, seed: u64) -> Vec<QueryRow> {
         .iter()
         .map(|&query| {
             let plan = query.plan(SF, &cm);
-            let baseline = baseline_runtime(&plan);
+            let baseline = baseline_runtime(&plan, 1.0);
             let cluster = ClusterConfig::paper_cluster(mtbf_factor * baseline);
             let overheads = scheme_overheads(&plan, &cluster, TRACES, seed)
                 .into_iter()
@@ -86,7 +87,7 @@ mod tests {
     fn mini_panel(query: Query, mtbf_factor: f64) -> QueryRow {
         let cm = CostModel::xdb_calibrated();
         let plan = query.plan(SF, &cm);
-        let baseline = baseline_runtime(&plan);
+        let baseline = baseline_runtime(&plan, 1.0);
         let cluster = ClusterConfig::paper_cluster(mtbf_factor * baseline);
         let overheads =
             scheme_overheads(&plan, &cluster, 5, 99).into_iter().map(|(_, oh)| oh).collect();

@@ -4,7 +4,8 @@
 
 use ftpde_cluster::config::{mtbf, ClusterConfig};
 use ftpde_sim::scheme::Scheme;
-use ftpde_tpch::costing::{baseline_runtime, CostModel};
+use ftpde_sim::simulate::baseline_runtime;
+use ftpde_tpch::costing::CostModel;
 use ftpde_tpch::queries::q5_plan;
 
 use crate::common::{scheme_overheads, TRACES};
@@ -36,7 +37,7 @@ pub fn run() -> Vec<Point> {
         .enumerate()
         .map(|(i, &sf)| {
             let plan = q5_plan(sf, &cm);
-            let runtime_min = baseline_runtime(&plan) / 60.0;
+            let runtime_min = baseline_runtime(&plan, 1.0) / 60.0;
             let overheads = scheme_overheads(&plan, &cluster, TRACES, 1000 + i as u64)
                 .into_iter()
                 .map(|(_, oh)| oh)
@@ -70,7 +71,7 @@ mod tests {
         let cm = CostModel::xdb_calibrated();
         let cluster = ClusterConfig::paper_cluster(mtbf::DAY);
         let plan = q5_plan(sf, &cm);
-        let runtime_min = baseline_runtime(&plan) / 60.0;
+        let runtime_min = baseline_runtime(&plan, 1.0) / 60.0;
         let overheads =
             scheme_overheads(&plan, &cluster, 5, seed).into_iter().map(|(_, o)| o).collect();
         Point { sf, runtime_min, overheads }

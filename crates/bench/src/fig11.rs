@@ -4,7 +4,8 @@
 
 use ftpde_cluster::config::{mtbf, ClusterConfig};
 use ftpde_sim::scheme::Scheme;
-use ftpde_tpch::costing::{baseline_runtime, CostModel};
+use ftpde_sim::simulate::baseline_runtime;
+use ftpde_tpch::costing::CostModel;
 use ftpde_tpch::queries::q5_plan;
 
 use crate::common::{scheme_overheads, TRACES};
@@ -30,7 +31,7 @@ pub struct ClusterRow {
 pub fn run() -> (f64, Vec<ClusterRow>) {
     let cm = CostModel::xdb_calibrated();
     let plan = q5_plan(100.0, &cm);
-    let baseline = baseline_runtime(&plan);
+    let baseline = baseline_runtime(&plan, 1.0);
     let rows = CLUSTERS
         .iter()
         .enumerate()

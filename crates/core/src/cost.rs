@@ -213,9 +213,8 @@ pub struct FtEstimate {
 /// actually observed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StageEstimate {
-    /// Collapsed-operator index ([`CId`]) — the simulator's stage number.
-    pub stage: u32,
-    /// Plan operator id of the stage's root — the engine's stage number.
+    /// Plan operator id of the stage's root — the stage's name in engine
+    /// and simulator traces.
     pub root: u32,
     /// `tr(c)`: failure-free runtime of the stage.
     pub run_cost: f64,
@@ -232,9 +231,9 @@ pub struct StageEstimate {
 }
 
 /// An [`FtEstimate`] decomposed per stage — the predicted side of the
-/// calibration join (serialize it, or feed it to `simulate_traced` or the
-/// engine's `RunOptions::pred`, which tag their stage spans with these
-/// numbers).
+/// calibration join (serialize it, or hand it to the simulator's
+/// `SimOptions::pred` or the engine's `RunOptions::pred`, which tag each
+/// stage span with these numbers by root operator id).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EstimateBreakdown {
     /// `T_Pt` of the dominant path (the plan's headline prediction).
@@ -247,7 +246,7 @@ pub struct EstimateBreakdown {
 
 impl EstimateBreakdown {
     /// The stage estimate whose root plan operator is `root`, if any —
-    /// the lookup the execution engine joins on.
+    /// the lookup both executors join their stage spans on.
     pub fn by_root(&self, root: u32) -> Option<&StageEstimate> {
         self.stages.iter().find(|s| s.root == root)
     }
@@ -266,7 +265,6 @@ impl FtEstimate {
                 let attempts = params.attempts(t);
                 let recovery_cost = attempts * (params.wasted_runtime(t) + params.mttr_cost);
                 StageEstimate {
-                    stage: id.0,
                     root: c.root.0,
                     run_cost: c.run_cost,
                     mat_cost: c.mat_cost,
@@ -466,12 +464,14 @@ mod tests {
         }
         // The dominant path flags match the estimate's path.
         let on_path: Vec<u32> =
-            b.stages.iter().filter(|s| s.on_dominant_path).map(|s| s.stage).collect();
-        assert_eq!(on_path, est.dominant_path.iter().map(|c| c.0).collect::<Vec<_>>());
+            b.stages.iter().filter(|s| s.on_dominant_path).map(|s| s.root).collect();
+        let path_roots: Vec<u32> =
+            est.dominant_path.iter().map(|&c| est.collapsed.op(c).root.0).collect();
+        assert_eq!(on_path, path_roots);
         // The dominant cost is the sum of T(c) over the dominant path.
         let path_sum: f64 = b.stages.iter().filter(|s| s.on_dominant_path).map(|s| s.ft_cost).sum();
         assert!((path_sum - b.dominant_cost).abs() < 1e-9);
-        // Root-based lookup joins the engine's stage numbering.
+        // Root-based lookup joins the executors' stage numbering.
         let first = &b.stages[0];
         assert_eq!(b.by_root(first.root), Some(first));
         assert_eq!(b.by_root(9999), None);

@@ -134,8 +134,8 @@ impl BlameBreakdown {
 pub struct StageCalibration {
     /// Producing layer (`"sim"`, `"engine"`).
     pub cat: String,
-    /// Stage id as the producer numbers it (CId for the simulator, root
-    /// OpId for the engine).
+    /// Stage id: the plan operator id of the stage's root, as both the
+    /// simulator and the engine name it.
     pub stage: u64,
     /// Predicted total stage cost `T(c)` — `tr + tm + a·(w + MTTR)`.
     pub predicted_s: f64,

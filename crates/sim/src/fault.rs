@@ -5,10 +5,10 @@
 //! a schedule, the schedule is injected into a real engine run (kills
 //! through the engine's `FailureInjector`, storage faults through the
 //! `FaultStore` decorator), and a failing schedule is what the shrinker
-//! minimizes and the bug base replays. The types live here —
-//! next to the discrete-event simulator's own [`crate::event::SimEvent`]
-//! vocabulary — so every layer that speaks "what went wrong, where"
-//! shares one definition without depending on the harness itself.
+//! minimizes and the bug base replays. The types live here, next to the
+//! discrete-event simulator, so every layer that speaks "what went
+//! wrong, where" shares one definition without depending on the harness
+//! itself.
 //!
 //! Faults are addressed by *logical* coordinates, the same convention as
 //! the engine's failure injector: `(stage, node, attempt)` for kills,

@@ -21,7 +21,6 @@
 //! assert_eq!(runs.len(), 4);
 //! ```
 
-pub mod event;
 pub mod fault;
 pub mod metrics;
 pub mod scheme;
@@ -29,14 +28,12 @@ pub mod simulate;
 
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
-    pub use crate::event::{SimEvent, SimLog};
     pub use crate::fault::{FaultEvent, FaultSchedule};
     pub use crate::metrics::{
         overhead_pct, run_all_schemes, run_scheme, suggested_horizon, SchemeRun,
     };
     pub use crate::scheme::{Recovery, Scheme};
     pub use crate::simulate::{
-        baseline_runtime, failure_free_makespan, simulate, simulate_logged, simulate_traced,
-        SimOptions, SimResult,
+        baseline_runtime, failure_free_makespan, simulate, SimOptions, SimResult,
     };
 }

@@ -96,7 +96,9 @@ impl SchemeRun {
 /// each trace.
 ///
 /// # Errors
-/// Propagates configuration-selection errors (cost-based scheme only).
+/// [`CoreError::InvalidParameter`] if a trace's node count or the length
+/// of `opts.skew` differs from `cluster.nodes`; otherwise propagates
+/// configuration-selection errors (cost-based scheme only).
 pub fn run_scheme(
     plan: &PlanDag,
     scheme: Scheme,
@@ -104,6 +106,15 @@ pub fn run_scheme(
     traces: &TraceSet,
     opts: &SimOptions,
 ) -> Result<SchemeRun> {
+    let counts = traces
+        .iter()
+        .map(|t| ("trace node count", t.nodes()))
+        .chain(opts.skew.as_ref().map(|f| ("skew factor count", f.len())));
+    for (what, n) in counts {
+        if n != cluster.nodes {
+            return Err(CoreError::InvalidParameter { what, value: n as f64 });
+        }
+    }
     let config = scheme.select_config(plan, cluster)?;
     let baseline = baseline_runtime(plan, opts.pipe_const);
     let runs = traces
@@ -184,6 +195,22 @@ mod tests {
             }],
         };
         assert_eq!(run.mean_overhead_pct(), None);
+    }
+
+    #[test]
+    fn node_count_mismatches_are_errors() {
+        let plan = figure2_plan();
+        let cluster = ClusterConfig::new(3, mtbf::DAY, 1.0);
+        let short = ClusterConfig::new(2, mtbf::DAY, 1.0);
+        let traces = TraceSet::generate(&short, 1e6, 2, 1);
+        let opts = SimOptions::default();
+        let err = run_all_schemes(&plan, &cluster, &traces, &opts).unwrap_err();
+        assert_eq!(err, CoreError::InvalidParameter { what: "trace node count", value: 2.0 });
+        let traces = TraceSet::generate(&cluster, 1e6, 2, 1);
+        let skewed = SimOptions::default().with_skew(vec![1.0; 4]);
+        let err = run_scheme(&plan, Scheme::AllMat, &cluster, &traces, &skewed).unwrap_err();
+        assert_eq!(err, CoreError::InvalidParameter { what: "skew factor count", value: 4.0 });
+        assert!(run_all_schemes(&plan, &cluster, &traces, &opts).is_ok());
     }
 
     #[test]

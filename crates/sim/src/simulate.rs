@@ -22,13 +22,13 @@ use ftpde_core::collapse::CollapsedPlan;
 use ftpde_core::config::MatConfig;
 use ftpde_core::cost::EstimateBreakdown;
 use ftpde_core::dag::PlanDag;
+use ftpde_obs::{Event, NoopRecorder, Recorder};
 
-use crate::event::{SimEvent, SimLog};
 use crate::scheme::Recovery;
 
-/// Tunables of the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimOptions {
+/// Tunables of the simulator, and where its timeline goes.
+#[derive(Clone)]
+pub struct SimOptions<'a> {
     /// `CONST_pipe` used when collapsing the plan (Eq. 1); the paper's
     /// calibrated value is 1.0.
     pub pipe_const: f64,
@@ -49,9 +49,22 @@ pub struct SimOptions {
     /// Must have one entry per cluster node when set. Operator completion
     /// remains the max over nodes, so skew stretches the straggler.
     pub skew: Option<Vec<f64>>,
+    /// Receives the run's `"sim"` events, stamped in *simulated*
+    /// microseconds, in the engine's vocabulary: a `stage {root}` span
+    /// per collapsed stage (tid 0), a `node_failure` instant per failure
+    /// (tid = node + 1), a `query_restart` instant per coarse restart and
+    /// a terminal `query_completed` or `query_aborted`. The default
+    /// [`NoopRecorder`] builds no event at all.
+    pub rec: &'a dyn Recorder,
+    /// The cost model's estimate of this plan
+    /// ([`ftpde_core::cost::FtEstimate::breakdown`]): tags each stage span
+    /// with its predicted costs (by root operator id) and opens the trace
+    /// with a `plan_estimate` instant, so the trace is self-contained for
+    /// calibration ([`ftpde_obs::CalibrationReport`]).
+    pub pred: Option<&'a EstimateBreakdown>,
 }
 
-impl Default for SimOptions {
+impl Default for SimOptions<'_> {
     fn default() -> Self {
         SimOptions {
             pipe_const: 1.0,
@@ -59,11 +72,13 @@ impl Default for SimOptions {
             mid_op_checkpoint: None,
             mid_op_checkpoint_cost: 0.0,
             skew: None,
+            rec: &NoopRecorder,
+            pred: None,
         }
     }
 }
 
-impl SimOptions {
+impl SimOptions<'_> {
     /// Enables mid-operator checkpointing every `interval` seconds at
     /// `cost` seconds per checkpoint.
     pub fn with_mid_op_checkpoints(mut self, interval: f64, cost: f64) -> Self {
@@ -106,7 +121,7 @@ pub struct SimResult {
     /// this is the time at which the abort was declared.
     pub completion: Seconds,
     /// Coarse whole-query restarts (only the `no-mat (restart)` scheme
-    /// produces these).
+    /// produces these), counting the failure that aborted the run.
     pub restarts: u32,
     /// Fine-grained per-node sub-plan re-executions.
     pub node_retries: u64,
@@ -147,8 +162,20 @@ pub fn baseline_runtime(plan: &PlanDag, pipe_const: f64) -> Seconds {
     failure_free_makespan(plan, &MatConfig::none(plan), pipe_const)
 }
 
+/// Converts a simulated-seconds timestamp to the microsecond unit of the
+/// observability layer.
+fn sim_us(at: Seconds) -> u64 {
+    (at.max(0.0) * 1e6).round() as u64
+}
+
 /// Simulates one execution of the fault-tolerant plan `[plan, config]` on
-/// `cluster` against `trace`.
+/// `cluster` against `trace`, recording its timeline into `opts.rec`.
+///
+/// Events are recorded as the simulation reaches them — by stage, then by
+/// node within a stage — so a stage's `node_failure` instants precede its
+/// span, as the engine's worker facts precede its stage span. `trace` and
+/// `opts.skew` must cover exactly `cluster.nodes` nodes
+/// ([`run_scheme`](crate::metrics::run_scheme) checks this).
 pub fn simulate(
     plan: &PlanDag,
     config: &MatConfig,
@@ -157,66 +184,27 @@ pub fn simulate(
     trace: &FailureTrace,
     opts: &SimOptions,
 ) -> SimResult {
-    simulate_logged(plan, config, recovery, cluster, trace, opts, &mut SimLog::None)
-}
-
-/// Like [`simulate`], additionally mirroring the timeline into an
-/// observability [`Recorder`](ftpde_obs::Recorder) as `"sim"`-category
-/// events with *simulated* timestamps (stage spans, failure / restart /
-/// termination instants). With a disabled recorder no timeline is even
-/// collected.
-///
-/// When `pred` carries the cost model's estimate of this very plan
-/// (see [`ftpde_core::cost::FtEstimate::breakdown`]), stage spans are
-/// tagged with their predicted costs and a `plan_estimate` instant with
-/// the dominant-path prediction is emitted, making the trace
-/// self-contained for offline calibration
-/// ([`ftpde_obs::CalibrationReport`], `ftpde obs --trace`).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_traced(
-    plan: &PlanDag,
-    config: &MatConfig,
-    recovery: Recovery,
-    cluster: &ClusterConfig,
-    trace: &FailureTrace,
-    opts: &SimOptions,
-    pred: Option<&EstimateBreakdown>,
-    rec: &dyn ftpde_obs::Recorder,
-) -> SimResult {
-    let mut log = if rec.enabled() { SimLog::collecting() } else { SimLog::None };
-    let result = simulate_logged(plan, config, recovery, cluster, trace, opts, &mut log);
-    if let Some(p) = pred {
-        rec.record_with(|| {
-            ftpde_obs::Event::instant("plan_estimate", "sim", 0)
+    debug_assert_eq!(trace.nodes(), cluster.nodes);
+    if let Some(p) = opts.pred {
+        opts.rec.record_with(|| {
+            Event::instant("plan_estimate", "sim", 0)
                 .arg("pred_cost_s", p.dominant_cost)
                 .arg("pred_runtime_s", p.dominant_runtime)
         });
     }
-    log.record_into_with(rec, pred);
-    result
-}
-
-/// Like [`simulate`], additionally emitting a timeline of events into
-/// `log` (pass [`SimLog::collecting`] to capture it).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_logged(
-    plan: &PlanDag,
-    config: &MatConfig,
-    recovery: Recovery,
-    cluster: &ClusterConfig,
-    trace: &FailureTrace,
-    opts: &SimOptions,
-    log: &mut SimLog,
-) -> SimResult {
-    debug_assert_eq!(trace.nodes(), cluster.nodes);
     let result = match recovery {
-        Recovery::FineGrained => simulate_fine_grained(plan, config, cluster, trace, opts, log),
-        Recovery::CoarseRestart => simulate_coarse_restart(plan, config, cluster, trace, opts, log),
+        Recovery::FineGrained => simulate_fine_grained(plan, config, cluster, trace, opts),
+        Recovery::CoarseRestart => simulate_coarse_restart(plan, config, cluster, trace, opts),
     };
-    log.push(if result.aborted {
-        SimEvent::QueryAborted { at: result.completion }
-    } else {
-        SimEvent::QueryCompleted { at: result.completion }
+    opts.rec.record_with(|| {
+        let at = sim_us(result.completion);
+        if result.aborted {
+            Event::instant("query_aborted", "sim", at).arg("restarts", result.restarts)
+        } else {
+            Event::instant("query_completed", "sim", at)
+                .arg("node_retries", result.node_retries)
+                .arg("query_restarts", result.restarts)
+        }
     });
     // Always-on metrics: every simulated execution is visible in the
     // process-global registry, recorder or not. Durations here are
@@ -242,7 +230,6 @@ fn simulate_fine_grained(
     cluster: &ClusterConfig,
     trace: &FailureTrace,
     opts: &SimOptions,
-    log: &mut SimLog,
 ) -> SimResult {
     let pc = CollapsedPlan::collapse(plan, config, opts.pipe_const);
     let mut completion = vec![0.0f64; pc.len()];
@@ -254,7 +241,8 @@ fn simulate_fine_grained(
     for id in pc.op_ids() {
         let start = pc.inputs(id).iter().map(|i| completion[i.index()]).fold(0.0f64, f64::max);
         let dur = pc.op(id).total_cost();
-        log.push(SimEvent::StageStarted { stage: id, at: start });
+        // Stages are named by their root operator, as the engine names them.
+        let stage = pc.op(id).root.0;
         let mut op_end = start; // zero-duration operators finish instantly
         for node in 0..cluster.nodes {
             let total = opts.node_duration(dur, node);
@@ -264,6 +252,7 @@ fn simulate_fine_grained(
             // Wall-clock progress that survives failures (only nonzero
             // with mid-operator checkpointing enabled).
             let mut done = 0.0f64;
+            let mut attempt = 0u32;
             loop {
                 let end = t + (total - done);
                 if end > trace.horizon() {
@@ -285,14 +274,18 @@ fn simulate_fine_grained(
                     }
                     let lost = progressed - done;
                     recovery_seconds += cluster.mttr + lost;
-                    log.push(SimEvent::NodeFailed {
-                        stage: id,
-                        node,
-                        at: times[idx],
-                        resumes_at: times[idx] + cluster.mttr,
-                        lost,
+                    let (at, resumes_at) = (times[idx], times[idx] + cluster.mttr);
+                    opts.rec.record_with(|| {
+                        Event::instant("node_failure", "sim", sim_us(at))
+                            .tid(node as u32 + 1)
+                            .arg("stage", stage)
+                            .arg("node", node)
+                            .arg("attempt", attempt)
+                            .arg("resumes_at_s", resumes_at)
+                            .arg("lost_s", lost)
                     });
-                    t = times[idx] + cluster.mttr;
+                    attempt += 1;
+                    t = resumes_at;
                     idx += 1;
                 } else {
                     break;
@@ -300,7 +293,22 @@ fn simulate_fine_grained(
             }
             op_end = op_end.max(t + (total - done));
         }
-        log.push(SimEvent::StageCompleted { stage: id, at: op_end });
+        opts.rec.record_with(|| {
+            let (ts, end) = (sim_us(start), sim_us(op_end));
+            let span = Event::span(format!("stage {stage}"), "sim", ts, end - ts)
+                .arg("stage", stage)
+                .arg("nodes", cluster.nodes)
+                .arg("failed", false);
+            match opts.pred.and_then(|p| p.by_root(stage)) {
+                Some(s) => span
+                    .arg("pred_run_s", s.run_cost)
+                    .arg("pred_mat_s", s.mat_cost)
+                    .arg("pred_rec_s", s.recovery_cost)
+                    .arg("pred_cost_s", s.ft_cost)
+                    .arg("dominant", s.on_dominant_path),
+                None => span,
+            }
+        });
         completion[id.index()] = op_end;
         query_end = query_end.max(op_end);
     }
@@ -321,7 +329,6 @@ fn simulate_coarse_restart(
     cluster: &ClusterConfig,
     trace: &FailureTrace,
     opts: &SimOptions,
-    log: &mut SimLog,
 ) -> SimResult {
     // One attempt takes the failure-free makespan under the scheme's
     // (empty) configuration; any failure anywhere in the cluster during an
@@ -355,7 +362,8 @@ fn simulate_coarse_restart(
             recovery_seconds += (all[idx] - t) + cluster.mttr;
             t = all[idx] + cluster.mttr;
             idx += 1;
-            log.push(SimEvent::QueryRestarted { attempt: restarts, at: t });
+            // The failure that reaches the limit is the abort, recorded as
+            // the run's terminal event rather than as a restart.
             if restarts >= opts.max_restarts {
                 return SimResult {
                     completion: t,
@@ -366,6 +374,9 @@ fn simulate_coarse_restart(
                     recovery_seconds,
                 };
             }
+            opts.rec.record_with(|| {
+                Event::instant("query_restart", "sim", sim_us(t)).arg("attempt", restarts)
+            });
         } else {
             return SimResult {
                 completion: end,
@@ -634,72 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn event_log_records_the_timeline() {
-        use crate::event::{SimEvent, SimLog};
-        let plan = chain_plan();
-        let c = cluster(2, 1e9, 0.5);
-        let all = MatConfig::all(&plan);
-        let trace = FailureTrace::from_times(vec![vec![1.0], vec![]], 1e9);
-        let mut log = SimLog::collecting();
-        let r = simulate_logged(
-            &plan,
-            &all,
-            Recovery::FineGrained,
-            &c,
-            &trace,
-            &SimOptions::default(),
-            &mut log,
-        );
-        let events = log.events();
-        // 3 stages × (start + complete) + 1 failure + query completion.
-        assert_eq!(events.len(), 8);
-        assert!(matches!(events[0], SimEvent::StageStarted { at, .. } if at == 0.0));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, SimEvent::NodeFailed { node: 0, at, .. } if *at == 1.0)));
-        assert!(
-            matches!(events.last().unwrap(), SimEvent::QueryCompleted { at } if *at == r.completion)
-        );
-        // Timestamps are plausible: every stage completion follows its start.
-        let mut started = std::collections::HashMap::new();
-        for e in events {
-            match *e {
-                SimEvent::StageStarted { stage, at } => {
-                    started.insert(stage, at);
-                }
-                SimEvent::StageCompleted { stage, at } => {
-                    assert!(at >= started[&stage]);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    #[test]
-    fn event_log_records_coarse_restarts() {
-        use crate::event::{SimEvent, SimLog};
-        let plan = chain_plan();
-        let c = cluster(1, 1e9, 1.0);
-        let none = MatConfig::none(&plan);
-        let trace = FailureTrace::from_times(vec![vec![5.0]], 1e9);
-        let mut log = SimLog::collecting();
-        simulate_logged(
-            &plan,
-            &none,
-            Recovery::CoarseRestart,
-            &c,
-            &trace,
-            &SimOptions::default(),
-            &mut log,
-        );
-        assert!(log
-            .events()
-            .iter()
-            .any(|e| matches!(e, SimEvent::QueryRestarted { attempt: 1, at } if *at == 6.0)));
-        assert!(!log.render().is_empty());
-    }
-
-    #[test]
     fn recovery_time_is_lost_work_plus_repair() {
         let plan = chain_plan();
         let c = cluster(2, 1e9, 0.5);
@@ -752,53 +697,95 @@ mod tests {
     }
 
     #[test]
-    fn traced_simulation_mirrors_the_timeline_into_a_recorder() {
-        use ftpde_obs::{ArgValue, MemoryRecorder, NoopRecorder, Phase};
+    fn the_timeline_is_recorded_in_the_engine_vocabulary() {
+        use ftpde_obs::{ArgValue, MemoryRecorder};
 
         let plan = chain_plan();
         let c = cluster(2, 1e9, 0.5);
-        let all = MatConfig::all(&plan);
+        // Only the join materializes: stages {scan, join} and {agg}, whose
+        // roots are operators 1 and 2 while their collapsed ids are 0 and 1.
+        let cfg = MatConfig::from_materialized_free_ops(&plan, &[OpId(1)]).unwrap();
         let trace = FailureTrace::from_times(vec![vec![1.0], vec![]], 1e9);
         let rec = MemoryRecorder::new();
-        let r = simulate_traced(
-            &plan,
-            &all,
-            Recovery::FineGrained,
-            &c,
-            &trace,
-            &SimOptions::default(),
-            None,
-            &rec,
-        );
+        let opts = SimOptions { rec: &rec, ..Default::default() };
+        let r = simulate(&plan, &cfg, Recovery::FineGrained, &c, &trace, &opts);
         let events = rec.events();
-        // 3 stage spans + 1 failure instant + query completion instant.
-        assert_eq!(events.len(), 5);
-        let spans: Vec<_> = events.iter().filter(|e| e.phase == Phase::Span).collect();
-        assert_eq!(spans.len(), 3);
-        // Simulated timestamps in µs: the scan stage span covers 0..4.5 s.
-        assert_eq!(spans[0].ts_us, 0);
-        assert_eq!(spans[0].dur_us, 4_500_000);
-        let failure = events.iter().find(|e| e.name == "node_failure").unwrap();
-        assert_eq!(failure.ts_us, 1_000_000);
+        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        // The failure precedes its stage's span; stages are named by root.
+        assert_eq!(names, ["node_failure", "stage 1", "stage 2", "query_completed"]);
+        let span = &events[1];
+        // Simulated timestamps in µs: 6 s of work, 1 s lost, 0.5 s repair.
+        assert_eq!((span.ts_us, span.dur_us, span.tid), (0, 7_500_000, 0));
+        assert_eq!(span.get_arg("stage"), Some(&ArgValue::U64(1)));
+        assert_eq!(span.get_arg("nodes"), Some(&ArgValue::U64(2)));
+        assert_eq!(span.get_arg("failed"), Some(&ArgValue::Bool(false)));
+        let failure = &events[0];
+        assert_eq!((failure.ts_us, failure.tid), (1_000_000, 1), "node 0 records on track 1");
+        assert_eq!(failure.get_arg("stage"), Some(&ArgValue::U64(1)));
+        assert_eq!(failure.get_arg("attempt"), Some(&ArgValue::U64(0)));
+        assert_eq!(failure.get_arg("resumes_at_s"), Some(&ArgValue::F64(1.5)));
         assert_eq!(failure.get_arg("lost_s"), Some(&ArgValue::F64(1.0)));
-        let done = events.iter().find(|e| e.name == "query_completed").unwrap();
+        let done = events.last().unwrap();
         assert_eq!(done.ts_us, (r.completion * 1e6).round() as u64);
-        // A disabled recorder costs nothing and changes nothing.
-        let r2 = simulate_traced(
-            &plan,
-            &all,
-            Recovery::FineGrained,
-            &c,
-            &trace,
-            &SimOptions::default(),
-            None,
-            &NoopRecorder,
-        );
+        assert_eq!(done.get_arg("node_retries"), Some(&ArgValue::U64(1)));
+        // The default recorder changes nothing.
+        let r2 = simulate(&plan, &cfg, Recovery::FineGrained, &c, &trace, &SimOptions::default());
         assert_eq!(r, r2);
     }
 
     #[test]
-    fn traced_simulation_with_predictions_calibrates_to_zero_error() {
+    fn a_coarse_abort_is_recorded_once_as_the_terminal() {
+        use ftpde_obs::{ArgValue, MemoryRecorder};
+
+        let plan = chain_plan();
+        let c = cluster(1, 1e9, 1.0);
+        let none = MatConfig::none(&plan);
+        // Failures at 5 and 11 kill both 6 s attempts; the limit is two.
+        let trace = FailureTrace::from_times(vec![vec![5.0, 11.0]], 1e9);
+        let rec = MemoryRecorder::new();
+        let opts = SimOptions { max_restarts: 2, rec: &rec, ..Default::default() };
+        let r = simulate(&plan, &none, Recovery::CoarseRestart, &c, &trace, &opts);
+        assert!(r.aborted);
+        assert_eq!(r.restarts, 2);
+        let events = rec.events();
+        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["query_restart", "query_aborted"]);
+        assert_eq!(events[0].ts_us, 6_000_000, "restart after the repair");
+        assert_eq!(events[0].get_arg("attempt"), Some(&ArgValue::U64(1)));
+        assert_eq!(events[1].ts_us, 12_000_000);
+        assert_eq!(events[1].get_arg("restarts"), Some(&ArgValue::U64(2)));
+    }
+
+    #[test]
+    fn failure_instants_account_for_the_recovery_time() {
+        use ftpde_obs::{ArgValue, MemoryRecorder};
+
+        let plan = chain_plan();
+        let c = cluster(1, 1e9, 0.5);
+        let all = MatConfig::all(&plan);
+        // Stage 0 (scan, 0..3) fails at 1.0; stage 1 (join, starts after
+        // scan) fails once more later.
+        let trace = FailureTrace::from_times(vec![vec![1.0, 5.0]], 1e9);
+        let rec = MemoryRecorder::new();
+        let opts = SimOptions { rec: &rec, ..Default::default() };
+        let r = simulate(&plan, &all, Recovery::FineGrained, &c, &trace, &opts);
+        let f64_arg = |e: &Event, k| match e.get_arg(k) {
+            Some(ArgValue::F64(v)) => *v,
+            other => panic!("{k}: {other:?}"),
+        };
+        let failures: Vec<_> =
+            rec.take().into_iter().filter(|e| e.name == "node_failure").collect();
+        let stages: Vec<_> = failures.iter().map(|e| e.get_arg("stage").cloned()).collect();
+        assert_eq!(stages, [Some(ArgValue::U64(0)), Some(ArgValue::U64(1))]);
+        let total: f64 = failures
+            .iter()
+            .map(|e| f64_arg(e, "resumes_at_s") - e.ts_us as f64 / 1e6 + f64_arg(e, "lost_s"))
+            .sum();
+        assert!((total - r.recovery_seconds).abs() < 1e-9);
+    }
+
+    #[test]
+    fn predictions_tag_the_trace_and_calibrate_to_zero_error() {
         use ftpde_core::cost::{estimate_ft_plan, CostParams};
         use ftpde_obs::{CalibrationReport, MemoryRecorder};
 
@@ -811,17 +798,11 @@ mod tests {
         let params = CostParams::new(1e12, 0.5); // attempts ≈ 0
         let breakdown = estimate_ft_plan(&plan, &all, &params).breakdown(&params);
         let rec = MemoryRecorder::new();
-        simulate_traced(
-            &plan,
-            &all,
-            Recovery::FineGrained,
-            &c,
-            &no_failures(&c),
-            &SimOptions::default(),
-            Some(&breakdown),
-            &rec,
-        );
-        let report = CalibrationReport::from_events(&rec.events());
+        let opts = SimOptions { rec: &rec, pred: Some(&breakdown), ..Default::default() };
+        simulate(&plan, &all, Recovery::FineGrained, &c, &no_failures(&c), &opts);
+        let events = rec.events();
+        assert_eq!(events[0].name, "plan_estimate", "the estimate opens the trace");
+        let report = CalibrationReport::from_events(&events);
         assert_eq!(report.stages.len(), 3);
         for s in &report.stages {
             assert!(
@@ -835,33 +816,6 @@ mod tests {
         assert_eq!(report.queries.len(), 1);
         assert!(report.queries[0].rel_error.unwrap().abs() < 1e-6);
         assert!(report.stages.iter().all(|s| s.dominant), "a chain has one path");
-    }
-
-    #[test]
-    fn recovery_by_stage_attributes_failures() {
-        use ftpde_core::collapse::CId;
-
-        let plan = chain_plan();
-        let c = cluster(1, 1e9, 0.5);
-        let all = MatConfig::all(&plan);
-        // Stage 0 (scan, 0..3) fails at 1.0; stage 1 (join, starts after
-        // scan) fails once more later.
-        let trace = FailureTrace::from_times(vec![vec![1.0, 5.0]], 1e9);
-        let mut log = SimLog::collecting();
-        let r = simulate_logged(
-            &plan,
-            &all,
-            Recovery::FineGrained,
-            &c,
-            &trace,
-            &SimOptions::default(),
-            &mut log,
-        );
-        let by_stage = log.recovery_by_stage();
-        assert_eq!(by_stage.len(), 2);
-        assert_eq!(by_stage[0].0, CId(0));
-        let total: f64 = by_stage.iter().map(|(_, s)| s).sum();
-        assert!((total - r.recovery_seconds).abs() < 1e-9);
     }
 
     #[test]

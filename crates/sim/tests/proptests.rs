@@ -7,6 +7,7 @@ use ftpde_cluster::trace::FailureTrace;
 use ftpde_core::config::MatConfig;
 use ftpde_core::dag::PlanDag;
 use ftpde_core::operator::OpId;
+use ftpde_obs::MemoryRecorder;
 use ftpde_sim::scheme::Recovery;
 use ftpde_sim::simulate::{baseline_runtime, failure_free_makespan, simulate, SimOptions};
 
@@ -71,6 +72,37 @@ proptest! {
             prop_assert_eq!(r.node_retries, 0);
             prop_assert_eq!(r.restarts, 0);
             prop_assert!(!r.aborted);
+        }
+    }
+
+    /// The result is a fold of the recorded trace: one `node_failure` per
+    /// node retry, one `query_restart` or terminal `query_aborted` per
+    /// coarse restart, and a last event stamped at the completion time.
+    /// Recording changes nothing.
+    #[test]
+    fn the_result_is_a_fold_of_the_trace(
+        plan in arb_chain(),
+        mask in any::<u64>(),
+        trace in arb_trace(3, 300.0),
+        mttr in 0.0f64..10.0,
+        max_restarts in 1u32..6,
+    ) {
+        let cluster = ClusterConfig::new(3, 1000.0, mttr);
+        let n = plan.free_count();
+        let cfg = MatConfig::from_free_bits(&plan, mask & ((1u64 << n) - 1));
+        let rec = MemoryRecorder::new();
+        let traced = SimOptions { max_restarts, rec: &rec, ..Default::default() };
+        let untraced = SimOptions { max_restarts, ..Default::default() };
+        for recovery in [Recovery::FineGrained, Recovery::CoarseRestart] {
+            let r = simulate(&plan, &cfg, recovery, &cluster, &trace, &traced);
+            let events = rec.take();
+            let count = |name: &str| events.iter().filter(|e| e.name == name).count();
+            prop_assert_eq!(r.node_retries, count("node_failure") as u64);
+            prop_assert_eq!(r.restarts as usize, count("query_restart") + count("query_aborted"));
+            let last = events.last().expect("every run records its terminal event");
+            prop_assert_eq!(last.name == "query_aborted", r.aborted, "{:?}", recovery);
+            prop_assert_eq!(last.ts_us, (r.completion * 1e6).round() as u64);
+            prop_assert_eq!(simulate(&plan, &cfg, recovery, &cluster, &trace, &untraced), r);
         }
     }
 

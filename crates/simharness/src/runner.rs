@@ -272,7 +272,7 @@ pub fn run_case(case: &SimCase) -> CaseOutcome {
         Ok(run) => {
             // Oracle 4: trace conformance (FT1xx).
             let pipe_const = case.workload.cost_params().pipe_const;
-            let stage_plan = StagePlan::engine_ids(&dag, &config, pipe_const);
+            let stage_plan = StagePlan::new(&dag, &config, pipe_const);
             let conformance =
                 check_trace(&subject, &faulted.events, Some(&stage_plan), &CheckOptions::default());
             for d in conformance.diagnostics {

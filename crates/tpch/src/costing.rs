@@ -16,26 +16,9 @@
 //! cardinality model changes, they fail and the constants in
 //! [`CostModel::xdb_calibrated`] must be re-derived.
 
-use ftpde_core::config::MatConfig;
 use ftpde_core::dag::PlanDag;
 
 pub use ftpde_optimizer::physical::CostModel;
-
-/// Failure-free runtime of `plan` with no extra materializations: the
-/// critical path over `tr(o)` (collapsed with `CONST_pipe = 1`). This is
-/// the baseline of every overhead the paper reports.
-pub fn baseline_runtime(plan: &PlanDag) -> f64 {
-    use ftpde_core::collapse::CollapsedPlan;
-    let pc = CollapsedPlan::collapse(plan, &MatConfig::none(plan), 1.0);
-    let mut completion = vec![0.0f64; pc.len()];
-    let mut makespan = 0.0f64;
-    for id in pc.op_ids() {
-        let start = pc.inputs(id).iter().map(|i| completion[i.index()]).fold(0.0f64, f64::max);
-        completion[id.index()] = start + pc.op(id).total_cost();
-        makespan = makespan.max(completion[id.index()]);
-    }
-    makespan
-}
 
 /// Total materialization cost of all *free* operators of `plan` — the
 /// extra time the all-mat scheme pays on top of the baseline when all
@@ -49,11 +32,12 @@ pub fn free_materialization_cost(plan: &PlanDag) -> f64 {
 mod tests {
     use super::*;
     use crate::queries::{q5_plan, Query};
+    use ftpde_sim::simulate::baseline_runtime;
 
     #[test]
     fn anchor1_q5_sf100_baseline_is_about_905s() {
         let plan = q5_plan(100.0, &CostModel::xdb_calibrated());
-        let baseline = baseline_runtime(&plan);
+        let baseline = baseline_runtime(&plan, 1.0);
         assert!(
             (baseline - 905.33).abs() < 905.33 * 0.1,
             "Q5@SF100 baseline = {baseline:.1}s, paper reports 905.33s"
@@ -63,7 +47,7 @@ mod tests {
     #[test]
     fn anchor2_q5_materialization_share_is_about_34pct() {
         let plan = q5_plan(100.0, &CostModel::xdb_calibrated());
-        let share = free_materialization_cost(&plan) / baseline_runtime(&plan);
+        let share = free_materialization_cost(&plan) / baseline_runtime(&plan, 1.0);
         assert!(
             (share - 0.3413).abs() < 0.08,
             "Q5 all-mat materialization share = {:.1}%, paper reports 34.13%",
@@ -76,7 +60,7 @@ mod tests {
         // §5.2: Q1C/Q2C have much higher materialization costs under
         // all-mat — "approx. 60 − 100% of the runtime costs".
         let plan = Query::Q1C.plan(100.0, &CostModel::xdb_calibrated());
-        let share = free_materialization_cost(&plan) / baseline_runtime(&plan);
+        let share = free_materialization_cost(&plan) / baseline_runtime(&plan, 1.0);
         assert!((0.5..=1.3).contains(&share), "Q1C materialization share = {:.1}%", share * 100.0);
     }
 
@@ -84,9 +68,9 @@ mod tests {
     fn baseline_runtimes_are_ordered_sensibly() {
         let cm = CostModel::xdb_calibrated();
         let sf = 100.0;
-        let q1 = baseline_runtime(&Query::Q1.plan(sf, &cm));
-        let q3 = baseline_runtime(&Query::Q3.plan(sf, &cm));
-        let q5 = baseline_runtime(&Query::Q5.plan(sf, &cm));
+        let q1 = baseline_runtime(&Query::Q1.plan(sf, &cm), 1.0);
+        let q3 = baseline_runtime(&Query::Q3.plan(sf, &cm), 1.0);
+        let q5 = baseline_runtime(&Query::Q5.plan(sf, &cm), 1.0);
         // All in the minutes range on 10 nodes at SF 100.
         for (name, t) in [("Q1", q1), ("Q3", q3), ("Q5", q5)] {
             assert!((60.0..7200.0).contains(&t), "{name} baseline = {t:.0}s");
@@ -98,8 +82,8 @@ mod tests {
     #[test]
     fn baseline_scales_linearly_in_sf() {
         let cm = CostModel::xdb_calibrated();
-        let b1 = baseline_runtime(&q5_plan(1.0, &cm));
-        let b100 = baseline_runtime(&q5_plan(100.0, &cm));
+        let b1 = baseline_runtime(&q5_plan(1.0, &cm), 1.0);
+        let b100 = baseline_runtime(&q5_plan(100.0, &cm), 1.0);
         let ratio = b100 / b1;
         assert!((90.0..110.0).contains(&ratio), "ratio = {ratio}");
     }

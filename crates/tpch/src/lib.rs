@@ -8,12 +8,13 @@
 //! for the in-process execution engine.
 //!
 //! ```
+//! use ftpde_sim::simulate::baseline_runtime;
 //! use ftpde_tpch::prelude::*;
 //!
 //! let cm = CostModel::xdb_calibrated();
 //! let plan = Query::Q5.plan(100.0, &cm);
 //! assert_eq!(plan.free_count(), 5); // Figure 9's free operators 1–5
-//! let secs = baseline_runtime(&plan);
+//! let secs = baseline_runtime(&plan, 1.0);
 //! assert!((800.0..1000.0).contains(&secs)); // the paper's ≈ 905 s anchor
 //! ```
 
@@ -26,7 +27,7 @@ pub mod schema;
 
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
-    pub use crate::costing::{baseline_runtime, free_materialization_cost, CostModel};
+    pub use crate::costing::{free_materialization_cost, CostModel};
     pub use crate::datagen::Database;
     pub use crate::partitioning::{join_is_local, paper_layout, storage_factor, Partitioning};
     pub use crate::queries::{

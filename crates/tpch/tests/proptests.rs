@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use ftpde_optimizer::physical::CostModel;
-use ftpde_tpch::costing::baseline_runtime;
+use ftpde_sim::simulate::baseline_runtime;
 use ftpde_tpch::datagen::Database;
 use ftpde_tpch::queries::{q5_join_graph, Query};
 use ftpde_tpch::schema::Table;
@@ -48,8 +48,8 @@ proptest! {
     fn baselines_scale_linearly(sf in 1.0f64..200.0) {
         let cm = CostModel::xdb_calibrated();
         for q in Query::ALL {
-            let b1 = baseline_runtime(&q.plan(sf, &cm));
-            let b2 = baseline_runtime(&q.plan(2.0 * sf, &cm));
+            let b1 = baseline_runtime(&q.plan(sf, &cm), 1.0);
+            let b2 = baseline_runtime(&q.plan(2.0 * sf, &cm), 1.0);
             let ratio = b2 / b1;
             prop_assert!((1.8..2.2).contains(&ratio), "{q}: ratio {ratio}");
         }

@@ -34,20 +34,11 @@ fn main() {
     );
 
     // --- 2. the simulator replays it against a real failure trace -------
-    let opts = SimOptions::default();
+    let sim_rec = MemoryRecorder::new();
+    let opts = SimOptions { rec: &sim_rec, pred: Some(&breakdown), ..Default::default() };
     let horizon = suggested_horizon(&plan, &cluster, &opts);
     let trace = FailureTrace::generate(&cluster, horizon, 7);
-    let sim_rec = MemoryRecorder::new();
-    let r = simulate_traced(
-        &plan,
-        &best.config,
-        Recovery::FineGrained,
-        &cluster,
-        &trace,
-        &opts,
-        Some(&breakdown),
-        &sim_rec,
-    );
+    let r = simulate(&plan, &best.config, Recovery::FineGrained, &cluster, &trace, &opts);
     println!(
         "simulated: completed {:.1} s ({} node retries, {:.1} s in recovery)",
         r.completion, r.node_retries, r.recovery_seconds

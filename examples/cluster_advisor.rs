@@ -16,7 +16,7 @@ use ftpde::tpch::prelude::*;
 fn main() {
     let cost_model = CostModel::xdb_calibrated();
     let plan = Query::Q5.plan(100.0, &cost_model);
-    let baseline = ftpde::tpch::costing::baseline_runtime(&plan);
+    let baseline = baseline_runtime(&plan, 1.0);
     println!(
         "query: TPC-H Q5 @ SF 100 — baseline {:.0} s ({:.1} min)\n",
         baseline,

@@ -52,7 +52,7 @@ fn engine_fine() -> Traced {
     let plan = q3_engine_plan();
     let dag = plan.to_plan_dag();
     let config = MatConfig::all(&dag);
-    let sp = StagePlan::engine_ids(&dag, &config, 1.0);
+    let sp = StagePlan::new(&dag, &config, 1.0);
     let roots: Vec<u32> = sp.stages().iter().map(|s| s.id as u32).collect();
     let injector = FailureInjector::random_first_attempts(&roots, NODES, 0.5, 11);
     let rec = MemoryRecorder::new();
@@ -67,7 +67,7 @@ fn engine_coarse() -> Traced {
     let plan = q1_engine_plan();
     let dag = plan.to_plan_dag();
     let config = MatConfig::none(&dag);
-    let sp = StagePlan::engine_ids(&dag, &config, 1.0);
+    let sp = StagePlan::new(&dag, &config, 1.0);
     let first = sp.stages()[0].id as u32;
     let injector = FailureInjector::with([Injection { stage: first, node: 0, attempt: 0 }]);
     let rec = MemoryRecorder::new();
@@ -91,7 +91,7 @@ fn engine_resume_corrupt() -> Traced {
     let plan = q3_engine_plan();
     let dag = plan.to_plan_dag();
     let config = MatConfig::all(&dag);
-    let sp = StagePlan::engine_ids(&dag, &config, 1.0);
+    let sp = StagePlan::new(&dag, &config, 1.0);
     let catalog = catalog();
     let dir = std::env::temp_dir().join(format!("ftpde-conformance-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -120,13 +120,13 @@ fn engine_resume_corrupt() -> Traced {
 fn sim_baseline(scheme: Scheme, file: &'static str) -> Traced {
     let cluster = ClusterConfig::new(10, 600.0, 1.0);
     let plan = Query::Q1.plan(1.0, &CostModel::xdb_calibrated());
-    let opts = SimOptions::default();
+    let rec = MemoryRecorder::new();
+    let opts = SimOptions { rec: &rec, ..Default::default() };
     let horizon = suggested_horizon(&plan, &cluster, &opts);
     let failures = FailureTrace::generate(&cluster, horizon, 7);
     let config = scheme.select_config(&plan, &cluster).expect("Q1 plan is valid");
-    let rec = MemoryRecorder::new();
-    simulate_traced(&plan, &config, scheme.recovery(), &cluster, &failures, &opts, None, &rec);
-    let sp = StagePlan::sim_ids(&plan, &config, opts.pipe_const);
+    simulate(&plan, &config, scheme.recovery(), &cluster, &failures, &opts);
+    let sp = StagePlan::new(&plan, &config, opts.pipe_const);
     Traced { file, events: rec.events(), stage_plan: sp }
 }
 

@@ -1,8 +1,8 @@
 //! Watch a query live through failures: simulate TPC-H Q5 on an
-//! unreliable cluster with the cost-based configuration and print the full
-//! recovery timeline — stage starts, node failures, redeployments and
-//! completions — for both a fine-grained and a restart-based run on the
-//! *same* failure trace.
+//! unreliable cluster with the cost-based configuration and print the
+//! recorded timeline as JSONL — node failures, stage spans, restarts and
+//! the terminal event — for both a fine-grained and a restart-based run on
+//! the *same* failure trace.
 //!
 //! ```text
 //! cargo run --example failure_timeline
@@ -10,6 +10,7 @@
 
 use ftpde::cluster::prelude::*;
 use ftpde::core::prelude::*;
+use ftpde::obs::{export, MemoryRecorder};
 use ftpde::sim::prelude::*;
 use ftpde::tpch::prelude::*;
 
@@ -17,12 +18,13 @@ fn main() {
     let cost_model = CostModel::xdb_calibrated();
     let plan = Query::Q5.plan(100.0, &cost_model);
     let cluster = ClusterConfig::paper_cluster(mtbf::HOUR / 2.0); // 30-minute MTBF
-    let opts = SimOptions::default();
+    let rec = MemoryRecorder::new();
+    let opts = SimOptions { rec: &rec, ..Default::default() };
     let horizon = suggested_horizon(&plan, &cluster, &opts);
     let trace = FailureTrace::generate(&cluster, horizon, 2026);
     println!(
         "Q5 @ SF 100 (baseline {:.0} s) on 10 nodes with MTBF = 30 min/node",
-        ftpde::tpch::costing::baseline_runtime(&plan)
+        baseline_runtime(&plan, 1.0)
     );
     println!("failure trace #{}: {} failures within the horizon\n", 2026, trace.total_failures());
 
@@ -36,19 +38,15 @@ fn main() {
     );
 
     println!("--- fine-grained recovery (cost-based config) ---");
-    let mut log = SimLog::collecting();
-    let r =
-        simulate_logged(&plan, &config, Recovery::FineGrained, &cluster, &trace, &opts, &mut log);
-    print!("{}", log.render());
+    let r = simulate(&plan, &config, Recovery::FineGrained, &cluster, &trace, &opts);
+    print!("{}", export::to_jsonl(&rec.take()));
     println!("=> completed in {:.0} s after {} node-level retries\n", r.completion, r.node_retries);
 
     println!("--- coarse restart (no-mat), same trace ---");
     let none = MatConfig::none(&plan);
-    let mut log = SimLog::collecting();
-    let r2 =
-        simulate_logged(&plan, &none, Recovery::CoarseRestart, &cluster, &trace, &opts, &mut log);
+    let r2 = simulate(&plan, &none, Recovery::CoarseRestart, &cluster, &trace, &opts);
     // The restart log can be long; show the first and last few events.
-    let rendered = log.render();
+    let rendered = export::to_jsonl(&rec.take());
     let lines: Vec<&str> = rendered.lines().collect();
     if lines.len() > 14 {
         for l in &lines[..7] {

@@ -28,7 +28,7 @@ fn main() {
     );
     for (i, (label, sf)) in workload.into_iter().enumerate() {
         let plan = q5_plan(sf, &cost_model);
-        let baseline = ftpde::tpch::costing::baseline_runtime(&plan);
+        let baseline = baseline_runtime(&plan, 1.0);
         let horizon = suggested_horizon(&plan, &cluster, &SimOptions::default());
         let traces = TraceSet::generate(&cluster, horizon, 10, 7 + i as u64);
         let runs = run_all_schemes(&plan, &cluster, &traces, &SimOptions::default()).unwrap();

@@ -38,23 +38,14 @@ fn main() {
     );
 
     // --- layer 2: the simulator, traced ---------------------------------
-    let opts = SimOptions::default();
-    let horizon = suggested_horizon(&plan, &cluster, &opts);
-    let trace = FailureTrace::generate(&cluster, horizon, 2026);
     let sim_rec = MemoryRecorder::new();
     // Tag the trace with the cost model's own per-stage predictions so it
     // can be calibrated offline (`ftpde obs --trace ... --format calibration`).
     let breakdown = estimate_ft_plan(&plan, &best.config, &params).breakdown(&params);
-    let r = simulate_traced(
-        &plan,
-        &best.config,
-        Recovery::FineGrained,
-        &cluster,
-        &trace,
-        &opts,
-        Some(&breakdown),
-        &sim_rec,
-    );
+    let opts = SimOptions { rec: &sim_rec, pred: Some(&breakdown), ..Default::default() };
+    let horizon = suggested_horizon(&plan, &cluster, &opts);
+    let trace = FailureTrace::generate(&cluster, horizon, 2026);
+    let r = simulate(&plan, &best.config, Recovery::FineGrained, &cluster, &trace, &opts);
     println!(
         "simulated Q5: completed {:.0} s, {} node retries, {:.0} s spent in recovery \
          ({} timeline events recorded)\n",

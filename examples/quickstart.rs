@@ -18,7 +18,7 @@ fn main() {
     println!("Q5 @ SF 100: {} operators, {} free", plan.len(), plan.free_count());
     println!(
         "baseline runtime (no failures, no checkpoints): {:.0} s\n",
-        ftpde::tpch::costing::baseline_runtime(&plan)
+        baseline_runtime(&plan, 1.0)
     );
 
     // 2. Describe the cluster: 10 nodes, each failing on average once an

@@ -226,7 +226,7 @@ fn cmd_plan(flags: &HashMap<String, String>) -> CliResult<()> {
     );
     println!(
         "baseline {:.1}s | estimated under failures {:.1}s\n",
-        ftpde::tpch::costing::baseline_runtime(&plan),
+        baseline_runtime(&plan, 1.0),
         best.estimate.dominant_cost
     );
     print!("{}", explain_plan(&plan, &best.config));
@@ -256,7 +256,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> CliResult<()> {
     let opts = SimOptions::default();
     let horizon = suggested_horizon(&plan, &cluster, &opts);
     let traces = TraceSet::generate(&cluster, horizon, traces_n, seed);
-    let baseline = ftpde::tpch::costing::baseline_runtime(&plan);
+    let baseline = baseline_runtime(&plan, opts.pipe_const);
     println!(
         "{query} @ SF {sf}: baseline {:.1}s, {} traces, MTBF {:.0}s/node\n",
         baseline, traces_n, cluster.mtbf
@@ -675,19 +675,14 @@ fn cmd_check(flags: &HashMap<String, String>) -> CliResult<()> {
         let cluster = get_cluster(&cluster_flags)?;
         let pipe_const = Scheme::cost_params(&cluster).pipe_const;
         let spec = flags.get("config").map_or("best", String::as_str);
-        let is_engine = events.iter().any(|e| e.cat == "engine");
-        let plan = if is_engine {
+        let plan = if events.iter().any(|e| e.cat == "engine") {
             engine_plan_dag(query)
         } else {
             let sf = get_f64(flags, "sf", Some(100.0))?;
             query.plan(sf, &CostModel::xdb_calibrated())
         };
         let config = get_mat_config(spec, &plan, &cluster)?;
-        Some(if is_engine {
-            StagePlan::engine_ids(&plan, &config, pipe_const)
-        } else {
-            StagePlan::sim_ids(&plan, &config, pipe_const)
-        })
+        Some(StagePlan::new(&plan, &config, pipe_const))
     } else {
         None
     };
@@ -1235,7 +1230,7 @@ mod tests {
         "consumers": [[], []]
     }"#;
 
-    /// A small prediction-tagged trace, as `simulate_traced` would emit.
+    /// A small prediction-tagged simulator trace.
     fn calibratable_events() -> Vec<obs::Event> {
         vec![
             obs::Event::instant("plan_estimate", "sim", 0)
@@ -1375,11 +1370,11 @@ mod tests {
         let plan = Query::Q1.plan(1.0, &cm);
         let cluster = ClusterConfig::new(10, 600.0, 1.0);
         let config = get_mat_config("best", &plan, &cluster).unwrap();
-        let opts = SimOptions::default();
+        let rec = obs::MemoryRecorder::new();
+        let opts = SimOptions { rec: &rec, ..Default::default() };
         let horizon = suggested_horizon(&plan, &cluster, &opts);
         let trace = FailureTrace::generate(&cluster, horizon, 7);
-        let rec = obs::MemoryRecorder::new();
-        simulate_traced(&plan, &config, Recovery::FineGrained, &cluster, &trace, &opts, None, &rec);
+        simulate(&plan, &config, Recovery::FineGrained, &cluster, &trace, &opts);
         let clean = dir.join("clean.jsonl");
         obs::export::write_file(&clean, &obs::export::to_jsonl(&rec.events())).unwrap();
         let p = clean.to_string_lossy().to_string();

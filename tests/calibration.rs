@@ -26,16 +26,8 @@ fn calibration_error_is_zero_on_the_models_own_parameters() {
     let cluster = ClusterConfig::new(10, 1e12, 1.0);
     let trace = FailureTrace::failure_free(&cluster, 1e9);
     let rec = MemoryRecorder::new();
-    let r = simulate_traced(
-        &plan,
-        &best.config,
-        Recovery::FineGrained,
-        &cluster,
-        &trace,
-        &SimOptions::default(),
-        Some(&breakdown),
-        &rec,
-    );
+    let opts = SimOptions { rec: &rec, pred: Some(&breakdown), ..Default::default() };
+    let r = simulate(&plan, &best.config, Recovery::FineGrained, &cluster, &trace, &opts);
 
     let report = CalibrationReport::from_events(&rec.events());
     assert_eq!(report.stages.len(), breakdown.stages.len(), "every stage joined");
@@ -76,16 +68,8 @@ fn calibration_attributes_injected_failures_to_recovery_blame() {
     let cluster = ClusterConfig::new(1, 1e12, 0.5);
     let trace = FailureTrace::from_times(vec![vec![1.0]], 1e9);
     let rec = MemoryRecorder::new();
-    simulate_traced(
-        &plan,
-        &config,
-        Recovery::FineGrained,
-        &cluster,
-        &trace,
-        &SimOptions::default(),
-        Some(&breakdown),
-        &rec,
-    );
+    let opts = SimOptions { rec: &rec, pred: Some(&breakdown), ..Default::default() };
+    simulate(&plan, &config, Recovery::FineGrained, &cluster, &trace, &opts);
 
     let report = CalibrationReport::from_events(&rec.events());
     let failed = &report.stages[0];

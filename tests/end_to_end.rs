@@ -187,7 +187,7 @@ fn full_q5_search_matches_the_recorded_values() {
 fn q1c_mid_plan_aggregation_is_chosen_as_checkpoint() {
     let cm = CostModel::xdb_calibrated();
     let plan = Query::Q1C.plan(100.0, &cm);
-    let baseline = ftpde::tpch::costing::baseline_runtime(&plan);
+    let baseline = baseline_runtime(&plan, 1.0);
     // Low MTBF: 1.1x the baseline runtime (the Figure 8a setting).
     let cluster = ClusterConfig::paper_cluster(1.1 * baseline);
     let config = Scheme::CostBased.select_config(&plan, &cluster).unwrap();

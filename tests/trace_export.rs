@@ -133,28 +133,32 @@ fn exporters_handle_an_empty_recorder() {
 }
 
 #[test]
-fn a_span_opened_but_never_closed_is_dropped_not_corrupted() {
-    use ftpde::core::collapse::CId;
-    use ftpde::sim::event::{SimEvent, SimLog};
+fn a_truncated_timeline_keeps_every_exporter_well_formed() {
+    use ftpde::analysis::prelude::{check_trace, CheckOptions, Code, Severity};
 
-    // A simulation timeline that dies mid-stage: stage 0 completes, stage 1
-    // starts but never finishes, and no query terminator is recorded.
-    let mut log = SimLog::collecting();
-    log.push(SimEvent::StageStarted { stage: CId(0), at: 0.0 });
-    log.push(SimEvent::StageCompleted { stage: CId(0), at: 1.0 });
-    log.push(SimEvent::StageStarted { stage: CId(1), at: 1.0 });
-    let events = log.to_obs_events();
+    // A simulation timeline cut off mid-run: stage 0 completed and a node
+    // failed in stage 1, but neither stage 1's span nor a query
+    // terminator was recorded.
+    let events = vec![
+        Event::span("stage 0", "sim", 0, 1_000_000)
+            .arg("stage", 0u64)
+            .arg("nodes", 2u64)
+            .arg("failed", false),
+        Event::instant("node_failure", "sim", 1_500_000)
+            .tid(1)
+            .arg("stage", 1u64)
+            .arg("node", 0u64)
+            .arg("attempt", 0u64)
+            .arg("resumes_at_s", 2.0)
+            .arg("lost_s", 0.5),
+    ];
 
-    // The unclosed stage contributes no span — only the closed one does —
-    // and every exporter stays well-formed on the truncated timeline.
-    let spans: Vec<&Event> = events.iter().filter(|e| e.phase == Phase::Span).collect();
-    assert_eq!(spans.len(), 1);
-    assert_eq!(spans[0].name, "stage 0");
-
+    // Every exporter stays well-formed on the truncated timeline.
     let parsed = export::from_jsonl(&export::to_jsonl(&events)).unwrap();
     assert_eq!(parsed, events);
     let root: Value = serde_json::from_str(&export::to_chrome_trace(&events)).unwrap();
     let trace_events = root.get("traceEvents").and_then(Value::as_array).unwrap();
+    assert_eq!(trace_events.len(), events.len());
     assert!(trace_events.iter().all(|v| v.get("ph").and_then(Value::as_str) != Some("X")
         || v.get("dur").and_then(Value::as_u64).is_some()));
 
@@ -163,6 +167,13 @@ fn a_span_opened_but_never_closed_is_dropped_not_corrupted() {
     let report = ftpde::obs::CalibrationReport::from_events(&events);
     assert!(report.queries.is_empty());
     assert!(report.stages.is_empty());
+
+    // The conformance checker names the truncation, as a warning.
+    let report = check_trace("truncated", &events, None, &CheckOptions::default());
+    assert!(report
+        .diagnostics
+        .iter()
+        .any(|d| d.code == Code::FT101 && d.severity == Severity::Warn));
 }
 
 #[test]
