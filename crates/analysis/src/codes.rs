@@ -227,12 +227,12 @@ pub const REGISTRY: &[CodeInfo] = &[
         code: Code::FT205,
         severity: Severity::Error,
         summary: "rename on the store commit path without a paired fsync",
-        explanation: "The durable store's commit discipline is write-temp → `sync_all` → \
+        explanation: "The durable store replaces a file only by write-temp → `sync_all` → \
                       rename → directory fsync: a rename that is not paired with an fsync \
-                      in the same function can commit a segment whose bytes are still in \
-                      the page cache, so a crash yields a manifest entry pointing at a torn \
-                      file. Any function in `crates/store` that renames must also \
-                      `sync_all`/`sync_data`.",
+                      in the same function can publish a file whose bytes are still in \
+                      the page cache, so a crash leaves a checkpoint log that is torn or \
+                      empty where its commits should be. Any function in `crates/store` \
+                      that renames must also `sync_all`/`sync_data`.",
     },
     CodeInfo {
         code: Code::FT207,

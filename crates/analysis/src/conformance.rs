@@ -569,8 +569,9 @@ fn check_identity(report: &mut Report, trace: &[(usize, &Event)], plan: &StagePl
             }
         }
         if e.name == "segment_corrupt" {
-            // `u32::MAX` marks a destroyed manifest (whole-directory
-            // reset), which is deliberately not a stage.
+            // `u32::MAX` marks damage that is not one segment's (a bad
+            // frame header, an unreadable log or directory), which is
+            // deliberately not a stage.
             if let Some(id) = arg_u64(e, "op") {
                 if id != u64::from(u32::MAX) {
                     check(report, id, "corrupt op", idx);

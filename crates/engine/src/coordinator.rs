@@ -186,7 +186,7 @@ pub fn run_query(
 /// fault-tolerant `store` — the paper's §2.2 recovery contract across
 /// *coordinator* restarts: a re-submitted query skips every sub-plan whose
 /// output already survived in the store and re-executes only the rest.
-/// With a [`ftpde_store::DiskBackend`] reopened from its manifest this
+/// With a [`ftpde_store::DiskBackend`] reopened from its checkpoint log this
 /// holds across a genuine process crash, not just a dropped coordinator.
 ///
 /// Stages are skipped only when **all** their partitions are present

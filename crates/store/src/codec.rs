@@ -37,9 +37,32 @@
 //! different format; carry-less-multiply folding needs `unsafe`, which
 //! the workspace denies.
 //!
+//! # The checkpoint log
+//!
+//! The disk backend stores its segments in one append-only log per store
+//! directory (see [`crate::disk`] for the protocol). The log opens with
+//! [`LOG_MAGIC`] and a `u32` LE version ([`LOG_VERSION`]), so a foreign or
+//! future file is reported rather than misparsed. Then come frames, each
+//! a fixed header followed by its image:
+//!
+//! ```text
+//! [  0..  4)  kind, u32 LE (1 segment, 2 tombstone, 3 stats)
+//! [  4..  8)  producing operator id, u32 LE
+//! [  8.. 16)  partition index, u64 LE (u64::MAX = replicated segment)
+//! [ 16.. 24)  fan-out (nodes a replicated segment serves, else 1), u64 LE
+//! [ 24.. 32)  row count, u64 LE
+//! [ 32.. 40)  image length, u64 LE (0 for tombstone and stats frames)
+//! [ 40.. 44)  CRC-32 of the segment's payload, u32 LE
+//! [ 44..132)  the store's StoreStats after this frame: nine u64 LE
+//!             counters, then write_seconds and read_seconds as f64 bits
+//! [132..136)  CRC-32 of bytes [0..132), u32 LE
+//! [136..   )  image: one segment exactly as built above
+//! ```
+//!
 //! Everything here is pure (no I/O): the disk backend, the verifier and
 //! the CLI all share these functions, and they run under Miri.
 
+use crate::stats::StoreStats;
 use crate::value::{Row, Value};
 
 /// Magic bytes opening every segment file.
@@ -73,6 +96,14 @@ pub enum CodecError {
     BadTag(u8),
     /// Decoded row count disagrees with the header.
     RowCountMismatch { declared: u64, actual: u64 },
+    /// The file does not open with the checkpoint log's magic.
+    BadLogHeader,
+    /// A log format version this build does not understand.
+    BadLogVersion(u32),
+    /// A frame header's own CRC-32 does not match its bytes.
+    FrameChecksumMismatch { expected: u32, actual: u32 },
+    /// A checksummed frame header names a kind this build does not know.
+    BadFrameKind(u32),
 }
 
 impl std::fmt::Display for CodecError {
@@ -93,6 +124,13 @@ impl std::fmt::Display for CodecError {
             CodecError::RowCountMismatch { declared, actual } => {
                 write!(f, "row count mismatch: header says {declared}, payload holds {actual}")
             }
+            CodecError::BadLogHeader => write!(f, "not a checkpoint log (bad log header)"),
+            CodecError::BadLogVersion(v) => write!(f, "unsupported checkpoint log version {v}"),
+            CodecError::FrameChecksumMismatch { expected, actual } => write!(
+                f,
+                "frame header checksum mismatch: stored {expected:#010x}, header {actual:#010x}"
+            ),
+            CodecError::BadFrameKind(k) => write!(f, "unknown frame kind {k}"),
         }
     }
 }
@@ -298,8 +336,8 @@ pub fn parse_segment(bytes: &[u8]) -> Result<(SegmentHeader, &[u8]), CodecError>
     Ok((header, payload))
 }
 
-/// Takes the next `N` bytes of a header. The caller holds all
-/// [`HEADER_LEN`] bytes, so [`CodecError::Truncated`] cannot fire here.
+/// Takes the next `N` bytes of a header. The caller holds the whole
+/// header, so [`CodecError::Truncated`] cannot fire here.
 fn take<const N: usize>(fields: &mut &[u8]) -> Result<[u8; N], CodecError> {
     let (field, rest) = fields.split_first_chunk::<N>().ok_or(CodecError::Truncated)?;
     *fields = rest;
@@ -322,6 +360,196 @@ pub fn decode_segment_rows(header: &SegmentHeader, payload: &[u8]) -> Result<Vec
         });
     }
     Ok(rows)
+}
+
+// --- the checkpoint log --------------------------------------------------
+
+/// Magic bytes opening a disk store's checkpoint log.
+pub const LOG_MAGIC: [u8; 8] = *b"FTPDLOG1";
+/// Current checkpoint log format version.
+pub const LOG_VERSION: u32 = 1;
+/// Size of the log's file header: magic and version.
+pub const LOG_HEADER_LEN: usize = 12;
+/// Size of the fixed frame header in bytes.
+pub const FRAME_HEADER_LEN: usize = 136;
+
+/// What a log frame records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameKind {
+    /// A committed segment; the frame's image holds it.
+    Segment,
+    /// Removes the slot the header names (a demoted segment). No image.
+    Tombstone,
+    /// Carries only the stats (a cleared or repaired log). No image.
+    Stats,
+}
+
+/// The parsed fixed header of a log frame.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FrameHeader {
+    /// What the frame records.
+    pub kind: FrameKind,
+    /// Producing operator id (0 for a stats frame).
+    pub op: u32,
+    /// Partition index; `None` for a replicated segment.
+    pub node: Option<usize>,
+    /// Number of nodes a replicated segment serves (1 for per-node).
+    pub nodes: usize,
+    /// Row count of the segment.
+    pub rows: u64,
+    /// Bytes of image following the header: [`HEADER_LEN`] plus the
+    /// payload for a segment, 0 otherwise.
+    pub image_len: u64,
+    /// CRC-32 of the segment's payload (as in its [`SegmentHeader`]).
+    pub payload_crc: u32,
+    /// The store's lifetime stats once this frame is committed.
+    pub stats: StoreStats,
+}
+
+impl FrameHeader {
+    /// The frame committing a segment that [`build_segment`] returned
+    /// `seg` for.
+    pub fn segment(seg: &SegmentHeader, nodes: usize, stats: StoreStats) -> Self {
+        FrameHeader {
+            kind: FrameKind::Segment,
+            op: seg.op,
+            node: seg.node,
+            nodes,
+            rows: seg.rows,
+            image_len: HEADER_LEN as u64 + seg.payload_len,
+            payload_crc: seg.crc32,
+            stats,
+        }
+    }
+
+    /// The frame removing slot `(op, node)`.
+    pub fn tombstone(op: u32, node: Option<usize>, stats: StoreStats) -> Self {
+        FrameHeader { kind: FrameKind::Tombstone, op, node, ..Self::stats(stats) }
+    }
+
+    /// A frame carrying only `stats`.
+    pub fn stats(stats: StoreStats) -> Self {
+        FrameHeader {
+            kind: FrameKind::Stats,
+            op: 0,
+            node: None,
+            nodes: 1,
+            rows: 0,
+            image_len: 0,
+            payload_crc: 0,
+            stats,
+        }
+    }
+}
+
+/// The bytes a new log starts with.
+pub fn log_header() -> [u8; LOG_HEADER_LEN] {
+    let mut out = [0; LOG_HEADER_LEN];
+    let (magic, version) = out.split_at_mut(LOG_MAGIC.len());
+    magic.copy_from_slice(&LOG_MAGIC);
+    version.copy_from_slice(&LOG_VERSION.to_le_bytes());
+    out
+}
+
+/// Checks a log's file header.
+///
+/// # Errors
+/// [`CodecError::Truncated`] when `bytes` is shorter than the header,
+/// [`CodecError::BadLogHeader`] for another magic, and
+/// [`CodecError::BadLogVersion`] for another version.
+pub fn parse_log_header(bytes: &[u8]) -> Result<(), CodecError> {
+    let (head, _) = bytes.split_first_chunk::<LOG_HEADER_LEN>().ok_or(CodecError::Truncated)?;
+    let mut fields = head.as_slice();
+    if take::<8>(&mut fields)? != LOG_MAGIC {
+        return Err(CodecError::BadLogHeader);
+    }
+    match u32::from_le_bytes(take(&mut fields)?) {
+        LOG_VERSION => Ok(()),
+        v => Err(CodecError::BadLogVersion(v)),
+    }
+}
+
+/// Encodes a frame header, its own CRC-32 last.
+pub fn encode_frame(h: &FrameHeader) -> Vec<u8> {
+    let kind: u32 = match h.kind {
+        FrameKind::Segment => 1,
+        FrameKind::Tombstone => 2,
+        FrameKind::Stats => 3,
+    };
+    let s = &h.stats;
+    let stats = [
+        s.logical_rows_written,
+        s.physical_rows_written,
+        s.logical_bytes_written,
+        s.physical_bytes_written,
+        s.rows_read,
+        s.bytes_read,
+        s.fsyncs,
+        s.segments_committed,
+        s.corrupt_segments,
+        s.write_seconds.to_bits(),
+        s.read_seconds.to_bits(),
+    ];
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN);
+    out.extend_from_slice(&kind.to_le_bytes());
+    out.extend_from_slice(&h.op.to_le_bytes());
+    out.extend_from_slice(&h.node.map_or(NODE_REPLICATED, |n| n as u64).to_le_bytes());
+    out.extend_from_slice(&(h.nodes as u64).to_le_bytes());
+    out.extend_from_slice(&h.rows.to_le_bytes());
+    out.extend_from_slice(&h.image_len.to_le_bytes());
+    out.extend_from_slice(&h.payload_crc.to_le_bytes());
+    for word in stats {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    out.extend_from_slice(&crc32(&out).to_le_bytes());
+    out
+}
+
+/// Parses a frame header from the first [`FRAME_HEADER_LEN`] bytes of
+/// `bytes`, checking its CRC first. Reads no image.
+///
+/// # Errors
+/// [`CodecError::Truncated`] when `bytes` is shorter than a header,
+/// [`CodecError::FrameChecksumMismatch`] for damaged bytes, and
+/// [`CodecError::BadFrameKind`] for a kind this build does not know.
+pub fn parse_frame(bytes: &[u8]) -> Result<FrameHeader, CodecError> {
+    let (head, _) = bytes.split_first_chunk::<FRAME_HEADER_LEN>().ok_or(CodecError::Truncated)?;
+    let (body, stored) = head.split_last_chunk::<4>().ok_or(CodecError::Truncated)?;
+    let (expected, actual) = (u32::from_le_bytes(*stored), crc32(body));
+    if expected != actual {
+        return Err(CodecError::FrameChecksumMismatch { expected, actual });
+    }
+    let mut fields = body;
+    let kind = match u32::from_le_bytes(take(&mut fields)?) {
+        1 => FrameKind::Segment,
+        2 => FrameKind::Tombstone,
+        3 => FrameKind::Stats,
+        k => return Err(CodecError::BadFrameKind(k)),
+    };
+    let op = u32::from_le_bytes(take(&mut fields)?);
+    let node = match u64::from_le_bytes(take(&mut fields)?) {
+        NODE_REPLICATED => None,
+        n => Some(n as usize),
+    };
+    let nodes = u64::from_le_bytes(take(&mut fields)?) as usize;
+    let rows = u64::from_le_bytes(take(&mut fields)?);
+    let image_len = u64::from_le_bytes(take(&mut fields)?);
+    let payload_crc = u32::from_le_bytes(take(&mut fields)?);
+    let mut word = || take::<8>(&mut fields).map(u64::from_le_bytes);
+    let stats = StoreStats {
+        logical_rows_written: word()?,
+        physical_rows_written: word()?,
+        logical_bytes_written: word()?,
+        physical_bytes_written: word()?,
+        rows_read: word()?,
+        bytes_read: word()?,
+        fsyncs: word()?,
+        segments_committed: word()?,
+        corrupt_segments: word()?,
+        write_seconds: f64::from_bits(word()?),
+        read_seconds: f64::from_bits(word()?),
+    };
+    Ok(FrameHeader { kind, op, node, nodes, rows, image_len, payload_crc, stats })
 }
 
 #[cfg(test)]
@@ -480,5 +708,83 @@ mod tests {
         let e = CodecError::ChecksumMismatch { expected: 1, actual: 2 };
         assert!(e.to_string().contains("checksum mismatch"));
         assert!(CodecError::Truncated.to_string().contains("header"));
+        let e = CodecError::FrameChecksumMismatch { expected: 1, actual: 2 };
+        assert!(e.to_string().contains("frame header checksum"));
+    }
+
+    fn sample_stats() -> StoreStats {
+        StoreStats {
+            logical_rows_written: 1,
+            physical_rows_written: 2,
+            logical_bytes_written: 3,
+            physical_bytes_written: 4,
+            rows_read: 5,
+            bytes_read: 6,
+            fsyncs: 7,
+            segments_committed: 8,
+            corrupt_segments: 9,
+            write_seconds: 0.25,
+            read_seconds: -0.0,
+        }
+    }
+
+    #[test]
+    fn frames_round_trip_every_kind() {
+        let (seg, image) = build_segment(7, None, &sample_rows());
+        let frames = [
+            FrameHeader::segment(&seg, 3, sample_stats()),
+            FrameHeader::segment(&build_segment(2, Some(5), &[]).0, 1, StoreStats::default()),
+            FrameHeader::tombstone(7, Some(1), sample_stats()),
+            FrameHeader::stats(sample_stats()),
+        ];
+        assert_eq!(frames[0].image_len, image.len() as u64);
+        for frame in frames {
+            let bytes = encode_frame(&frame);
+            assert_eq!(bytes.len(), FRAME_HEADER_LEN);
+            let back = parse_frame(&bytes).unwrap();
+            assert_eq!(back, frame);
+            assert_eq!(back.stats.read_seconds.to_bits(), frame.stats.read_seconds.to_bits());
+        }
+        assert_eq!(
+            parse_frame(&encode_frame(&frames[0])[..FRAME_HEADER_LEN - 1]),
+            Err(CodecError::Truncated)
+        );
+    }
+
+    #[test]
+    fn every_flipped_frame_header_byte_fails_its_checksum() {
+        let (seg, _) = build_segment(4, Some(0), &sample_rows());
+        let bytes = encode_frame(&FrameHeader::segment(&seg, 1, sample_stats()));
+        for at in 0..FRAME_HEADER_LEN {
+            for bit in [0x01, 0x80, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[at] ^= bit;
+                assert!(
+                    matches!(parse_frame(&bad), Err(CodecError::FrameChecksumMismatch { .. })),
+                    "byte {at}, mask {bit:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_unknown_frame_kind_with_a_valid_checksum_is_rejected() {
+        let mut bytes = encode_frame(&FrameHeader::stats(sample_stats()));
+        bytes[0] = 9;
+        let sum = crc32(&bytes[..FRAME_HEADER_LEN - 4]);
+        bytes[FRAME_HEADER_LEN - 4..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(parse_frame(&bytes), Err(CodecError::BadFrameKind(9)));
+    }
+
+    #[test]
+    fn log_header_rejects_foreign_and_future_files() {
+        let head = log_header();
+        assert_eq!(parse_log_header(&head), Ok(()));
+        assert_eq!(parse_log_header(&head[..LOG_HEADER_LEN - 1]), Err(CodecError::Truncated));
+        let (_, seg) = build_segment(1, Some(0), &sample_rows());
+        assert_eq!(parse_log_header(&seg), Err(CodecError::BadLogHeader));
+        let mut future = head;
+        future[8] = 2;
+        assert_eq!(parse_log_header(&future), Err(CodecError::BadLogVersion(2)));
     }
 }

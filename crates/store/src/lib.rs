@@ -8,17 +8,18 @@
 //!
 //! * [`MemBackend`] — the engine's historical `Mutex<HashMap>` behavior,
 //!   extracted. Fast, volatile, the semantic baseline.
-//! * [`DiskBackend`] — per-(operator, partition) segment files with
-//!   CRC-32 checksums, an atomic write-temp-then-rename commit protocol
-//!   and a JSON manifest, so a **brand-new process** can reopen the
+//! * [`DiskBackend`] — one append-only checkpoint log per directory: each
+//!   put appends a CRC-32-checked segment and its commit record as one
+//!   frame and syncs it once, so a **brand-new process** can reopen the
 //!   directory and resume a query from its committed checkpoints
 //!   ([`disk`] has the full contract).
 //!
 //! Corruption is a first-class, *recoverable* condition: a torn or
 //! bit-flipped segment is demoted to "not materialized" and reported via
-//! [`StoreBackend::drain_corruptions`] — a torn one when the directory is
-//! opened, a bit-flipped one at its first read; the engine re-executes
-//! the producing stage and emits a `segment_corrupt` observability event.
+//! [`StoreBackend::drain_corruptions`] — a torn one (or a damaged frame
+//! header) when the directory is opened, a bit-flipped one at its first
+//! read; the engine re-executes the producing stage and emits a
+//! `segment_corrupt` observability event.
 //! Backends also meter themselves ([`StoreStats`]) — the measured write
 //! throughput is the observed `tm(o)` that `ftpde-obs`'s calibration
 //! layer compares against the cost model's assumed constants.
@@ -35,21 +36,22 @@ use std::fmt;
 
 use crate::sync::plain::Arc;
 
-pub use disk::{inspect, verify, DiskBackend, Manifest, ManifestEntry, StoreReport};
+pub use disk::{inspect, verify, DiskBackend, StoreReport};
 pub use fault::{FaultStore, StoreBug};
 pub use mem::MemBackend;
 pub use stats::StoreStats;
 pub use value::{int_row, row, Row, Value};
 
 /// A segment the store found unusable (checksum mismatch, torn write,
-/// undecodable payload, unreadable manifest). To the engine this means
-/// "re-execute the producer", never "fail the query".
+/// undecodable payload, damaged or unreadable log). To the engine this
+/// means "re-execute the producer", never "fail the query".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorruptSegment {
-    /// Producing operator id (`u32::MAX` when the manifest itself was
-    /// unreadable and the whole directory was reset).
+    /// Producing operator id (`u32::MAX` when the damage is not one
+    /// segment's: a frame header that failed its CRC, or a log or
+    /// directory this build cannot read).
     pub op: u32,
-    /// Partition index; `None` for a replicated segment (or manifest).
+    /// Partition index; `None` for a replicated segment (or `op: u32::MAX`).
     pub node: Option<usize>,
     /// Human-readable diagnosis.
     pub reason: String,
@@ -67,7 +69,7 @@ pub struct CorruptSegment {
 /// * **All-or-nothing visibility**: `get` returns a slot's complete,
 ///   checksum-clean rows or `None`; partial or damaged writes never
 ///   surface as rows. `contains` and `len` report committed metadata
-///   (the disk backend's manifest), so they may count a slot whose
+///   (the disk backend's log frames), so they may count a slot whose
 ///   damage only its first `get` discovers.
 /// * **Corruption demotion**: integrity failures make the slot absent
 ///   and are reported through [`drain_corruptions`]

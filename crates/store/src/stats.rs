@@ -117,12 +117,12 @@ pub(crate) fn record_corrupt_segments(n: u64) {
     let _ = n;
 }
 
-/// Records one [`crate::DiskBackend`] reopen — manifest load, debris
-/// sweep and a length check of every committed segment (checksums wait
-/// for each slot's first `get`) — into the global registry, so cold-start
-/// recovery cost is visible on `/metrics`: `store.reopen_seconds`
-/// (histogram) and `store.segments_scanned` (counter of segments whose
-/// length was checked, kept or demoted). Loom no-op. These
+/// Records one [`crate::DiskBackend`] reopen — debris sweep, a scan of
+/// the log's frame headers and any repair (checksums wait for each slot's
+/// first `get`) — into the global registry, so cold-start recovery cost is
+/// visible on `/metrics`: `store.reopen_seconds` (histogram) and
+/// `store.segments_scanned` (counter of committed segments the scan
+/// walked, kept or torn). Loom no-op. These
 /// are resolved ad hoc rather than through [`LiveStoreMetrics`]: reopen
 /// is a once-per-process-lifetime path, not a hot one.
 pub(crate) fn record_reopen(elapsed_s: f64, segments_scanned: u64) {
@@ -137,8 +137,8 @@ pub(crate) fn record_reopen(elapsed_s: f64, segments_scanned: u64) {
 }
 
 /// Cumulative counters of one store backend (or of a store directory
-/// across process lifetimes — the disk backend persists its stats in the
-/// manifest, so throughput survives a reopen).
+/// across process lifetimes — the disk backend persists its stats in
+/// every log frame, so throughput survives a reopen).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StoreStats {
     /// Rows made visible to readers, counting each replica target.
@@ -156,11 +156,13 @@ pub struct StoreStats {
     /// Durability barriers issued (`File::sync_all` / directory fsyncs);
     /// always zero for the in-memory backend.
     pub fsyncs: u64,
-    /// Segments atomically committed to the manifest.
+    /// Segments committed (one synced log frame each, for the disk
+    /// backend).
     pub segments_committed: u64,
     /// Segments found corrupt (bad checksum, torn write, undecodable).
     pub corrupt_segments: u64,
-    /// Wall-clock seconds spent inside write paths.
+    /// Wall-clock seconds spent inside write paths; a disk put is timed
+    /// through its sync.
     pub write_seconds: f64,
     /// Wall-clock seconds spent inside read paths.
     pub read_seconds: f64,

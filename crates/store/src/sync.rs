@@ -14,7 +14,7 @@
 //!
 //! [`plain`] re-exports the primitives that are *not* part of the
 //! loom-modeled protocol (refcounts, throughput counters, the disk
-//! backend's coarse manifest lock), and [`clock`] is the crate's view of
+//! backend's coarse index-and-log lock), and [`clock`] is the crate's view of
 //! the workspace wall-clock seam — see `ftpde_obs::sync` for both
 //! stories. The `FT201` source lint (`ftpde lint --source`) and
 //! clippy's `disallowed-methods` (`crates/clippy.toml`) enforce that

@@ -83,7 +83,7 @@ fn engine_coarse() -> Traced {
 
 /// Q3, everything materialized, checkpointed to a disk store in a
 /// temporary directory. One byte of a segment the sink reads is flipped
-/// (the file keeps its length, so the reopened store keeps the slot), and
+/// (inside its image, so the reopened store keeps the slot), and
 /// the resumed run heals it: the non-sink stages skip, then the sink's
 /// input check reports `segment_corrupt` and `input_rewind`, and the
 /// producer re-executes. The directory is removed afterwards.
@@ -104,10 +104,12 @@ fn engine_resume_corrupt() -> Traced {
     let input = plan.op(plan.sinks()[0]).inputs[0];
     let store = ftpde::store::inspect(&dir).expect("inspect store");
     let victim = store.segments.iter().find(|s| s.op == input.0).expect("sink input is stored");
-    let path = dir.join(&victim.file);
-    let mut bytes = std::fs::read(&path).expect("read segment");
-    *bytes.last_mut().expect("a segment holds its header") ^= 0x01;
-    std::fs::write(&path, &bytes).expect("write segment");
+    let log = dir.join(ftpde::store::disk::LOG_FILE);
+    let mut bytes = std::fs::read(&log).expect("read log");
+    let last =
+        victim.offset as usize + ftpde::store::codec::HEADER_LEN + victim.payload_bytes as usize;
+    bytes[last - 1] ^= 0x01;
+    std::fs::write(&log, &bytes).expect("write log");
 
     let rec = MemoryRecorder::new();
     run(&DiskBackend::open(&dir).expect("reopen store"), &rec);

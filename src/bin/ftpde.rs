@@ -37,7 +37,7 @@
 //!   (`ftpde explain FT201`), from the same registry that defines every
 //!   code's default severity.
 //! * `store` — inspect a durable checkpoint-store directory (`--inspect`
-//!   prints the manifest: segments, sizes, checksums, throughput stats)
+//!   prints its log's committed segments, sizes, checksums and stats)
 //!   or re-checksum every committed segment (`--verify`), exiting nonzero
 //!   on corruption.
 //! * `check` — replay a recorded JSONL trace through the
@@ -1319,13 +1319,16 @@ mod tests {
         assert!(cmd_store(&flags(&[("inspect", d.as_str()), ("format", "yaml")])).is_err());
         assert!(cmd_store(&flags(&[("inspect", "/nonexistent/store")])).is_err());
 
-        // Flip one payload byte: verify must exit nonzero, inspect still
-        // renders (it reports the segment but does not re-checksum it).
-        let seg = dir.join("seg-0-0.seg");
-        let mut bytes = std::fs::read(&seg).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&seg, &bytes).unwrap();
+        // Flip the last payload byte of op 0's image: verify must exit
+        // nonzero, inspect still renders (it reports the segment but does
+        // not re-checksum it).
+        let seg = ftpde::store::inspect(&dir).unwrap().segments.remove(0);
+        assert_eq!(seg.op, 0);
+        let at = seg.offset as usize + ftpde::store::codec::HEADER_LEN + seg.payload_bytes as usize;
+        let log = dir.join(ftpde::store::disk::LOG_FILE);
+        let mut bytes = std::fs::read(&log).unwrap();
+        bytes[at - 1] ^= 0xFF;
+        std::fs::write(&log, &bytes).unwrap();
         let err = cmd_store(&flags(&[("verify", d.as_str()), ("format", "json")])).unwrap_err();
         assert!(err.contains("corrupt"), "{err}");
         cmd_store(&flags(&[("inspect", d.as_str())])).unwrap();

@@ -19,7 +19,7 @@
 //! | [`tpch`] | the TPC-H workload: schema, partitioning, queries Q1/Q3/Q5/Q1C/Q2C, calibrated cost model, row generator |
 //! | [`sim`] | discrete-event cluster simulator executing fault-tolerant plans against failure traces under all four schemes |
 //! | [`engine`] | in-process partition-parallel execution engine with real tuples, failure injection and recovery |
-//! | [`store`] | durable, pluggable checkpoint storage: in-memory and on-disk backends with CRC-checked segments, an atomic manifest and crash recovery |
+//! | [`store`] | durable, pluggable checkpoint storage: in-memory and on-disk backends with CRC-checked segments, an append-only commit log and crash recovery |
 //! | [`obs`] | observability: event recorder, metrics registry, JSONL / Chrome-trace exporters used by the search, simulator and engine |
 //! | [`analysis`] | static analysis: the coded plan linter (`FT001`…), collapsed-plan and cost-model verifiers, pruning-soundness oracle |
 //! | [`simharness`] | deterministic whole-system simulation: seeded workloads and fault schedules driven through the real engine, oracle checks (`FT301`…), schedule shrinking and the committed bug base |

@@ -52,17 +52,17 @@ fn flight_dump_from_injected_corruption_replays_and_serves() {
     };
     assert!(flight.total_recorded() > 0, "the flight ring must fill on any engine run");
 
-    // Tear one non-sink segment in half — the crash-mid-write shape.
-    let sink = plan.sinks()[0];
+    // Tear the last frame's image in half — the crash-mid-append shape.
+    // Sinks are never materialized, so that frame holds a non-sink stage.
     let report = ftpde::store::inspect(&store_dir).unwrap();
-    let victim = report
-        .segments
-        .iter()
-        .find(|s| s.op != sink.0)
-        .expect("a non-sink segment is materialized");
-    let path = store_dir.join(&victim.file);
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+    let victim = report.segments.iter().max_by_key(|s| s.offset).expect("a segment is stored");
+    let image = ftpde::store::codec::HEADER_LEN as u64 + victim.payload_bytes;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(store_dir.join(ftpde::store::disk::LOG_FILE))
+        .unwrap()
+        .set_len(victim.offset + image / 2)
+        .unwrap();
 
     // The resume detects the corruption, heals it, and — the tentpole —
     // the detection anomaly snapshots the ring to disk.
