@@ -64,8 +64,16 @@
 //! let report = validator.validate_ft_plan("figure2", &plan, &config);
 //! assert!(report.is_clean());
 //!
-//! let oracle = check_pruning_soundness(&plan, &CostParams::new(60.0, 0.0));
+//! // Two candidates: the second is the first at ten times every cost, so
+//! // rule 3 skips it whole by its runtime floor.
+//! let mut costly = figure2_plan();
+//! for id in costly.op_ids().collect::<Vec<_>>() {
+//!     costly.op_mut(id).run_cost *= 10.0;
+//!     costly.op_mut(id).mat_cost *= 10.0;
+//! }
+//! let oracle = check_pruning_soundness(&[plan, costly], &CostParams::new(60.0, 0.0));
 //! assert!(oracle.all_sound());
+//! assert_eq!(oracle.reference.plan_index, 0);
 //! ```
 
 pub mod codes;

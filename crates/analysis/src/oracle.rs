@@ -37,35 +37,43 @@ const EPS: f64 = 1e-9;
 pub const RULE12_SLACK: f64 = 1.05;
 
 /// The exhaustive reference: the cheapest dominant-path cost over all
-/// `2^n` materialization configurations of `plan`, found without pruning.
+/// `2^n` materialization configurations of every candidate plan, found
+/// without pruning.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExhaustiveBest {
+    /// Index of the candidate the optimal configuration belongs to.
+    pub plan_index: usize,
     /// The optimal configuration (first one found at the optimal cost, in
-    /// ascending bit-mask order).
+    /// candidate order, then ascending bit-mask order).
     pub config: MatConfig,
     /// Its dominant-path cost `T_Pt`.
     pub dominant_cost: f64,
-    /// Number of configurations enumerated (`2^n`).
+    /// Number of configurations enumerated (`Σ 2^n` over candidates).
     pub configs: u64,
 }
 
-/// Brute-force reference search over the full configuration space.
+/// Brute-force reference search over the full configuration space of
+/// every candidate.
 ///
 /// # Panics
-/// Panics if `plan` has 64 or more free operators (not exhaustively
-/// enumerable) — oracle plans are small by construction.
-pub fn exhaustive_best(plan: &PlanDag, params: &CostParams) -> ExhaustiveBest {
-    let mut best: Option<(MatConfig, f64)> = None;
+/// Panics if `candidates` is empty, or a candidate has 64 or more free
+/// operators (not exhaustively enumerable) — oracle plans are small by
+/// construction.
+pub fn exhaustive_best(candidates: &[PlanDag], params: &CostParams) -> ExhaustiveBest {
+    let mut best: Option<(usize, MatConfig, f64)> = None;
     let mut configs = 0u64;
-    for config in MatConfig::enumerate(plan) {
-        configs += 1;
-        let est = estimate_ft_plan(plan, &config, params);
-        if best.as_ref().is_none_or(|(_, c)| est.dominant_cost < *c) {
-            best = Some((config, est.dominant_cost));
+    for (plan_index, plan) in candidates.iter().enumerate() {
+        for config in MatConfig::enumerate(plan) {
+            configs += 1;
+            let est = estimate_ft_plan(plan, &config, params);
+            if best.as_ref().is_none_or(|(_, _, c)| est.dominant_cost < *c) {
+                best = Some((plan_index, config, est.dominant_cost));
+            }
         }
     }
-    let (config, dominant_cost) = best.expect("at least the empty configuration exists");
-    ExhaustiveBest { config, dominant_cost, configs }
+    let (plan_index, config, dominant_cost) =
+        best.expect("a candidate has at least the empty configuration");
+    ExhaustiveBest { plan_index, config, dominant_cost, configs }
 }
 
 /// Verdict of one pruning variant against the exhaustive reference.
@@ -84,7 +92,8 @@ pub struct OracleOutcome {
     pub sound: bool,
 }
 
-/// All verdicts for one plan, plus the shared exhaustive reference.
+/// All verdicts for one set of candidates, plus the shared exhaustive
+/// reference.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OracleReport {
     /// The exhaustive reference the variants were compared against.
@@ -121,19 +130,24 @@ fn variants() -> Vec<(String, PruneOptions, bool)> {
     ]
 }
 
-/// Runs every pruning variant of [`find_best_ft_plan`] over `plan` and
-/// checks each selected dominant-path cost against [`exhaustive_best`].
+/// Runs every pruning variant of [`find_best_ft_plan`] over `candidates`
+/// and checks each selected dominant-path cost against
+/// [`exhaustive_best`]. With several candidates, `bestT` carries across
+/// them, so rule 3 also skips whole candidates by their runtime floor.
 ///
 /// Exact variants must reproduce the optimum to within a `1e-9` epsilon;
 /// heuristic variants must never beat it and must stay within
 /// [`RULE12_SLACK`].
-pub fn check_pruning_soundness(plan: &PlanDag, params: &CostParams) -> OracleReport {
-    let reference = exhaustive_best(plan, params);
+///
+/// # Panics
+/// As [`exhaustive_best`], or if a search finds no finite estimate.
+pub fn check_pruning_soundness(candidates: &[PlanDag], params: &CostParams) -> OracleReport {
+    let reference = exhaustive_best(candidates, params);
     let outcomes = variants()
         .into_iter()
         .map(|(label, opts, exact)| {
             let (best, stats) =
-                find_best_ft_plan(std::slice::from_ref(plan), params, &opts).expect("non-empty");
+                find_best_ft_plan(candidates, params, &opts).expect("a finite estimate");
             let pruned_cost = best.estimate.dominant_cost;
             let never_better = pruned_cost >= reference.dominant_cost - EPS;
             let sound = if exact {
@@ -224,7 +238,8 @@ mod tests {
     fn figure2_is_sound_across_the_mtbf_range() {
         let plan = figure2_plan();
         for mtbf in [4.0, 20.0, 60.0, 1000.0, 1e6] {
-            let report = check_pruning_soundness(&plan, &CostParams::new(mtbf, 0.5));
+            let report =
+                check_pruning_soundness(std::slice::from_ref(&plan), &CostParams::new(mtbf, 0.5));
             assert_eq!(report.reference.configs, 128);
             assert!(report.all_sound(), "mtbf={mtbf}: {:?}", report.first_violation());
         }
@@ -234,7 +249,7 @@ mod tests {
     fn exhaustive_best_matches_unpruned_search() {
         let plan = figure2_plan();
         let params = CostParams::new(60.0, 0.5);
-        let reference = exhaustive_best(&plan, &params);
+        let reference = exhaustive_best(std::slice::from_ref(&plan), &params);
         let (best, _) =
             find_best_ft_plan(std::slice::from_ref(&plan), &params, &PruneOptions::none()).unwrap();
         assert!((reference.dominant_cost - best.estimate.dominant_cost).abs() < EPS);
@@ -243,7 +258,8 @@ mod tests {
     #[test]
     fn oracle_report_round_trips_through_serde() {
         let plan = figure2_plan();
-        let report = check_pruning_soundness(&plan, &CostParams::new(60.0, 0.5));
+        let report =
+            check_pruning_soundness(std::slice::from_ref(&plan), &CostParams::new(60.0, 0.5));
         let back: OracleReport =
             serde_json::from_str(&serde_json::to_string(&report).unwrap()).unwrap();
         assert_eq!(back, report);

@@ -14,13 +14,12 @@ use ftpde_cluster::config::{mtbf, ClusterConfig};
 use ftpde_core::dag::PlanDag;
 use ftpde_core::prune::PruneOptions;
 use ftpde_core::search::find_best_ft_plan;
+use ftpde_obs::Summary;
 use ftpde_optimizer::enumerate::all_plans;
 use ftpde_optimizer::physical::tree_to_plan;
 use ftpde_sim::scheme::Scheme;
 use ftpde_tpch::costing::CostModel;
 use ftpde_tpch::queries::{q5_agg_spec, q5_join_graph};
-
-use crate::report;
 
 /// The cluster MTBFs of the figure.
 pub const MTBFS: [(&str, f64); 3] = [
@@ -92,12 +91,8 @@ pub fn run() -> Vec<PruningRow> {
     run_over(&all_q5_plans(SF))
 }
 
-/// Prints the figure.
-pub fn print(rows: &[PruningRow]) {
-    report::banner(&format!(
-        "Figure 13: Effectiveness of Pruning ({} fault-tolerant plans)",
-        rows.first().map_or(0, |r| r.total)
-    ));
+/// Renders the figure as `cargo bench --bench fig13_pruning` prints it.
+pub fn render(rows: &[PruningRow]) -> String {
     let table_rows: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -110,7 +105,18 @@ pub fn print(rows: &[PruningRow]) {
             ]
         })
         .collect();
-    report::table(&["cluster", "Rule 1", "Rule 2", "Rule 3", "All Rules"], &table_rows);
+    Summary::new()
+        .banner(format!(
+            "Figure 13: Effectiveness of Pruning ({} fault-tolerant plans)",
+            rows.first().map_or(0, |r| r.total)
+        ))
+        .table(&["cluster", "Rule 1", "Rule 2", "Rule 3", "All Rules"], &table_rows)
+        .render()
+}
+
+/// Prints the figure.
+pub fn print(rows: &[PruningRow]) {
+    print!("{}", render(rows));
 }
 
 #[cfg(test)]

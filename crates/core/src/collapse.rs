@@ -515,12 +515,11 @@ mod collapser_proptests {
     use crate::operator::Operator;
     use crate::paths::for_each_path;
 
-    /// A plan of 1..=12 operators, each reading up to two earlier ones
-    /// (none makes another source), with random costs and bindings, and a
-    /// configuration of it.
-    fn arb_plan_and_config() -> impl Strategy<Value = (PlanDag, MatConfig)> {
+    /// A plan of `1..=max_ops` operators, each reading up to two earlier
+    /// ones (none makes another source), with random costs and bindings.
+    fn arb_plan(max_ops: usize) -> impl Strategy<Value = PlanDag> {
         let op = (0.01f64..50.0, 0.0f64..20.0, 0u8..6, any::<u64>());
-        (collection::vec(op, 1..=12), any::<u64>()).prop_map(|(specs, mask)| {
+        collection::vec(op, 1..=max_ops).prop_map(|specs| {
             let mut b = PlanDag::builder();
             for (i, (tr, tm, bind, seed)) in specs.into_iter().enumerate() {
                 let mut inputs = Vec::new();
@@ -536,7 +535,13 @@ mod collapser_proptests {
                 };
                 b.add(op, &inputs).unwrap();
             }
-            let plan = b.build().unwrap();
+            b.build().unwrap()
+        })
+    }
+
+    /// A plan of up to 12 operators and a configuration of it.
+    fn arb_plan_and_config() -> impl Strategy<Value = (PlanDag, MatConfig)> {
+        (arb_plan(12), any::<u64>()).prop_map(|(plan, mask)| {
             let config = MatConfig::from_free_bits(&plan, mask);
             (plan, config)
         })
@@ -575,6 +580,34 @@ mod collapser_proptests {
                 collapser.scan(plan, config);
                 collapser.collapse_into(plan, config, pipe_const, &mut reused);
                 prop_assert_eq!(&reused, &CollapsedPlan::collapse(plan, config, pipe_const));
+            }
+        }
+
+        /// The search's runtime floor is at most the largest `R_Pt` of
+        /// every configuration. Half the draws have `CONST_pipe` = 1,
+        /// where the floor often equals that `R_Pt` exactly, and only
+        /// its margin keeps rounding from putting it above.
+        #[test]
+        #[cfg_attr(miri, ignore = "1024-case proptests are too slow under Miri")]
+        fn runtime_floor_bounds_every_configuration(
+            plan in arb_plan(8),
+            unit_pipe in any::<bool>(),
+            pipe_const in 0.01f64..1.0,
+        ) {
+            let pipe_const = if unit_pipe { 1.0 } else { pipe_const };
+            let floor = crate::search::runtime_floor(&plan, pipe_const, &mut Vec::new());
+            for config in MatConfig::enumerate(&plan) {
+                let collapsed = CollapsedPlan::collapse(&plan, &config, pipe_const);
+                let mut longest = f64::NEG_INFINITY;
+                for_each_path::<()>(&collapsed, |path| {
+                    longest = longest.max(path_runtime(&collapsed, path));
+                    ControlFlow::Continue(())
+                });
+                prop_assert!(
+                    floor <= longest,
+                    "floor {floor} above the longest R_Pt {longest} of {:?}",
+                    config.materialized_ops()
+                );
             }
         }
     }

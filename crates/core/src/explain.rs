@@ -126,12 +126,13 @@ pub fn explain_search_stats(stats: &SearchStats) -> String {
     let _ = writeln!(
         out,
         "  abandoned by rule 3 (long paths):     {:>8}  ({:.1}%)  \
-         [runtime {} / estimate {} / memo {}]",
+         [runtime {} / estimate {} / memo {} / floor {}]",
         stats.rule3_stops(),
         pct(stats.rule3_stops()),
         stats.rule3_runtime_stops,
         stats.rule3_estimate_stops,
-        stats.rule3_memo_stops
+        stats.rule3_memo_stops,
+        stats.rule3_floor_stops
     );
     let _ = writeln!(
         out,

@@ -20,6 +20,7 @@ use crate::config::MatConfig;
 use crate::cost::{path_cost, path_runtime, CostParams, FtEstimate};
 use crate::dag::PlanDag;
 use crate::error::{CoreError, Result};
+use crate::operator::Binding;
 use crate::paths::for_each_path;
 use crate::prune::{apply_rule1, apply_rule2, PathMemo, PruneOptions};
 
@@ -44,8 +45,9 @@ pub struct SearchStats {
     /// `Σ 2^n` over candidates with `n` = free operators *before* rules
     /// 1/2 — the unpruned size of the configuration space.
     pub configs_unpruned: u64,
-    /// Configurations actually enumerated (after rules 1/2 shrank the free
-    /// sets; includes configurations later abandoned by rule 3).
+    /// Configurations left after rules 1/2 shrank the free sets, whether
+    /// explored or abandoned by rule 3 (including the ones a runtime floor
+    /// stop abandons without a scan).
     pub configs_enumerated: u64,
     /// Configurations eliminated by rule 1: for a plan with `n` free
     /// operators of which rule 1 binds `b1`, the `2^n - 2^(n-b1)`
@@ -70,6 +72,12 @@ pub struct SearchStats {
     /// Fault-tolerant plans abandoned by the memoized dominant-path
     /// dominance check (Eq. 9).
     pub rule3_memo_stops: u64,
+    /// Fault-tolerant plans abandoned, with every other configuration of
+    /// their candidate, because the candidate's runtime floor (a lower
+    /// bound on the largest `R_Pt` of each of its configurations) already
+    /// reached `bestT`: rule 3, condition 1, for a whole candidate. None
+    /// of their paths is examined.
+    pub rule3_floor_stops: u64,
     /// Execution paths visited across all fault-tolerant plans. A first
     /// path that rule 3's runtime check stops before the plan is collapsed
     /// still counts as examined.
@@ -84,7 +92,10 @@ pub struct SearchStats {
 impl SearchStats {
     /// Fault-tolerant plans abandoned early by any rule-3 variant.
     pub fn rule3_stops(&self) -> u64 {
-        self.rule3_runtime_stops + self.rule3_estimate_stops + self.rule3_memo_stops
+        self.rule3_runtime_stops
+            + self.rule3_estimate_stops
+            + self.rule3_memo_stops
+            + self.rule3_floor_stops
     }
 
     /// Configurations eliminated outright by rules 1/2 (never enumerated).
@@ -203,13 +214,66 @@ fn evaluate_config(
     }
 }
 
+/// Relative margin [`runtime_floor`] takes off the floor it computes.
+///
+/// The floor and [`path_runtime`] add the same terms in different
+/// groupings, so a computed floor can lie a few ulps above the computed
+/// `R_Pt` it bounds. Both are trees of additions and products of
+/// non-negative terms, at most about `3·len` deep, so each is within a
+/// relative `3·len·2^-53` of its exact value: 1e-9 covers plans of up to
+/// about a million operators.
+const FLOOR_MARGIN: f64 = 1e-9;
+
+/// A lower bound on the largest failure-free path runtime `R_Pt` of every
+/// configuration of `plan`, shrunk by [`FLOOR_MARGIN`]; `dp` is scratch
+/// space. It is the longest source→sink path of `plan` under the weights
+/// `s(o) = pipe_const·tr(o)`, plus `tm(o)` when `o` is always
+/// materialized, found by one forward pass in
+/// [`OpId`](crate::operator::OpId) order.
+///
+/// Why it is a floor. Take any configuration and any path `π` of `plan`,
+/// and cut `π` after each collapse root on it; the sink ending `π` is
+/// one.
+/// - A segment's other operators are not roots, so each reaches the
+///   segment's root through non-materialized outputs and lies in its
+///   group. The root's Eq. 1 dominant-path runtime is therefore at least
+///   the segment's `Σ tr`, and its `tr(c)` at least `pipe_const` times
+///   that: `pipe_const ≤ 1`, and a singleton is not scaled.
+/// - An always-materialized operator on `π` is a materializing root, so
+///   its `tm` is in its root's `t(c)`.
+/// - The roots' collapsed operators form a collapsed path that ends at a
+///   sink. Extending it back to a source adds only `t(c) ≥ 0`.
+///
+/// So every configuration has an execution path with `R_Pt ≥ Σ_π s(o)`.
+/// Once the floor reaches `bestT`, rule 3's condition 1 abandons every
+/// configuration of the candidate. Rules 1 and 2 only bind free operators
+/// to `NonMaterializable`, so the floor is the same before and after them.
+///
+/// Returns `+∞` when the sums overflow; the caller lets a non-finite
+/// floor skip nothing.
+pub(crate) fn runtime_floor(plan: &PlanDag, pipe_const: f64, dp: &mut Vec<f64>) -> f64 {
+    dp.clear();
+    let mut floor = 0.0f64;
+    for (v, op) in plan.iter() {
+        let longest_in = plan.inputs(v).iter().map(|u| dp[u.index()]).fold(0.0, f64::max);
+        let mat = if op.binding == Binding::AlwaysMaterialized { op.mat_cost } else { 0.0 };
+        dp.push(longest_in + (pipe_const * op.run_cost + mat));
+        if plan.consumers(v).is_empty() {
+            floor = floor.max(dp[v.index()]);
+        }
+    }
+    floor * (1.0 - FLOOR_MARGIN)
+}
+
 /// Finds the best fault-tolerant plan over `candidates` (Listing 1).
 ///
 /// For each candidate plan the rules 1/2 of `opts` first shrink the free
 /// operator set, then all remaining materialization configurations are
 /// enumerated and costed; rule 3 abandons configurations (and memoizes
 /// dominant paths) across *all* candidates, as suggested at the end of
-/// §4.3. Returns the winner and the search statistics.
+/// §4.3. A candidate whose runtime floor already reaches `bestT` has all
+/// its configurations abandoned at once. Returns the winner and the search
+/// statistics.
 ///
 /// # Errors
 /// [`CoreError::NoCandidatePlans`] if `candidates` is empty;
@@ -227,11 +291,11 @@ pub fn find_best_ft_plan(
 
 /// [`find_best_ft_plan`] with search events mirrored into `rec` under
 /// category `"search"` (wall-clock microseconds from the call's start):
-/// one `plan` instant per candidate (free-operator count and per-rule
-/// bindings), one `best_update` instant per incumbent replacement, and a
-/// closing `find_best_ft_plan` span carrying the final [`SearchStats`]
-/// counters. With a [`NoopRecorder`] the instrumentation costs one branch
-/// per site.
+/// one `plan` instant per candidate (free-operator count, per-rule
+/// bindings and whether its runtime floor stopped it), one `best_update`
+/// instant per incumbent replacement, and a closing `find_best_ft_plan`
+/// span carrying the final [`SearchStats`] counters. With a
+/// [`NoopRecorder`] the instrumentation costs one branch per site.
 ///
 /// # Errors
 /// Same as [`find_best_ft_plan`].
@@ -265,6 +329,7 @@ pub fn find_best_ft_plan_traced(
     let mut config = MatConfig::none(&plan);
     let mut collapser = Collapser::default();
     let mut collapsed = CollapsedPlan::empty();
+    let mut floor_dp = Vec::new();
 
     for (plan_index, candidate) in candidates.iter().enumerate() {
         stats.plans_considered += 1;
@@ -281,6 +346,15 @@ pub fn find_best_ft_plan_traced(
         stats.configs_pruned_rule1 += (1u64 << free_ops) - (1u64 << (free_ops - rule1_bound));
         stats.configs_pruned_rule2 +=
             (1u64 << (free_ops - rule1_bound)) - (1u64 << (free_ops - rule1_bound - rule2_bound));
+        let configs = 1u64 << plan.free_count();
+
+        // Rule 3, condition 1, for the whole candidate: when its runtime
+        // floor reaches `bestT`, every configuration has a path that rule
+        // 3 stops on, so none is scanned.
+        let floor_stop = opts.rule3 && {
+            let floor = runtime_floor(&plan, params.pipe_const, &mut floor_dp);
+            floor.is_finite() && floor >= best_t
+        };
 
         rec.record_with(|| {
             Event::instant("plan", "search", now_us())
@@ -288,9 +362,33 @@ pub fn find_best_ft_plan_traced(
                 .arg("free_ops", free_ops)
                 .arg("rule1_bound", rule1_bound)
                 .arg("rule2_bound", rule2_bound)
+                .arg("floor_stop", floor_stop)
         });
 
-        for mask in 0..1u64 << plan.free_count() {
+        if floor_stop {
+            stats.configs_enumerated += configs;
+            stats.rule3_floor_stops += configs;
+            // Release builds scan none of them; debug builds collapse each
+            // one and check that a path of it reaches `bestT`.
+            if cfg!(debug_assertions) {
+                for mask in 0..configs {
+                    config.set_free_bits(&plan, mask);
+                    collapser.scan(&plan, &config);
+                    collapser.collapse_into(&plan, &config, params.pipe_const, &mut collapsed);
+                    let reached = for_each_path(&collapsed, |p| {
+                        if path_runtime(&collapsed, p) >= best_t {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
+                        }
+                    });
+                    debug_assert!(reached.is_some(), "floor stop on a configuration rule 3 keeps");
+                }
+            }
+            continue;
+        }
+
+        for mask in 0..configs {
             stats.configs_enumerated += 1;
             config.set_free_bits(&plan, mask);
             collapser.scan(&plan, &config);
@@ -372,6 +470,7 @@ pub fn find_best_ft_plan_traced(
     g.counter_add("search.configs_pruned_rule2_total", stats.configs_pruned_rule2);
     g.counter_add("search.rule3_stops_total", stats.rule3_stops());
     g.counter_add("search.memo_hits_total", stats.rule3_memo_stops);
+    g.counter_add("search.rule3_floor_stops_total", stats.rule3_floor_stops);
     g.counter_add("search.paths_examined_total", stats.paths_examined);
     g.counter_add("search.paths_costed_total", stats.paths_costed);
     g.counter_add("search.best_updates_total", stats.best_updates);
@@ -386,6 +485,7 @@ pub fn find_best_ft_plan_traced(
             .arg("configs_pruned_rule2", stats.configs_pruned_rule2)
             .arg("rule3_stops", stats.rule3_stops())
             .arg("memo_hits", stats.rule3_memo_stops)
+            .arg("floor_stops", stats.rule3_floor_stops)
             .arg("paths_examined", stats.paths_examined)
             .arg("paths_costed", stats.paths_costed)
             .arg("best_updates", stats.best_updates)
@@ -641,18 +741,32 @@ mod tests {
     fn traced_search_records_plan_and_summary_events() {
         use ftpde_obs::{ArgValue, MemoryRecorder};
 
+        // The second candidate is the first at ten times every cost: its
+        // runtime floor reaches the first one's `bestT`.
         let plan = figure2_plan();
+        let mut costly = figure2_plan();
+        for id in costly.op_ids().collect::<Vec<_>>() {
+            costly.op_mut(id).run_cost *= 10.0;
+            costly.op_mut(id).mat_cost *= 10.0;
+        }
         let p = params(60.0);
+        let floor_total =
+            || ftpde_obs::global().snapshot().counter("search.rule3_floor_stops_total");
+        let floor_total_before = floor_total();
         let rec = MemoryRecorder::new();
-        let (_, stats) = find_best_ft_plan_traced(
-            std::slice::from_ref(&plan),
-            &p,
-            &PruneOptions::default(),
-            &rec,
-        )
-        .unwrap();
+        let (best, stats) =
+            find_best_ft_plan_traced(&[plan, costly], &p, &PruneOptions::default(), &rec).unwrap();
+        assert_eq!(best.plan_index, 0);
+        assert!(stats.rule3_floor_stops > 0, "{stats:?}");
+        assert!(stats.partition_holds(), "{stats:?}");
+        assert_eq!(stats.configs_enumerated, stats.configs_explored + stats.rule3_stops());
+        // Other tests add to the global counter too, never take from it.
+        assert!(floor_total() - floor_total_before >= stats.rule3_floor_stops);
+
         let events = rec.events();
-        assert_eq!(events.iter().filter(|e| e.name == "plan").count(), 1);
+        let floor_stop: Vec<_> =
+            events.iter().filter(|e| e.name == "plan").map(|e| e.get_arg("floor_stop")).collect();
+        assert_eq!(floor_stop, [Some(&ArgValue::Bool(false)), Some(&ArgValue::Bool(true))]);
         assert_eq!(
             events.iter().filter(|e| e.name == "best_update").count(),
             stats.best_updates as usize
@@ -662,6 +776,12 @@ mod tests {
         assert_eq!(done.cat, "search");
         assert_eq!(done.get_arg("configs_explored"), Some(&ArgValue::U64(stats.configs_explored)));
         assert_eq!(done.get_arg("memo_hits"), Some(&ArgValue::U64(stats.rule3_memo_stops)));
+        assert_eq!(done.get_arg("floor_stops"), Some(&ArgValue::U64(stats.rule3_floor_stops)));
+        let explained = crate::explain::explain_search_stats(&stats);
+        assert!(
+            explained.contains(&format!("/ floor {}]", stats.rule3_floor_stops)),
+            "{explained}"
+        );
     }
 
     #[test]

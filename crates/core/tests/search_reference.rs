@@ -2,11 +2,12 @@
 //!
 //! `reference_search` is `findBestFTPlan` without the rule-3 precheck:
 //! every candidate is cloned, every configuration is collapsed afresh and
-//! its paths are evaluated one by one. `reference_collapse` builds each
-//! collapsed operator on its own, with one backward closure and one
-//! dominant-path DP per root. `find_best_ft_plan` and
-//! `CollapsedPlan::collapse` must agree with them exactly: the same
-//! counters, the same winner and the same bits.
+//! its paths are evaluated one by one. Its runtime-floor skip, when on,
+//! uses a floor of its own, folded over every path of the plan.
+//! `reference_collapse` builds each collapsed operator on its own, with
+//! one backward closure and one dominant-path DP per root.
+//! `find_best_ft_plan` and `CollapsedPlan::collapse` must agree with them
+//! exactly: the same counters, the same winner and the same bits.
 
 use std::ops::ControlFlow;
 
@@ -33,13 +34,52 @@ fn winner(best: &BestFtPlan) -> Winner {
     )
 }
 
+/// The configuration-level counters of `s`: the rule-3 stops in one sum,
+/// and no path counters.
+fn config_level(s: &SearchStats) -> SearchStats {
+    SearchStats {
+        rule3_runtime_stops: s.rule3_stops(),
+        rule3_estimate_stops: 0,
+        rule3_memo_stops: 0,
+        rule3_floor_stops: 0,
+        paths_examined: 0,
+        paths_costed: 0,
+        ..*s
+    }
+}
+
+/// The longest source→sink path of `plan` under the weights
+/// `pipe_const·tr(o)`, plus `tm(o)` for an always-materialized `o`, found
+/// by walking every path and folding the weights in path order, then
+/// shrunk by a relative 1e-9.
+fn reference_floor(plan: &PlanDag, pipe_const: f64) -> f64 {
+    fn walk(plan: &PlanDag, v: OpId, sum: f64, pipe_const: f64, longest: &mut f64) {
+        let op = plan.op(v);
+        let mat = if op.binding == Binding::AlwaysMaterialized { op.mat_cost } else { 0.0 };
+        let sum = sum + (pipe_const * op.run_cost + mat);
+        if plan.consumers(v).is_empty() {
+            *longest = longest.max(sum);
+        }
+        for &w in plan.consumers(v) {
+            walk(plan, w, sum, pipe_const, longest);
+        }
+    }
+    let mut longest = 0.0;
+    for source in plan.sources() {
+        walk(plan, source, 0.0, pipe_const, &mut longest);
+    }
+    longest * (1.0 - 1e-9)
+}
+
 /// The search loop of Listing 1 with rules 1–3 as `find_best_ft_plan`
-/// counts them, built only from public pieces. `None` when no
-/// configuration has a finite estimate.
+/// counts them, built only from public pieces, with or without rule 3's
+/// runtime-floor skip of whole candidates. `None` when no configuration
+/// has a finite estimate.
 fn reference_search(
     candidates: &[PlanDag],
     params: &CostParams,
     opts: &PruneOptions,
+    floor_skip: bool,
 ) -> Option<(Winner, SearchStats)> {
     enum Stop {
         Runtime,
@@ -63,6 +103,12 @@ fn reference_search(
         stats.configs_pruned_rule1 += (1 << free_ops) - (1 << (free_ops - b1));
         stats.configs_pruned_rule2 += (1 << (free_ops - b1)) - (1 << (free_ops - b1 - b2));
 
+        let floor = reference_floor(&plan, params.pipe_const);
+        if floor_skip && opts.rule3 && floor.is_finite() && floor >= best_t {
+            stats.configs_enumerated += 1 << plan.free_count();
+            stats.rule3_floor_stops += 1 << plan.free_count();
+            continue;
+        }
         for config in MatConfig::enumerate(&plan) {
             stats.configs_enumerated += 1;
             let collapsed = CollapsedPlan::collapse(&plan, &config, params.pipe_const);
@@ -191,6 +237,10 @@ proptest! {
     /// Several candidates, so `bestT` and the memo carry across them, under
     /// every option set of the pruning-partition test. Half the draws have
     /// no repair time: the range alone never yields MTTR = 0 exactly.
+    ///
+    /// Against the reference without the floor skip, the winner and the
+    /// configuration-level counters match: the skip abandons only
+    /// configurations rule 3 abandons anyway, and examines fewer paths.
     #[test]
     fn search_matches_the_reference(
         candidates in collection::vec(arb_plan(8), 2..=6),
@@ -208,13 +258,23 @@ proptest! {
             PruneOptions::only(3),
             PruneOptions::default(),
         ] {
-            match (find_best_ft_plan(&candidates, &params, &opts), reference_search(&candidates, &params, &opts)) {
-                (Ok((best, stats)), Some((want, want_stats))) => {
+            let got = find_best_ft_plan(&candidates, &params, &opts);
+            let want = reference_search(&candidates, &params, &opts, true);
+            let unskipped = reference_search(&candidates, &params, &opts, false);
+            match (got, want, unskipped) {
+                (Ok((best, stats)), Some((want, want_stats)), Some((plain, plain_stats))) => {
                     prop_assert_eq!(stats, want_stats, "{:?}", opts);
                     prop_assert_eq!(winner(&best), want, "{:?}", opts);
+                    prop_assert_eq!(winner(&best), plain, "{:?}", opts);
+                    prop_assert_eq!(config_level(&stats), config_level(&plain_stats), "{:?}", opts);
+                    prop_assert!(stats.paths_examined <= plain_stats.paths_examined, "{opts:?}");
+                    prop_assert!(stats.paths_costed <= plain_stats.paths_costed, "{opts:?}");
                 }
-                (Err(CoreError::NoFiniteEstimate), None) => {}
-                (got, want) => prop_assert!(false, "{opts:?}: search {got:?}, reference {want:?}"),
+                (Err(CoreError::NoFiniteEstimate), None, None) => {}
+                (got, want, plain) => prop_assert!(
+                    false,
+                    "{opts:?}: search {got:?}, reference {want:?}, without the skip {plain:?}"
+                ),
             }
         }
     }

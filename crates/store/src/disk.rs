@@ -244,6 +244,7 @@ impl DiskBackend {
         let mut end = scan.end;
         if scan.damage.is_some() || !corruptions.is_empty() {
             stats.corrupt_segments += corruptions.len() as u64;
+            record_corrupt_segments(corruptions.len() as u64);
             let fsyncs = match log.as_mut().filter(|_| end >= codec::LOG_HEADER_LEN as u64) {
                 Some(file) => {
                     stats.fsyncs += 1;
@@ -772,8 +773,35 @@ impl StoreReport {
     }
 }
 
+/// The names of the files in `dir` other than the log, sorted.
+fn stray_files(dir: &Path) -> io::Result<Vec<String>> {
+    let mut names = Vec::new();
+    for dirent in fs::read_dir(dir)? {
+        let name = dirent?.file_name().to_string_lossy().into_owned();
+        if name != LOG_FILE {
+            names.push(name);
+        }
+    }
+    names.sort();
+    Ok(names)
+}
+
 fn report(dir: &Path, check: bool) -> io::Result<StoreReport> {
-    let mut log = File::open(dir.join(LOG_FILE))?;
+    let mut log = match File::open(dir.join(LOG_FILE)) {
+        Ok(file) => file,
+        // `DiskBackend::open` creates the log at the first put or repair,
+        // so a directory without one is an empty store.
+        Err(e) if e.kind() == io::ErrorKind::NotFound && dir.is_dir() => {
+            return Ok(StoreReport {
+                dir: dir.display().to_string(),
+                stats: StoreStats::default(),
+                segments: Vec::new(),
+                orphans: stray_files(dir)?,
+                corrupt: 0,
+            });
+        }
+        Err(e) => return Err(e),
+    };
     let scan = scan_log(&mut log)?;
     let (entries, stats) = replay(&scan.frames);
     let mut corrupt = 0u64;
@@ -802,14 +830,7 @@ fn report(dir: &Path, check: bool) -> io::Result<StoreReport> {
         })
         .collect();
 
-    let mut orphans = Vec::new();
-    for dirent in fs::read_dir(dir)? {
-        let name = dirent?.file_name().to_string_lossy().into_owned();
-        if name != LOG_FILE {
-            orphans.push(name);
-        }
-    }
-    orphans.sort();
+    let mut orphans = stray_files(dir)?;
     match scan.damage {
         Some(Damage::Foreign(e)) => {
             return Err(io::Error::new(io::ErrorKind::InvalidData, format!("{LOG_FILE}: {e}")))
@@ -838,10 +859,13 @@ fn report(dir: &Path, check: bool) -> io::Result<StoreReport> {
 }
 
 /// Reads a store directory's log headers without touching segment images.
-/// Never modifies the directory.
+/// A directory without a log is an empty store, as
+/// [`DiskBackend::open`] leaves it until the first put. Never modifies
+/// the directory.
 ///
 /// # Errors
-/// I/O failure, no log, or a log with a foreign magic or version.
+/// I/O failure, a missing directory, or a log with a foreign magic or
+/// version.
 pub fn inspect(dir: impl AsRef<Path>) -> io::Result<StoreReport> {
     report(dir.as_ref(), false)
 }
@@ -852,8 +876,9 @@ pub fn inspect(dir: impl AsRef<Path>) -> io::Result<StoreReport> {
 /// fails its CRC. Never modifies the directory.
 ///
 /// # Errors
-/// I/O failure, no log, or a log with a foreign magic or version —
-/// per-segment corruption is reported in the result, not as an error.
+/// I/O failure, a missing directory, or a log with a foreign magic or
+/// version — per-segment corruption is reported in the result, not as an
+/// error. A directory without a log verifies as an empty store.
 pub fn verify(dir: impl AsRef<Path>) -> io::Result<StoreReport> {
     report(dir.as_ref(), true)
 }

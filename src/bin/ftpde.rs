@@ -1336,6 +1336,26 @@ mod tests {
     }
 
     #[test]
+    fn store_command_reads_a_store_that_has_no_log_yet() {
+        use ftpde::store::DiskBackend;
+
+        // `open` creates only the directory; the log comes with the first
+        // put. Such a store is empty and healthy.
+        let dir = std::env::temp_dir().join("ftpde_cli_empty_store_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        drop(DiskBackend::open(&dir).unwrap());
+        let d = dir.to_string_lossy().to_string();
+        cmd_store(&flags(&[("verify", d.as_str())])).unwrap();
+        cmd_store(&flags(&[("inspect", d.as_str()), ("format", "json")])).unwrap();
+        for report in [ftpde::store::verify(&dir).unwrap(), ftpde::store::inspect(&dir).unwrap()] {
+            assert!(report.segments.is_empty());
+            assert!(report.is_clean());
+            assert!(report.orphans.is_empty(), "{:?}", report.orphans);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn format_parser_accepts_listed_and_rejects_unknown() {
         assert_eq!(get_format(&flags(&[]), &["text", "json"], "text").unwrap(), "text");
         assert_eq!(

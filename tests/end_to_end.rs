@@ -135,21 +135,22 @@ fn search_counters_match_the_recorded_values() {
 /// The whole Figure 13 search: all 1344 Q5 join orders at SF 100 under the
 /// default pruning rules, on each of the figure's three clusters. Unlike
 /// the single-plan pins above, `bestT` carries across candidates here,
-/// which is where most rule-3 stops happen. The winner and every counter
-/// are deterministic, so a change that moves any of them must update this
-/// table.
+/// which is where most rule-3 stops happen: most are floor stops of whole
+/// candidates, and debug builds check each against a full collapse. The
+/// winner and every counter are deterministic, so a change that moves any
+/// of them must update this table.
 #[test]
 fn full_q5_search_matches_the_recorded_values() {
     use ftpde::bench::fig13::{all_q5_plans, MTBFS, SF};
 
     let plans = all_q5_plans(SF);
     // (winning plan, dominant cost, materialized operators, explored,
-    //  runtime / estimate / memo stops, paths examined, paths costed,
-    //  best updates)
+    //  runtime / estimate / memo / floor stops, paths examined, paths
+    //  costed, best updates)
     let recorded = [
-        (924, 691.2436871359447, vec![], 14, [15922, 0, 0], 16828, 906, 14),
-        (924, 691.2436871359447, vec![], 14, [15922, 0, 0], 16828, 906, 14),
-        (584, 920.111542945175, vec![OpId(7)], 23, [14573, 736, 604], 17029, 1852, 23),
+        (924, 691.2436871359447, vec![], 14, [786, 0, 0, 15136], 846, 60, 14),
+        (924, 691.2436871359447, vec![], 14, [786, 0, 0, 15136], 846, 60, 14),
+        (584, 920.111542945175, vec![OpId(7)], 23, [621, 607, 461, 14224], 1860, 778, 23),
     ];
     for ((label, m), expected) in MTBFS.iter().zip(recorded) {
         let (plan_index, cost, materialized, explored, stops, examined, costed, updates) = expected;
@@ -172,6 +173,7 @@ fn full_q5_search_matches_the_recorded_values() {
                 rule3_runtime_stops: stops[0],
                 rule3_estimate_stops: stops[1],
                 rule3_memo_stops: stops[2],
+                rule3_floor_stops: stops[3],
                 paths_examined: examined,
                 paths_costed: costed,
                 best_updates: updates,

@@ -67,7 +67,10 @@ fn flight_dump_from_injected_corruption_replays_and_serves() {
     // The resume detects the corruption, heals it, and — the tentpole —
     // the detection anomaly snapshots the ring to disk.
     let dumps_before = flight.dump_count();
+    let corrupt_total = || obs::global().snapshot().counter("store.corrupt_segments_total");
+    let corrupt_before = corrupt_total();
     let reopened = DiskBackend::open(&store_dir).unwrap();
+    assert_eq!(corrupt_total() - corrupt_before, 1, "open's repair reaches the live counter");
     let resumed = run_query_resumable(
         &plan,
         &config,
