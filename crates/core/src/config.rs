@@ -64,23 +64,28 @@ impl MatConfig {
     /// topological order. Masks `0..2^n` cover the whole search space.
     pub fn from_free_bits(plan: &PlanDag, mask: u64) -> Self {
         let mut cfg = MatConfig { bits: Vec::with_capacity(plan.len()) };
-        cfg.set_free_bits(plan, mask);
+        cfg.set_free_bits(plan, &[], mask);
         cfg
     }
 
-    /// Refills `self` with [`MatConfig::from_free_bits`]`(plan, mask)`,
-    /// reusing its buffer (the search refills one configuration per mask).
-    pub(crate) fn set_free_bits(&mut self, plan: &PlanDag, mask: u64) {
+    /// Refills `self` with the configuration of `plan` whose bit `k` of
+    /// `mask` decides the `k`-th free operator not marked in `bound`, in
+    /// topological order; a marked free operator does not materialize, as
+    /// if rules 1 and 2 had bound it (`bound[i]`, one entry per operator;
+    /// operators past its end are unmarked). The search refills one
+    /// configuration per mask, reusing the buffer.
+    pub(crate) fn set_free_bits(&mut self, plan: &PlanDag, bound: &[bool], mask: u64) {
         let mut k = 0usize;
+        let bound = bound.iter().chain(std::iter::repeat(&false));
         self.bits.clear();
-        self.bits.extend(plan.iter().map(|(_, op)| match op.binding {
+        self.bits.extend(plan.iter().zip(bound).map(|((_, op), &bound)| match op.binding {
             Binding::AlwaysMaterialized => true,
-            Binding::NonMaterializable => false,
-            Binding::Free => {
+            Binding::Free if !bound => {
                 let bit = (mask >> k) & 1 == 1;
                 k += 1;
                 bit
             }
+            Binding::Free | Binding::NonMaterializable => false,
         }));
     }
 

@@ -16,32 +16,13 @@ use crate::error::{CoreError, Result};
 use crate::operator::{Binding, OpId, Operator};
 
 /// A DAG-structured parallel execution plan `P`.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanDag {
     ops: Vec<Operator>,
     /// `inputs[i]` — producers feeding operator `i`.
     inputs: Vec<Vec<OpId>>,
     /// `consumers[i]` — operators consuming the output of operator `i`.
     consumers: Vec<Vec<OpId>>,
-}
-
-// Written by hand so that `clone_from` reuses every operator name and edge
-// list: the search refills one plan per candidate (`derive(Clone)` would
-// reallocate them all).
-impl Clone for PlanDag {
-    fn clone(&self) -> Self {
-        PlanDag {
-            ops: self.ops.clone(),
-            inputs: self.inputs.clone(),
-            consumers: self.consumers.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.ops.clone_from(&source.ops);
-        self.inputs.clone_from(&source.inputs);
-        self.consumers.clone_from(&source.consumers);
-    }
 }
 
 impl PlanDag {
@@ -73,8 +54,8 @@ impl PlanDag {
         &self.ops[id.index()]
     }
 
-    /// Mutable access to an operator (used by pruning rules to re-bind
-    /// operators and by perturbation helpers to scale costs).
+    /// Mutable access to an operator (used by perturbation helpers to scale
+    /// costs).
     #[inline]
     pub fn op_mut(&mut self, id: OpId) -> &mut Operator {
         &mut self.ops[id.index()]
@@ -140,8 +121,9 @@ impl PlanDag {
         self.iter().find(|(_, op)| op.name == name).map(|(id, _)| id)
     }
 
-    /// Re-binds an operator. Pruning rules use this to mark operators
-    /// non-materializable (setting `m(o) = 0` and `f(o) = 0`, paper §4).
+    /// Re-binds an operator. The search uses this to bind the operators
+    /// that rules 1 and 2 marked in its winner non-materializable (setting
+    /// `m(o) = 0` and `f(o) = 0`, paper §4).
     pub fn set_binding(&mut self, id: OpId, binding: Binding) {
         self.ops[id.index()].binding = binding;
     }

@@ -24,6 +24,10 @@ pub enum CoreError {
     /// A candidate plan has too many free operators for its `2^n`
     /// materialization configurations to be counted in a `u64`.
     TooManyFreeOperators { plan_index: usize, free_ops: usize },
+    /// The candidates' configuration counts `Σ 2^n` overflow a `u64` once
+    /// candidate `plan_index` is added, so the search's counters could not
+    /// hold them.
+    ConfigCountOverflow { plan_index: usize },
     /// No fault-tolerant plan has a finite estimated runtime: in every
     /// configuration some path cost is +∞ — the sum overflows, or an
     /// operator's attempts `a(c)` diverge because it can never reach the
@@ -55,6 +59,11 @@ impl fmt::Display for CoreError {
                 f,
                 "candidate plan {plan_index} has {free_ops} free operators; the search \
                  enumerates at most 63"
+            ),
+            CoreError::ConfigCountOverflow { plan_index } => write!(
+                f,
+                "candidate plans 0..={plan_index} have more configurations in all than a u64 \
+                 counts; the search's counters would overflow"
             ),
             CoreError::NoFiniteEstimate => {
                 write!(

@@ -58,7 +58,7 @@ impl Binding {
 /// The cost model is agnostic to what the operator actually computes: any
 /// relational operator or UDF is supported as long as `tr(o)` and `tm(o)`
 /// estimates are available (paper §2.1).
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Operator {
     /// Human-readable label (used in explanations and test assertions).
     pub name: String,
@@ -71,26 +71,6 @@ pub struct Operator {
     /// Whether the materialization decision for this operator is free or
     /// fixed by the platform.
     pub binding: Binding,
-}
-
-// Written by hand so that `clone_from` reuses the name's buffer: the
-// search refills one plan per candidate (`derive(Clone)` would reallocate).
-impl Clone for Operator {
-    fn clone(&self) -> Self {
-        Operator {
-            name: self.name.clone(),
-            run_cost: self.run_cost,
-            mat_cost: self.mat_cost,
-            binding: self.binding,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.name.clone_from(&source.name);
-        self.run_cost = source.run_cost;
-        self.mat_cost = source.mat_cost;
-        self.binding = source.binding;
-    }
 }
 
 impl Operator {

@@ -15,8 +15,10 @@
 //!   Eq. 9. Rule 3 lives in [`crate::search`]; this module provides the
 //!   [`PathMemo`] it uses.
 //!
-//! Rules 1 and 2 mutate the plan's operator bindings (setting `m(o) = 0`
-//! and `f(o) = 0`); each bound operator halves the configuration space.
+//! Rules 1 and 2 leave the plan as it is. They mark each operator they
+//! bind (`m(o) = 0`, `f(o) = 0`) in the caller's bound-operator mask, one
+//! entry per operator, which [`crate::config::MatConfig`] reads as
+//! non-materializable; each bound operator halves the configuration space.
 
 use serde::{Deserialize, Serialize};
 
@@ -25,17 +27,12 @@ use crate::dag::PlanDag;
 use crate::operator::{Binding, OpId};
 
 /// Local collapsed cost `t({children..., p})` used by rules 1 and 2: the
-/// group contains `p` plus the subset `group_children` of its inputs, with
-/// the dominant path `max tr(child) + tr(p)` scaled by `CONST_pipe` (the
-/// group has ≥ 2 operators by construction) and `tm(p)` as the group's
-/// materialization cost — exactly the arithmetic of Figures 5 and 6.
-fn local_group_cost(
-    plan: &PlanDag,
-    parent: OpId,
-    group_children: &[OpId],
-    params: &CostParams,
-) -> f64 {
-    let max_child_tr = group_children.iter().map(|&o| plan.op(o).run_cost).fold(0.0f64, f64::max);
+/// group contains `p` plus some of its inputs, the longest of which runs
+/// `max_child_tr`, with the dominant path `max tr(child) + tr(p)` scaled by
+/// `CONST_pipe` (the group has ≥ 2 operators by construction) and `tm(p)`
+/// as the group's materialization cost — exactly the arithmetic of
+/// Figures 5 and 6.
+fn local_group_cost(plan: &PlanDag, parent: OpId, max_child_tr: f64, params: &CostParams) -> f64 {
     (max_child_tr + plan.op(parent).run_cost) * params.pipe_const + plan.op(parent).mat_cost
 }
 
@@ -45,72 +42,77 @@ fn singleton_cost(plan: &PlanDag, o: OpId) -> f64 {
     plan.op(o).run_cost + plan.op(o).mat_cost
 }
 
-/// Applies **Rule 1** to `plan`, returning the operators that were marked
-/// non-materializable.
+/// `true` iff a rule may bind input `o` of `p`: `o` is free, not yet
+/// marked in `bound`, and `p` is its only consumer.
+fn bindable(plan: &PlanDag, bound: &[bool], o: OpId, p: OpId) -> bool {
+    plan.op(o).is_free() && !bound[o.index()] && plan.consumers(o) == [p]
+}
+
+/// Applies **Rule 1** to `plan`: marks in `bound` (one entry per operator)
+/// the operators it binds non-materializable, and returns how many.
 ///
-/// For every operator `p` with free input operators `o_1..o_k` (each
-/// consumed only by `p`), the children are bound to `m = 0` iff
-/// `t({o_1..o_k, p}) ≤ t({o_i})` for all `i` — materializing any `o_i`
+/// For every operator `p` with bindable input operators `o_1..o_k` (free,
+/// unmarked, each consumed only by `p`), the children are bound to `m = 0`
+/// iff `t({o_1..o_k, p}) ≤ t({o_i})` for all `i` — materializing any `o_i`
 /// could then never shorten a path under the cost model (the paper proves
 /// `T_Pt({o,p}) ≤ T_Pt({o},{p})` from the monotonicity of `w`, `a` and `γ`
 /// in `t`). Parents are processed in topological order; inputs that are
-/// already non-materializable participate in the group's dominant path,
-/// which only makes the test more conservative.
-pub fn apply_rule1(plan: &mut PlanDag, params: &CostParams) -> Vec<OpId> {
-    let mut marked = Vec::new();
-    for p in plan.op_ids().collect::<Vec<_>>() {
-        let free_children: Vec<OpId> = plan
-            .inputs(p)
-            .iter()
-            .copied()
-            .filter(|&o| plan.op(o).is_free() && plan.consumers(o) == [p])
-            .collect();
-        if free_children.is_empty() {
-            continue;
-        }
+/// already non-materializable or marked participate in the group's
+/// dominant path, which only makes the test more conservative.
+///
+/// # Panics
+/// Panics if `bound` is shorter than the plan.
+pub fn apply_rule1(plan: &PlanDag, params: &CostParams, bound: &mut [bool]) -> usize {
+    let mut marked = 0;
+    for p in plan.op_ids() {
         // The collapsed group contains every input that will not
-        // materialize: the free candidates plus already-bound pipelined ones.
-        let group: Vec<OpId> = plan
-            .inputs(p)
-            .iter()
-            .copied()
-            .filter(|&o| {
-                free_children.contains(&o) || plan.op(o).binding == Binding::NonMaterializable
-            })
-            .collect();
-        let collapsed = local_group_cost(plan, p, &group, params);
-        if free_children.iter().all(|&o| collapsed <= singleton_cost(plan, o)) {
-            for &o in &free_children {
-                plan.set_binding(o, Binding::NonMaterializable);
-                marked.push(o);
+        // materialize: the bindable candidates plus already-bound ones.
+        let mut max_child_tr = 0.0f64;
+        let mut min_singleton = f64::INFINITY;
+        let mut candidates = false;
+        for &o in plan.inputs(p) {
+            if bindable(plan, bound, o, p) {
+                candidates = true;
+                min_singleton = min_singleton.min(singleton_cost(plan, o));
+            } else if plan.op(o).binding != Binding::NonMaterializable && !bound[o.index()] {
+                continue;
+            }
+            max_child_tr = max_child_tr.max(plan.op(o).run_cost);
+        }
+        if candidates && local_group_cost(plan, p, max_child_tr, params) <= min_singleton {
+            for &o in plan.inputs(p) {
+                if bindable(plan, bound, o, p) {
+                    bound[o.index()] = true;
+                    marked += 1;
+                }
             }
         }
     }
     marked
 }
 
-/// Applies **Rule 2** to `plan`, returning the operators that were marked
-/// non-materializable.
+/// Applies **Rule 2** to `plan`: marks in `bound` (one entry per operator)
+/// the operators it binds non-materializable, and returns how many. Run
+/// after rule 1, it sees rule 1's marks.
 ///
-/// For a free operator `o` that is the only input of a unary parent `p`:
-/// if the collapsed group `{o, p}` already succeeds with probability
+/// For a bindable operator `o` that is the only input of a unary parent
+/// `p`: if the collapsed group `{o, p}` already succeeds with probability
 /// `γ(t({o,p})) ≥ S`, no additional attempt is expected and materializing
 /// `o` could only add `tm(o)` — so `o` is bound to `m = 0`.
-pub fn apply_rule2(plan: &mut PlanDag, params: &CostParams) -> Vec<OpId> {
-    let mut marked = Vec::new();
-    for p in plan.op_ids().collect::<Vec<_>>() {
-        let inputs = plan.inputs(p);
-        if inputs.len() != 1 {
+///
+/// # Panics
+/// Panics if `bound` is shorter than the plan.
+pub fn apply_rule2(plan: &PlanDag, params: &CostParams, bound: &mut [bool]) -> usize {
+    let mut marked = 0;
+    for p in plan.op_ids() {
+        let &[o] = plan.inputs(p) else { continue };
+        if !bindable(plan, bound, o, p) {
             continue;
         }
-        let o = inputs[0];
-        if !plan.op(o).is_free() || plan.consumers(o) != [p] {
-            continue;
-        }
-        let t_group = local_group_cost(plan, p, &[o], params);
+        let t_group = local_group_cost(plan, p, plan.op(o).run_cost, params);
         if params.success_probability(t_group) >= params.success_target {
-            plan.set_binding(o, Binding::NonMaterializable);
-            marked.push(o);
+            bound[o.index()] = true;
+            marked += 1;
         }
     }
     marked
@@ -238,18 +240,27 @@ mod tests {
         CostParams::new(3600.0, 0.0).with_pipe_const(0.8)
     }
 
+    type Rule = fn(&PlanDag, &CostParams, &mut [bool]) -> usize;
+
+    /// The operators `rule` marks on a fresh mask, in `OpId` order; checks
+    /// that the returned count agrees.
+    fn marks(rule: Rule, plan: &PlanDag, params: &CostParams) -> Vec<OpId> {
+        let mut bound = vec![false; plan.len()];
+        let count = rule(plan, params, &mut bound);
+        let marked: Vec<OpId> = plan.op_ids().filter(|o| bound[o.index()]).collect();
+        assert_eq!(count, marked.len());
+        marked
+    }
+
     /// Figure 5, left: unary parent. tr(o)=2, tm(o)=10; tr(p)=2, tm(p)=1.
     #[test]
     fn rule1_unary_figure5_example() {
         let mut b = PlanDag::builder();
         let o = b.free("o", 2.0, 10.0, &[]).unwrap();
-        let p = b.free("p", 2.0, 1.0, &[o]).unwrap();
-        let mut plan = b.build().unwrap();
-        // t({o,p}) = (2+2)*0.8 + 1 = 4.2 <= t({o}) = 12.
-        let marked = apply_rule1(&mut plan, &params());
-        assert_eq!(marked, vec![o]);
-        assert_eq!(plan.op(o).binding, Binding::NonMaterializable);
-        assert!(plan.op(p).is_free(), "parent stays free");
+        b.free("p", 2.0, 1.0, &[o]).unwrap();
+        let plan = b.build().unwrap();
+        // t({o,p}) = (2+2)*0.8 + 1 = 4.2 <= t({o}) = 12; the parent stays free.
+        assert_eq!(marks(apply_rule1, &plan, &params()), vec![o]);
     }
 
     /// Figure 5, right: n-ary parent. tr(o1)=2, tm(o1)=10; tr(o2)=4,
@@ -260,10 +271,9 @@ mod tests {
         let o1 = b.free("o1", 2.0, 10.0, &[]).unwrap();
         let o2 = b.free("o2", 4.0, 5.0, &[]).unwrap();
         b.free("p", 2.0, 1.0, &[o1, o2]).unwrap();
-        let mut plan = b.build().unwrap();
+        let plan = b.build().unwrap();
         // t({o1,o2,p}) = (4+2)*0.8 + 1 = 5.8 <= t({o1}) = 12 and <= t({o2}) = 9.
-        let marked = apply_rule1(&mut plan, &params());
-        assert_eq!(marked, vec![o1, o2]);
+        assert_eq!(marks(apply_rule1, &plan, &params()), vec![o1, o2]);
     }
 
     #[test]
@@ -271,10 +281,9 @@ mod tests {
         let mut b = PlanDag::builder();
         let o = b.free("o", 2.0, 0.1, &[]).unwrap();
         b.free("p", 10.0, 1.0, &[o]).unwrap();
-        let mut plan = b.build().unwrap();
+        let plan = b.build().unwrap();
         // t({o,p}) = (2+10)*0.8 + 1 = 10.6 > t({o}) = 2.1.
-        assert!(apply_rule1(&mut plan, &params()).is_empty());
-        assert!(plan.op(o).is_free());
+        assert!(marks(apply_rule1, &plan, &params()).is_empty());
     }
 
     #[test]
@@ -283,9 +292,9 @@ mod tests {
         let o1 = b.free("cheap-mat", 1.0, 0.05, &[]).unwrap(); // t({o1}) = 1.05
         let o2 = b.free("exp-mat", 4.0, 5.0, &[]).unwrap(); // t({o2}) = 9
         b.free("p", 2.0, 1.0, &[o1, o2]).unwrap();
-        let mut plan = b.build().unwrap();
+        let plan = b.build().unwrap();
         // t({o1,o2,p}) = (4+2)*0.8 + 1 = 5.8 > t({o1}) → neither is marked.
-        assert!(apply_rule1(&mut plan, &params()).is_empty());
+        assert!(marks(apply_rule1, &plan, &params()).is_empty());
     }
 
     #[test]
@@ -296,8 +305,8 @@ mod tests {
         let o = b.free("o", 2.0, 10.0, &[]).unwrap();
         b.free("p1", 2.0, 1.0, &[o]).unwrap();
         b.free("p2", 2.0, 1.0, &[o]).unwrap();
-        let mut plan = b.build().unwrap();
-        assert!(apply_rule1(&mut plan, &params()).is_empty());
+        let plan = b.build().unwrap();
+        assert!(marks(apply_rule1, &plan, &params()).is_empty());
     }
 
     /// Figure 6: tr(o)=0.5, tm(o)=1; tr(p)=0.2, tm(p)=0.15; MTBF = 3600.
@@ -306,11 +315,10 @@ mod tests {
         let mut b = PlanDag::builder();
         let o = b.free("o", 0.5, 1.0, &[]).unwrap();
         b.free("p", 0.2, 0.15, &[o]).unwrap();
-        let mut plan = b.build().unwrap();
+        let plan = b.build().unwrap();
         let params = CostParams::new(3600.0, 0.0); // pipe = 1 as in Fig. 6
                                                    // t({o,p}) = 0.7 + 0.15 = 0.85; γ = e^(-0.85/3600) ≈ 0.9998 ≥ 0.95.
-        let marked = apply_rule2(&mut plan, &params);
-        assert_eq!(marked, vec![o]);
+        assert_eq!(marks(apply_rule2, &plan, &params), vec![o]);
     }
 
     #[test]
@@ -318,11 +326,10 @@ mod tests {
         let mut b = PlanDag::builder();
         let o = b.free("o", 500.0, 1.0, &[]).unwrap();
         b.free("p", 200.0, 0.15, &[o]).unwrap();
-        let mut plan = b.build().unwrap();
+        let plan = b.build().unwrap();
         let params = CostParams::new(3600.0, 0.0);
         // γ(700.15) = e^(-0.194) ≈ 0.82 < 0.95.
-        assert!(apply_rule2(&mut plan, &params).is_empty());
-        assert!(plan.op(o).is_free());
+        assert!(marks(apply_rule2, &plan, &params).is_empty());
     }
 
     #[test]
@@ -331,9 +338,9 @@ mod tests {
         let o1 = b.free("o1", 0.1, 0.1, &[]).unwrap();
         let o2 = b.free("o2", 0.1, 0.1, &[]).unwrap();
         b.free("p", 0.1, 0.1, &[o1, o2]).unwrap();
-        let mut plan = b.build().unwrap();
+        let plan = b.build().unwrap();
         let params = CostParams::new(3600.0, 0.0);
-        assert!(apply_rule2(&mut plan, &params).is_empty());
+        assert!(marks(apply_rule2, &plan, &params).is_empty());
     }
 
     #[test]
@@ -341,10 +348,9 @@ mod tests {
         let mut b = PlanDag::builder();
         let o = b.bound_materialized("shuffle", 2.0, 10.0, &[]).unwrap();
         b.free("p", 2.0, 1.0, &[o]).unwrap();
-        let mut plan = b.build().unwrap();
-        assert!(apply_rule1(&mut plan, &params()).is_empty());
-        assert!(apply_rule2(&mut plan, &CostParams::new(3600.0, 0.0)).is_empty());
-        assert_eq!(plan.op(o).binding, Binding::AlwaysMaterialized);
+        let plan = b.build().unwrap();
+        assert!(marks(apply_rule1, &plan, &params()).is_empty());
+        assert!(marks(apply_rule2, &plan, &CostParams::new(3600.0, 0.0)).is_empty());
     }
 
     // --- Rule 3 memo (Eq. 9), including the paper's Figure 7 example. ---

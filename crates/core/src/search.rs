@@ -247,7 +247,7 @@ const FLOOR_MARGIN: f64 = 1e-9;
 /// So every configuration has an execution path with `R_Pt ≥ Σ_π s(o)`.
 /// Once the floor reaches `bestT`, rule 3's condition 1 abandons every
 /// configuration of the candidate. Rules 1 and 2 only bind free operators
-/// to `NonMaterializable`, so the floor is the same before and after them.
+/// non-materializable, so the floor is the same before and after them.
 ///
 /// Returns `+∞` when the sums overflow; the caller lets a non-finite
 /// floor skip nothing.
@@ -278,7 +278,9 @@ pub(crate) fn runtime_floor(plan: &PlanDag, pipe_const: f64, dp: &mut Vec<f64>) 
 /// # Errors
 /// [`CoreError::NoCandidatePlans`] if `candidates` is empty;
 /// [`CoreError::TooManyFreeOperators`] if a candidate has 64 or more free
-/// operators; [`CoreError::NoFiniteEstimate`] if every configuration has
+/// operators; [`CoreError::ConfigCountOverflow`] if the candidates have
+/// more than `u64::MAX` configurations in all, before pruning;
+/// [`CoreError::NoFiniteEstimate`] if every configuration has
 /// a path costed at +∞ (overflow, or attempts that diverge); parameter
 /// validation errors from [`CostParams::validate`].
 pub fn find_best_ft_plan(
@@ -309,11 +311,15 @@ pub fn find_best_ft_plan_traced(
     if candidates.is_empty() {
         return Err(CoreError::NoCandidatePlans);
     }
-    // `2^n` configurations must fit the u64 counters and masks.
+    // `2^n` configurations must fit the u64 masks, and their sum over all
+    // candidates the u64 counters.
     if let Some((plan_index, c)) = candidates.iter().enumerate().find(|(_, c)| c.free_count() >= 64)
     {
         return Err(CoreError::TooManyFreeOperators { plan_index, free_ops: c.free_count() });
     }
+    candidates.iter().enumerate().try_fold(0u64, |total, (plan_index, c)| {
+        total.checked_add(1 << c.free_count()).ok_or(CoreError::ConfigCountOverflow { plan_index })
+    })?;
 
     let t0 = crate::sync::clock::now();
     let now_us = || crate::sync::clock::elapsed(t0).as_micros() as u64;
@@ -323,10 +329,11 @@ pub fn find_best_ft_plan_traced(
     let mut best: Option<BestFtPlan> = None;
     let mut best_t = f64::INFINITY;
 
-    // Refilled for every candidate and configuration; cloned only on a
-    // best update.
-    let mut plan = candidates[0].clone();
-    let mut config = MatConfig::none(&plan);
+    // Candidates stay as they are: rules 1 and 2 mark the operators they
+    // bind in `bound`, which `config` reads. Refilled for every candidate
+    // and configuration; cloned only on a best update.
+    let mut bound = Vec::new();
+    let mut config = MatConfig::none(&candidates[0]);
     let mut collapser = Collapser::default();
     let mut collapsed = CollapsedPlan::empty();
     let mut floor_dp = Vec::new();
@@ -336,9 +343,11 @@ pub fn find_best_ft_plan_traced(
         let free_ops = candidate.free_count() as u64;
         stats.configs_unpruned += 1u64 << free_ops;
 
-        plan.clone_from(candidate);
-        let rule1_bound = if opts.rule1 { apply_rule1(&mut plan, params).len() as u64 } else { 0 };
-        let rule2_bound = if opts.rule2 { apply_rule2(&mut plan, params).len() as u64 } else { 0 };
+        bound.clear();
+        bound.resize(candidate.len(), false);
+        let rule1_bound = if opts.rule1 { apply_rule1(candidate, params, &mut bound) } else { 0 };
+        let rule2_bound = if opts.rule2 { apply_rule2(candidate, params, &mut bound) } else { 0 };
+        let (rule1_bound, rule2_bound) = (rule1_bound as u64, rule2_bound as u64);
         stats.rule1_bound_ops += rule1_bound;
         stats.rule2_bound_ops += rule2_bound;
         // Each bound operator halves the remaining space; attribute the
@@ -346,13 +355,13 @@ pub fn find_best_ft_plan_traced(
         stats.configs_pruned_rule1 += (1u64 << free_ops) - (1u64 << (free_ops - rule1_bound));
         stats.configs_pruned_rule2 +=
             (1u64 << (free_ops - rule1_bound)) - (1u64 << (free_ops - rule1_bound - rule2_bound));
-        let configs = 1u64 << plan.free_count();
+        let configs = 1u64 << (free_ops - rule1_bound - rule2_bound);
 
         // Rule 3, condition 1, for the whole candidate: when its runtime
         // floor reaches `bestT`, every configuration has a path that rule
         // 3 stops on, so none is scanned.
         let floor_stop = opts.rule3 && {
-            let floor = runtime_floor(&plan, params.pipe_const, &mut floor_dp);
+            let floor = runtime_floor(candidate, params.pipe_const, &mut floor_dp);
             floor.is_finite() && floor >= best_t
         };
 
@@ -372,9 +381,9 @@ pub fn find_best_ft_plan_traced(
             // one and check that a path of it reaches `bestT`.
             if cfg!(debug_assertions) {
                 for mask in 0..configs {
-                    config.set_free_bits(&plan, mask);
-                    collapser.scan(&plan, &config);
-                    collapser.collapse_into(&plan, &config, params.pipe_const, &mut collapsed);
+                    config.set_free_bits(candidate, &bound, mask);
+                    collapser.scan(candidate, &config);
+                    collapser.collapse_into(candidate, &config, params.pipe_const, &mut collapsed);
                     let reached = for_each_path(&collapsed, |p| {
                         if path_runtime(&collapsed, p) >= best_t {
                             ControlFlow::Break(())
@@ -390,17 +399,17 @@ pub fn find_best_ft_plan_traced(
 
         for mask in 0..configs {
             stats.configs_enumerated += 1;
-            config.set_free_bits(&plan, mask);
-            collapser.scan(&plan, &config);
+            config.set_free_bits(candidate, &bound, mask);
+            collapser.scan(candidate, &config);
             // Rule 3, condition 1, on the first path alone, before the plan
             // is collapsed: most configurations stop here.
-            let first_runtime = collapser.first_path_runtime(&plan, &config, params.pipe_const);
+            let first_runtime = collapser.first_path_runtime(candidate, &config, params.pipe_const);
             let first_path_stop = opts.rule3 && first_runtime.is_some_and(|r| r >= best_t);
             // Release builds collapse only the configurations that get
             // past that check; debug builds collapse every one and check
             // the precheck against the full collapse's first path.
             if !first_path_stop || cfg!(debug_assertions) {
-                collapser.collapse_into(&plan, &config, params.pipe_const, &mut collapsed);
+                collapser.collapse_into(candidate, &config, params.pipe_const, &mut collapsed);
                 debug_assert_eq!(
                     for_each_path(&collapsed, |p| ControlFlow::Break(
                         path_runtime(&collapsed, p).to_bits()
@@ -434,9 +443,13 @@ pub fn find_best_ft_plan_traced(
                                 .arg("materialized", config.materialized_count())
                         });
                         let paths_examined = stats.paths_examined;
+                        let mut plan = candidate.clone();
+                        for o in candidate.op_ids().filter(|o| bound[o.index()]) {
+                            plan.set_binding(o, Binding::NonMaterializable);
+                        }
                         best = Some(BestFtPlan {
                             plan_index,
-                            plan: plan.clone(),
+                            plan,
                             config: config.clone(),
                             estimate: FtEstimate {
                                 collapsed: collapsed.clone(),
@@ -684,6 +697,24 @@ mod tests {
                 "{opts:?}"
             );
         }
+    }
+
+    #[test]
+    fn configuration_counts_that_overflow_in_sum_are_an_error() {
+        // Two 63-operator chains have 2^63 configurations each: one fits
+        // the u64 counters, two do not. Rule 1 binds every operator but the
+        // sink (`tm` falls by 10 per operator), so each would scan two.
+        let mut b = PlanDag::builder();
+        let mut prev = b.free("op0", 1.0, 630.0, &[]).unwrap();
+        for i in 1..63 {
+            prev = b.free(format!("op{i}"), 1.0, 630.0 - 10.0 * i as f64, &[prev]).unwrap();
+        }
+        let chain = b.build().unwrap();
+        let err =
+            find_best_ft_plan(&[chain.clone(), chain], &params(60.0), &PruneOptions::default())
+                .unwrap_err();
+        assert_eq!(err, CoreError::ConfigCountOverflow { plan_index: 1 });
+        assert!(err.to_string().contains("overflow"), "{err}");
     }
 
     #[test]

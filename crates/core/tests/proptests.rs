@@ -175,23 +175,25 @@ proptest! {
         );
     }
 
-    /// Rules 1/2 never *unbind* operators and never bind bound ones.
+    /// Rules 1/2 mark only free operators, count what they mark, and rule
+    /// 2 never unmarks what rule 1 marked.
     #[test]
     fn rules_only_bind_free_ops(plan in arb_plan(10), mtbf in 1.0f64..1e5) {
         let params = CostParams::new(mtbf, 1.0);
-        let mut p1 = plan.clone();
-        let marked1 = apply_rule1(&mut p1, &params);
-        for id in plan.op_ids() {
-            if marked1.contains(&id) {
-                prop_assert!(plan.op(id).is_free());
-                prop_assert_eq!(p1.op(id).binding, Binding::NonMaterializable);
-            } else {
-                prop_assert_eq!(p1.op(id).binding, plan.op(id).binding);
-            }
-        }
-        let mut p2 = plan.clone();
-        let marked2 = apply_rule2(&mut p2, &params);
-        for &id in &marked2 {
+        let marked = |bound: &[bool]| plan.op_ids().filter(|o| bound[o.index()]).collect::<Vec<_>>();
+        let mut bound = vec![false; plan.len()];
+        let count1 = apply_rule1(&plan, &params, &mut bound);
+        let marked1 = marked(&bound);
+        prop_assert_eq!(marked1.len(), count1);
+        let count2 = apply_rule2(&plan, &params, &mut bound);
+        let marked12 = marked(&bound);
+        prop_assert_eq!(marked12.len(), count1 + count2);
+        prop_assert!(marked1.iter().all(|o| marked12.contains(o)));
+        let mut bound = vec![false; plan.len()];
+        let count2 = apply_rule2(&plan, &params, &mut bound);
+        let marked2 = marked(&bound);
+        prop_assert_eq!(marked2.len(), count2);
+        for id in marked12.into_iter().chain(marked2) {
             prop_assert!(plan.op(id).is_free());
         }
     }

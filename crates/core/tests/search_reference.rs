@@ -1,9 +1,11 @@
 //! The search and the collapse against straightforward references.
 //!
 //! `reference_search` is `findBestFTPlan` without the rule-3 precheck:
-//! every candidate is cloned, every configuration is collapsed afresh and
-//! its paths are evaluated one by one. Its runtime-floor skip, when on,
-//! uses a floor of its own, folded over every path of the plan.
+//! every candidate is cloned and re-bound by rules 1 and 2 of its own
+//! (`reference_rule1`, `reference_rule2`), every configuration is
+//! collapsed afresh and its paths are evaluated one by one. Its
+//! runtime-floor skip, when on, uses a floor of its own, folded over every
+//! path of the plan.
 //! `reference_collapse` builds each collapsed operator on its own, with
 //! one backward closure and one dominant-path DP per root.
 //! `find_best_ft_plan` and `CollapsedPlan::collapse` must agree with them
@@ -46,6 +48,73 @@ fn config_level(s: &SearchStats) -> SearchStats {
         paths_costed: 0,
         ..*s
     }
+}
+
+/// `t({children..., p})` of rules 1 and 2 for the group of `p` and the
+/// inputs `group`: `(max tr(child) + tr(p))·CONST_pipe + tm(p)`.
+fn group_cost(plan: &PlanDag, p: OpId, group: &[OpId], params: &CostParams) -> f64 {
+    let max_child_tr = group.iter().map(|&o| plan.op(o).run_cost).fold(0.0f64, f64::max);
+    (max_child_tr + plan.op(p).run_cost) * params.pipe_const + plan.op(p).mat_cost
+}
+
+/// Rule 1 as a rewrite of `plan`: for each parent in `OpId` order, binds
+/// its free inputs that it alone consumes non-materializable, all of them
+/// or none, when their group with `p` (and `p`'s non-materializable
+/// inputs) costs no more than any of them alone. Returns the bound
+/// operators.
+fn reference_rule1(plan: &mut PlanDag, params: &CostParams) -> Vec<OpId> {
+    let mut marked = Vec::new();
+    for p in plan.op_ids().collect::<Vec<_>>() {
+        let free_children: Vec<OpId> = plan
+            .inputs(p)
+            .iter()
+            .copied()
+            .filter(|&o| plan.op(o).is_free() && plan.consumers(o) == [p])
+            .collect();
+        if free_children.is_empty() {
+            continue;
+        }
+        let group: Vec<OpId> = plan
+            .inputs(p)
+            .iter()
+            .copied()
+            .filter(|&o| {
+                free_children.contains(&o) || plan.op(o).binding == Binding::NonMaterializable
+            })
+            .collect();
+        let collapsed = group_cost(plan, p, &group, params);
+        let singleton = |o: OpId| plan.op(o).run_cost + plan.op(o).mat_cost;
+        if free_children.iter().all(|&o| collapsed <= singleton(o)) {
+            for &o in &free_children {
+                plan.set_binding(o, Binding::NonMaterializable);
+                marked.push(o);
+            }
+        }
+    }
+    marked
+}
+
+/// Rule 2 as a rewrite of `plan`: binds the free only input `o` of a unary
+/// parent `p` that alone consumes it non-materializable when `γ(t({o, p}))`
+/// reaches the success target. Returns the bound operators.
+fn reference_rule2(plan: &mut PlanDag, params: &CostParams) -> Vec<OpId> {
+    let mut marked = Vec::new();
+    for p in plan.op_ids().collect::<Vec<_>>() {
+        let inputs = plan.inputs(p);
+        if inputs.len() != 1 {
+            continue;
+        }
+        let o = inputs[0];
+        if !plan.op(o).is_free() || plan.consumers(o) != [p] {
+            continue;
+        }
+        let t_group = group_cost(plan, p, &[o], params);
+        if params.success_probability(t_group) >= params.success_target {
+            plan.set_binding(o, Binding::NonMaterializable);
+            marked.push(o);
+        }
+    }
+    marked
 }
 
 /// The longest source→sink path of `plan` under the weights
@@ -96,8 +165,8 @@ fn reference_search(
         let free_ops = candidate.free_count() as u64;
         stats.configs_unpruned += 1 << free_ops;
         let mut plan = candidate.clone();
-        let b1 = if opts.rule1 { apply_rule1(&mut plan, params).len() as u64 } else { 0 };
-        let b2 = if opts.rule2 { apply_rule2(&mut plan, params).len() as u64 } else { 0 };
+        let b1 = if opts.rule1 { reference_rule1(&mut plan, params).len() as u64 } else { 0 };
+        let b2 = if opts.rule2 { reference_rule2(&mut plan, params).len() as u64 } else { 0 };
         stats.rule1_bound_ops += b1;
         stats.rule2_bound_ops += b2;
         stats.configs_pruned_rule1 += (1 << free_ops) - (1 << (free_ops - b1));
@@ -275,6 +344,35 @@ proptest! {
                     false,
                     "{opts:?}: search {got:?}, reference {want:?}, without the skip {plain:?}"
                 ),
+            }
+        }
+    }
+
+    /// Rules 1 and 2 mark in the search's mask exactly the operators the
+    /// plan-rewriting reference rules bind, and count them alike: rule 1
+    /// alone, rule 2 alone, and rule 2 after rule 1.
+    #[test]
+    fn mask_rules_bind_what_the_reference_rules_bind(
+        plan in arb_plan(10),
+        mtbf in 1.0f64..1e5,
+        mttr in 0.0f64..100.0,
+        pipe_const in 1e-9f64..=1.0,
+    ) {
+        let params = CostParams::new(mtbf, mttr).with_pipe_const(pipe_const);
+        for (rule1, rule2) in [(true, false), (false, true), (true, true)] {
+            let mut rewritten = plan.clone();
+            let mut bound = vec![false; plan.len()];
+            if rule1 {
+                let want = reference_rule1(&mut rewritten, &params).len();
+                prop_assert_eq!(apply_rule1(&plan, &params, &mut bound), want);
+            }
+            if rule2 {
+                let want = reference_rule2(&mut rewritten, &params).len();
+                prop_assert_eq!(apply_rule2(&plan, &params, &mut bound), want);
+            }
+            for id in plan.op_ids() {
+                let rebound = rewritten.op(id).binding != plan.op(id).binding;
+                prop_assert_eq!(bound[id.index()], rebound, "{:?} rules {:?}", id, (rule1, rule2));
             }
         }
     }

@@ -21,7 +21,6 @@
 //! ```
 
 pub mod enumerate;
-pub mod greedy;
 pub mod logical;
 pub mod physical;
 
@@ -30,7 +29,6 @@ pub mod prelude {
     pub use crate::enumerate::{
         all_plans, count_join_orders, k_best_plans, JoinTree, BUILD_FACTOR,
     };
-    pub use crate::greedy::greedy_plan;
     pub use crate::logical::{chain_graph, JoinEdge, JoinGraph, RelId, Relation};
     pub use crate::physical::{tree_to_plan, AggSpec, CostModel};
 }
