@@ -305,21 +305,6 @@ pub const REGISTRY: &[CodeInfo] = &[
                       lock-free core.",
     },
     CodeInfo {
-        code: Code::FT214,
-        severity: Severity::Error,
-        summary: "guard held across a call into the obs global/flight hot paths",
-        explanation: "`obs::global()`, the metrics registry and the flight recorder have \
-                      their own internal synchronization. Calling into them while holding an \
-                      unrelated shim lock extends the critical section by the observability \
-                      plane's cost and creates cross-crate lock edges that per-crate \
-                      reasoning (and the loom models, which run one crate at a time) cannot \
-                      see. Fix: record metrics after dropping the guard — compute the values \
-                      inside the critical section, emit them outside. Pre-resolved \
-                      lock-free handles (`Counter`, `HistogramHandle`) are cheap, but their \
-                      first-use resolution still locks the registry, so the discipline is \
-                      uniform: no obs calls under a store/engine lock.",
-    },
-    CodeInfo {
         code: Code::FT301,
         severity: Severity::Error,
         summary: "nondeterministic replay: same seed, different canonical trace",
@@ -500,11 +485,11 @@ mod tests {
     #[test]
     fn ft21x_table_lists_exactly_the_concurrency_codes() {
         let table = ft21x_markdown_table();
-        for code in ["FT210", "FT211", "FT212", "FT213", "FT214"] {
+        for code in ["FT210", "FT211", "FT212", "FT213"] {
             assert!(table.contains(code), "missing {code}");
         }
         assert!(!table.contains("FT201"));
-        assert_eq!(table.lines().count(), 2 + 5);
+        assert_eq!(table.lines().count(), 2 + 4);
     }
 
     #[test]

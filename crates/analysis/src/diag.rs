@@ -119,9 +119,6 @@ pub enum Code {
     /// Concurrency discipline: re-entrant acquisition of the same shim
     /// lock, directly or through the call graph (parking_lot deadlocks).
     FT213,
-    /// Concurrency discipline: shim lock guard held across a call into
-    /// the `obs` global registry / flight-recorder hot paths.
-    FT214,
     /// Simulation harness: replaying the same seed produced a different
     /// canonical trace (nondeterministic execution).
     FT301,
@@ -165,7 +162,6 @@ impl Code {
         Code::FT211,
         Code::FT212,
         Code::FT213,
-        Code::FT214,
         Code::FT301,
         Code::FT302,
         Code::FT303,
@@ -201,7 +197,6 @@ impl Code {
             Code::FT211 => "FT211",
             Code::FT212 => "FT212",
             Code::FT213 => "FT213",
-            Code::FT214 => "FT214",
             Code::FT301 => "FT301",
             Code::FT302 => "FT302",
             Code::FT303 => "FT303",

@@ -31,12 +31,12 @@
 //!   library code, unsynced renames on the store commit path, and
 //!   unused `ftpde-allow` suppressions (`FT201`, `FT204`, `FT205`,
 //!   `FT207`). On top of the token passes sits a
-//!   **concurrency-discipline analysis** (`FT210`…`FT214`): a
+//!   **concurrency-discipline analysis** (`FT210`…`FT213`): a
 //!   conservative workspace call graph ([`source::callgraph`]), a
 //!   lock-site dataflow ([`source::locks`]) tracking guard liveness,
 //!   and a lock-order graph ([`source::LockGraph`]) with cycle
-//!   detection — lock-order cycles, blocking I/O / channel ops /
-//!   re-entrant acquisition / global-metrics calls under a live guard.
+//!   detection — lock-order cycles, and blocking I/O / channel ops /
+//!   re-entrant acquisition under a live guard.
 //!   `ftpde lint --source` is its CLI face.
 //! * [`codes`] — the **unified diagnostic registry**: every FT code's
 //!   default severity, summary and long-form explanation in one table,

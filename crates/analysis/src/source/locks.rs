@@ -16,9 +16,6 @@
 //!   a guard is live.
 //! * **FT212** — channel `send`/`recv` or `JoinHandle::join` while a
 //!   guard is live: the peer may need the same lock to make progress.
-//! * **FT214** — a call into the observability plane (`obs::global()`
-//!   or anything that transitively reaches it) while a guard is live;
-//!   the metrics registry takes its own locks on first use.
 //! * **FT210** — a cycle in the workspace lock-order graph (lock A
 //!   held while acquiring B somewhere, B held while acquiring A
 //!   elsewhere): a potential deadlock no single function exhibits.
@@ -166,8 +163,6 @@ struct Facts {
     blocking: bool,
     /// May block on a channel or thread join.
     chan: bool,
-    /// May reach the observability plane (`obs::global()`).
-    obs: bool,
 }
 
 /// A live lock guard during the walk of one function body.
@@ -218,7 +213,6 @@ pub fn analyze(files: &[(usize, &str, &[Tok])]) -> Analysis {
                 f.acquires.extend(callee.acquires.iter().cloned());
                 f.blocking |= callee.blocking;
                 f.chan |= callee.chan;
-                f.obs |= callee.obs;
                 changed |= *f != before;
             }
         }
@@ -291,12 +285,11 @@ fn direct_facts(
         }
         f.blocking |= blocking_at(toks, i).is_some();
         f.chan |= chan_at(toks, i).is_some();
-        f.obs |= obs_at(toks, i);
     }
     f
 }
 
-/// Walks one function body tracking live guards; emits FT211-FT214
+/// Walks one function body tracking live guards; emits FT211-FT213
 /// findings and lock-order edges.
 #[allow(clippy::too_many_arguments)]
 fn walk_fn(
@@ -427,19 +420,6 @@ fn walk_fn(
                         g.lock, g.line
                     ),
                 );
-            } else if obs_at(toks, i) {
-                emit(
-                    analysis,
-                    seen,
-                    Code::FT214,
-                    line,
-                    col,
-                    format!(
-                        "`obs::global()` reached while `{}` is held (guard since line {}) — \
-                         record metrics after releasing the guard",
-                        g.lock, g.line
-                    ),
-                );
             }
         }
 
@@ -500,21 +480,6 @@ fn walk_fn(
                             format!(
                                 "call to `{qual}` blocks on a channel or join while `{}` is \
                                  held (guard since line {})",
-                                g.lock, g.line
-                            ),
-                        );
-                    }
-                    if cf.obs {
-                        emit(
-                            analysis,
-                            seen,
-                            Code::FT214,
-                            line,
-                            col,
-                            format!(
-                                "call to `{qual}` reaches `obs::global()` while `{}` is held \
-                                 (guard since line {}) — record metrics after releasing the \
-                                 guard",
                                 g.lock, g.line
                             ),
                         );
@@ -640,16 +605,6 @@ fn chan_at(toks: &[Tok], i: usize) -> Option<String> {
     }
 }
 
-/// `true` when token `i` is the `global` of `…::global(…)` — the
-/// observability-plane entry point.
-fn obs_at(toks: &[Tok], i: usize) -> bool {
-    toks[i].is_ident("global")
-        && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-        && i >= 2
-        && toks[i - 1].is_punct(':')
-        && toks[i - 2].is_punct(':')
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -759,23 +714,6 @@ mod tests {
                         fn len(&self) { let n = self.inner.lock(); }\n}";
         let (hits, _) = run(&[("crates/x/src/lib.rs", via_call)]);
         assert_eq!(hits, vec![(Code::FT213, 4)]);
-    }
-
-    #[test]
-    fn obs_global_under_guard_is_ft214_direct_and_transitive() {
-        let files = [
-            (
-                "crates/x/src/disk.rs",
-                "impl S {\n\
-                 fn f(&self) {\n\
-                 let g = self.inner.lock();\n\
-                 stats::record_put(1);\n\
-                 }\n}",
-            ),
-            ("crates/x/src/stats.rs", "pub fn record_put(n: u64) { ftpde_obs::global().put(n); }"),
-        ];
-        let (hits, _) = run(&files);
-        assert_eq!(hits, vec![(Code::FT214, 4)]);
     }
 
     #[test]

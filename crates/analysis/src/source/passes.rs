@@ -387,7 +387,7 @@ mod tests {
         let r = lint_tokens("crates/store/src/disk.rs", FileClass::Lib, &tokenize(good));
         assert_eq!(codes(&r), vec![]);
         // Outside the store crate the pass is silent.
-        let r = lint_tokens("crates/obs/src/flight.rs", FileClass::Lib, &tokenize(bad));
+        let r = lint_tokens("crates/obs/src/export.rs", FileClass::Lib, &tokenize(bad));
         assert_eq!(codes(&r), vec![]);
     }
 

@@ -470,25 +470,6 @@ pub fn find_best_ft_plan_traced(
     }
     debug_assert!(stats.paths_costed <= stats.paths_examined, "path counters broke: {stats:?}");
 
-    // Always-on metrics: fold this search's counters into the
-    // process-global registry so optimizer activity (expansion, pruning,
-    // memo effectiveness) is visible even with a no-op recorder.
-    let g = ftpde_obs::global();
-    g.counter_add("search.runs_total", 1);
-    g.counter_add("search.plans_considered_total", stats.plans_considered);
-    g.counter_add("search.configs_unpruned_total", stats.configs_unpruned);
-    g.counter_add("search.configs_enumerated_total", stats.configs_enumerated);
-    g.counter_add("search.configs_explored_total", stats.configs_explored);
-    g.counter_add("search.configs_pruned_rule1_total", stats.configs_pruned_rule1);
-    g.counter_add("search.configs_pruned_rule2_total", stats.configs_pruned_rule2);
-    g.counter_add("search.rule3_stops_total", stats.rule3_stops());
-    g.counter_add("search.memo_hits_total", stats.rule3_memo_stops);
-    g.counter_add("search.rule3_floor_stops_total", stats.rule3_floor_stops);
-    g.counter_add("search.paths_examined_total", stats.paths_examined);
-    g.counter_add("search.paths_costed_total", stats.paths_costed);
-    g.counter_add("search.best_updates_total", stats.best_updates);
-    g.observe("search.seconds", crate::sync::clock::elapsed(t0).as_secs_f64());
-
     rec.record_with(|| {
         Event::span("find_best_ft_plan", "search", 0, now_us())
             .arg("plans", stats.plans_considered)
@@ -781,9 +762,6 @@ mod tests {
             costly.op_mut(id).mat_cost *= 10.0;
         }
         let p = params(60.0);
-        let floor_total =
-            || ftpde_obs::global().snapshot().counter("search.rule3_floor_stops_total");
-        let floor_total_before = floor_total();
         let rec = MemoryRecorder::new();
         let (best, stats) =
             find_best_ft_plan_traced(&[plan, costly], &p, &PruneOptions::default(), &rec).unwrap();
@@ -791,8 +769,6 @@ mod tests {
         assert!(stats.rule3_floor_stops > 0, "{stats:?}");
         assert!(stats.partition_holds(), "{stats:?}");
         assert_eq!(stats.configs_enumerated, stats.configs_explored + stats.rule3_stops());
-        // Other tests add to the global counter too, never take from it.
-        assert!(floor_total() - floor_total_before >= stats.rule3_floor_stops);
 
         let events = rec.events();
         let floor_stop: Vec<_> =
@@ -808,6 +784,10 @@ mod tests {
         assert_eq!(done.get_arg("configs_explored"), Some(&ArgValue::U64(stats.configs_explored)));
         assert_eq!(done.get_arg("memo_hits"), Some(&ArgValue::U64(stats.rule3_memo_stops)));
         assert_eq!(done.get_arg("floor_stops"), Some(&ArgValue::U64(stats.rule3_floor_stops)));
+        // The metrics fold reads the search's counters off that span.
+        let metrics = ftpde_obs::fold(&events).metrics;
+        assert_eq!(metrics.counter("search.rule3_floor_stops_total"), stats.rule3_floor_stops);
+        assert_eq!(metrics.counter("search.configs_enumerated_total"), stats.configs_enumerated);
         let explained = crate::explain::explain_search_stats(&stats);
         assert!(
             explained.contains(&format!("/ floor {}]", stats.rule3_floor_stops)),

@@ -25,17 +25,17 @@
 //!
 //! Every fact about a run is emitted once, as a private `Fact`, on the
 //! coordinator's thread: workers hand theirs back at the stage barrier.
-//! One fold (`Run::emit`) turns each fact into the [`RunReport`], the
-//! run's `/queries` row and one trace event for the caller's recorder and
-//! the flight ring; `Run::finish` adds the `engine.*` metrics from the same
-//! state. So the channels agree, and the trace's order is deterministic.
+//! One fold (`Run::emit`) adds each fact to the [`RunReport`] and, when
+//! the caller's recorder is enabled, records it as one trace event. The
+//! run's query row and its `engine.*` metrics are folds of that trace
+//! ([`ftpde_obs::fold()`]), so every channel agrees with the report, and the
+//! trace's order is deterministic.
 
 use std::time::Instant;
 
 use ftpde_core::collapse::CollapsedPlan;
 use ftpde_core::config::MatConfig;
 use ftpde_core::cost::EstimateBreakdown;
-use ftpde_obs::progress::QueryHandle;
 use ftpde_obs::{Event, NoopRecorder, Recorder};
 use ftpde_store::value::Row;
 use ftpde_store::{CorruptSegment, MemBackend, StoreBackend, StoreStats};
@@ -75,13 +75,14 @@ pub struct RunOptions<'a> {
     /// the run's start: a span per stage (tid 0) and per completed node
     /// attempt (tid = node + 1), and instants for failures, redeploys,
     /// writes, corrupt segments, restarts, the store's measured throughput
-    /// (the observed `tm(o)`) and termination. The always-on flight ring
-    /// gets the same events; the default [`NoopRecorder`] drops its copy.
+    /// (the observed `tm(o)`) and termination. Under the default
+    /// [`NoopRecorder`] no event is built. [`ftpde_obs::fold()`] turns the
+    /// trace into the run's query row and metrics.
     pub rec: &'a dyn Recorder,
     /// The cost model's estimate of this plan
     /// ([`ftpde_core::cost::FtEstimate::breakdown`]): tags each stage span
     /// with its predicted costs (by root operator id), opens the trace with
-    /// a `plan_estimate` instant and gives `/queries` its predicted
+    /// a `plan_estimate` instant and gives the query row its predicted
     /// runtime, so the trace is self-contained for calibration
     /// ([`ftpde_obs::CalibrationReport`]). Predictions are in cost units,
     /// engine spans in wall-clock seconds.
@@ -215,12 +216,7 @@ pub fn run_query_resumable(
     // *back up*: when a stage's materialized input fails its checksum, the
     // cursor rewinds to the producing stage and re-executes forward.
     let stage_list: Vec<_> = collapsed.op_ids().collect();
-    // The `/queries` row is labelled with the query's sink operator.
-    let label = stage_list.last().map_or_else(
-        || "query".to_owned(),
-        |&cid| plan.op(EOpId(collapsed.op(cid).root.0)).name.clone(),
-    );
-    let mut run = Run::start(*opts, store, nodes, label, stage_list.len());
+    let mut run = Run::start(*opts, store, nodes);
 
     'query: loop {
         // A resumed first attempt keeps the store's surviving state; any
@@ -461,7 +457,6 @@ struct Run<'a> {
     nodes: usize,
     t0: Instant,
     stats_at_start: StoreStats,
-    progress: QueryHandle,
     report: RunReport,
     input_rewinds: u64,
     /// Redeploys since the last stage event: the next timeline entry's
@@ -470,27 +465,15 @@ struct Run<'a> {
 }
 
 impl<'a> Run<'a> {
-    /// Starts a run: registers it with the metrics and `/queries`, then
-    /// emits the plan estimate and whatever a disk backend demoted while
-    /// opening (crash debris).
-    fn start(
-        opts: RunOptions<'a>,
-        store: &'a dyn StoreBackend,
-        nodes: usize,
-        label: String,
-        stages: usize,
-    ) -> Self {
-        let (stats_at_start, t0) = (store.stats(), clock::now());
-        ftpde_obs::global().counter_add("engine.queries_total", 1);
-        let predicted_s = opts.pred.map(|p| p.dominant_runtime);
-        let progress = ftpde_obs::progress::global().start(label, stages as u64, predicted_s);
+    /// Starts a run: emits the plan estimate and whatever a disk backend
+    /// demoted while opening (crash debris).
+    fn start(opts: RunOptions<'a>, store: &'a dyn StoreBackend, nodes: usize) -> Self {
         let mut run = Run {
             opts,
             store,
             nodes,
-            t0,
-            stats_at_start,
-            progress,
+            t0: clock::now(),
+            stats_at_start: store.stats(),
             report: RunReport::default(),
             input_rewinds: 0,
             stage_retries: 0,
@@ -519,34 +502,61 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// The fact fold: adds `fact` to the run's report, stage timeline and
-    /// `/queries` row, and records it as one trace event in the caller's
-    /// recorder and the flight ring.
+    /// The fact fold: adds `fact` to the run's report and stage timeline,
+    /// then records it as one trace event if the caller's recorder is
+    /// enabled.
     fn emit(&mut self, fact: Fact) {
+        match &fact {
+            Fact::StageSkipped { stage } => {
+                self.report.stages_skipped += 1;
+                self.push_timing(*stage, 0, true);
+            }
+            Fact::InputRewind { .. } => self.input_rewinds += 1,
+            Fact::SegmentCorrupt(_) => self.report.segments_corrupt += 1,
+            Fact::Redeploy { .. } => {
+                self.report.node_retries += 1;
+                self.stage_retries += 1;
+            }
+            Fact::Stage { stage, wall_us, .. } => self.push_timing(*stage, *wall_us, false),
+            Fact::QueryRestart => self.report.query_restarts += 1,
+            Fact::QueryAborted => {
+                self.report.query_restarts += 1;
+                self.report.aborted = true;
+            }
+            Fact::PlanEstimate { .. }
+            | Fact::Attempt { .. }
+            | Fact::NodeFailure { .. }
+            | Fact::Materialize { .. }
+            | Fact::StoreStats
+            | Fact::QueryCompleted => {}
+        }
+        self.opts.rec.record_with(|| self.event(fact));
+    }
+
+    /// Appends a stage event to the timeline, with the redeploys since
+    /// the previous one.
+    fn push_timing(&mut self, stage: u32, wall_us: u64, skipped: bool) {
+        let retries = std::mem::take(&mut self.stage_retries);
+        self.report.stage_timings.push(StageTiming { stage, wall_us, retries, skipped });
+    }
+
+    /// The trace event of `fact`, stamped now unless the fact carries a
+    /// worker's clock reads, after the fold has added it to the report.
+    fn event(&self, fact: Fact) -> Event {
         let now = micros_since(self.t0);
-        let event = match fact {
+        match fact {
             Fact::PlanEstimate { cost_s, runtime_s } => {
                 Event::instant("plan_estimate", "engine", now)
                     .arg("pred_cost_s", cost_s)
                     .arg("pred_runtime_s", runtime_s)
             }
             Fact::StageSkipped { stage } => {
-                self.report.stages_skipped += 1;
-                let retries = std::mem::take(&mut self.stage_retries);
-                let timing = StageTiming { stage, wall_us: 0, retries, skipped: true };
-                self.report.stage_timings.push(timing);
-                self.progress.stage_done();
                 Event::instant("stage_skipped", "engine", now).arg("stage", stage)
             }
-            Fact::InputRewind { stage, producer } => {
-                self.input_rewinds += 1;
-                Event::instant("input_rewind", "engine", now)
-                    .arg("stage", stage)
-                    .arg("producer", producer)
-            }
+            Fact::InputRewind { stage, producer } => Event::instant("input_rewind", "engine", now)
+                .arg("stage", stage)
+                .arg("producer", producer),
             Fact::SegmentCorrupt(c) => {
-                self.report.segments_corrupt += 1;
-                self.progress.add_corrupt(1);
                 let ev = Event::instant("segment_corrupt", "engine", now)
                     .arg("op", c.op)
                     .arg("reason", c.reason);
@@ -574,9 +584,6 @@ impl<'a> Run<'a> {
                     .arg("lost_s", end_us.saturating_sub(start_us) as f64 / 1e6)
             }
             Fact::Redeploy { stage, node, attempt, at_us } => {
-                self.report.node_retries += 1;
-                self.stage_retries += 1;
-                self.progress.add_retries(1);
                 Event::instant("redeploy", "engine", at_us)
                     .tid(node as u32 + 1)
                     .arg("stage", stage)
@@ -584,12 +591,6 @@ impl<'a> Run<'a> {
                     .arg("attempt", attempt)
             }
             Fact::Stage { stage, start_us, wall_us, failed } => {
-                let retries = std::mem::take(&mut self.stage_retries);
-                let timing = StageTiming { stage, wall_us, retries, skipped: false };
-                self.report.stage_timings.push(timing);
-                if !failed {
-                    self.progress.stage_done();
-                }
                 let span = Event::span(format!("stage {stage}"), "engine", start_us, wall_us)
                     .arg("stage", stage)
                     .arg("nodes", self.nodes)
@@ -604,35 +605,23 @@ impl<'a> Run<'a> {
                     None => span,
                 }
             }
-            Fact::Materialize { stage, node, rows, bytes } => {
-                let (total_bytes, total_rows) = self.materialized();
-                self.progress.set_materialized(total_bytes, total_rows);
-                match node {
-                    Some(n) => Event::instant("materialize", "engine", now)
-                        .tid(n as u32 + 1)
-                        .arg("stage", stage)
-                        .arg("node", n)
-                        .arg("rows", rows)
-                        .arg("bytes", bytes),
-                    None => Event::instant("materialize", "engine", now)
-                        .arg("stage", stage)
-                        .arg("rows", rows)
-                        .arg("bytes", bytes)
-                        .arg("replicated", true),
-                }
-            }
-            Fact::QueryRestart => {
-                self.report.query_restarts += 1;
-                self.progress.restart();
-                Event::instant("query_restart", "engine", now)
-                    .arg("attempt", self.report.query_restarts)
-            }
-            Fact::QueryAborted => {
-                self.report.query_restarts += 1;
-                self.report.aborted = true;
-                Event::instant("query_aborted", "engine", now)
-                    .arg("restarts", self.report.query_restarts)
-            }
+            Fact::Materialize { stage, node, rows, bytes } => match node {
+                Some(n) => Event::instant("materialize", "engine", now)
+                    .tid(n as u32 + 1)
+                    .arg("stage", stage)
+                    .arg("node", n)
+                    .arg("rows", rows)
+                    .arg("bytes", bytes),
+                None => Event::instant("materialize", "engine", now)
+                    .arg("stage", stage)
+                    .arg("rows", rows)
+                    .arg("bytes", bytes)
+                    .arg("replicated", true),
+            },
+            Fact::QueryRestart => Event::instant("query_restart", "engine", now)
+                .arg("attempt", self.report.query_restarts),
+            Fact::QueryAborted => Event::instant("query_aborted", "engine", now)
+                .arg("restarts", self.report.query_restarts),
             // The backend's lifetime accounting, including measured
             // throughput: the observed `tm(o)` that `ftpde_obs::calibrate`
             // joins against the cost model's assumptions.
@@ -659,46 +648,14 @@ impl<'a> Run<'a> {
                 .arg("query_restarts", self.report.query_restarts)
                 .arg("rows_materialized", self.materialized().1)
                 .arg("stages_skipped", self.report.stages_skipped),
-        };
-        // Under `--cfg loom` the global ring's primitives are loom types
-        // unusable outside a model, so only the caller's recorder sees it.
-        #[cfg(not(loom))]
-        {
-            let flight = ftpde_obs::flight::global();
-            if self.opts.rec.enabled() {
-                flight.record(event.clone());
-                self.opts.rec.record(event);
-            } else {
-                flight.record(event);
-            }
         }
-        #[cfg(loom)]
-        self.opts.rec.record_with(|| event);
     }
 
-    /// Ends the run: completes its report, adds its totals to the
-    /// `engine.*` metrics and closes its `/queries` row.
+    /// Ends the run: completes its report with the results and what the
+    /// run wrote to the store.
     fn finish(self, results: Vec<(EOpId, Vec<Row>)>) -> RunReport {
         let (bytes_materialized, rows_materialized) = self.materialized();
-        let r = RunReport { results, rows_materialized, bytes_materialized, ..self.report };
-        let g = ftpde_obs::global();
-        g.counter_add("engine.node_retries_total", r.node_retries);
-        g.counter_add("engine.query_restarts_total", u64::from(r.query_restarts));
-        g.counter_add("engine.stages_skipped_total", r.stages_skipped);
-        g.counter_add("engine.segments_corrupt_total", r.segments_corrupt);
-        g.counter_add("engine.input_rewinds_total", self.input_rewinds);
-        if r.aborted {
-            g.counter_add("engine.queries_aborted_total", 1);
-        }
-        g.observe("engine.query_seconds", clock::elapsed(self.t0).as_secs_f64());
-        let executed: Vec<_> = r.stage_timings.iter().filter(|t| !t.skipped).collect();
-        for t in &executed {
-            g.observe("engine.stage_seconds", t.wall_us as f64 / 1e6);
-        }
-        g.counter_add("engine.stages_total", executed.len() as u64);
-        self.progress.set_materialized(bytes_materialized, rows_materialized);
-        self.progress.complete(r.aborted);
-        r
+        RunReport { results, rows_materialized, bytes_materialized, ..self.report }
     }
 }
 

@@ -3,7 +3,9 @@
 //! query results must be bit-identical to a failure-free single-node
 //! evaluation that runs one operator at a time through the kernels, so
 //! the coordinator's fused stages are checked against the unfused
-//! operators. Each run's report must also equal a fold of its own trace.
+//! operators. Each run's report must also equal two folds of its own
+//! trace: the test's own `Tally` oracle, and the query row of
+//! `ftpde_obs::fold`.
 
 use proptest::prelude::*;
 
@@ -19,7 +21,7 @@ use ftpde_engine::queries::{
     load_catalog, q1_engine_plan, q1c_engine_plan, q2c_engine_plan, q3_engine_plan, q5_engine_plan,
 };
 use ftpde_engine::table::{Catalog, Distribution};
-use ftpde_obs::{ArgValue, Event, MemoryRecorder};
+use ftpde_obs::{ArgValue, Event, MemoryRecorder, QueryState};
 use ftpde_store::value::Row;
 use ftpde_store::{DiskBackend, MemBackend, StoreBackend};
 use ftpde_tpch::datagen::Database;
@@ -134,6 +136,48 @@ impl Tally {
     }
 }
 
+/// What a query row shares with the report.
+#[derive(Debug, PartialEq)]
+struct QueryCounters {
+    node_retries: u64,
+    query_restarts: u64,
+    aborted: bool,
+    stages_skipped: u64,
+    segments_corrupt: u64,
+    rows_materialized: u64,
+    bytes_materialized: u64,
+}
+
+impl QueryCounters {
+    fn of_report(r: &RunReport) -> Self {
+        QueryCounters {
+            node_retries: r.node_retries,
+            query_restarts: u64::from(r.query_restarts),
+            aborted: r.aborted,
+            stages_skipped: r.stages_skipped,
+            segments_corrupt: r.segments_corrupt,
+            rows_materialized: r.rows_materialized,
+            bytes_materialized: r.bytes_materialized,
+        }
+    }
+
+    /// The trace's one query row, as `ftpde_obs::fold` reads it.
+    fn of_fold(events: &[Event]) -> Self {
+        let rows = ftpde_obs::fold(events).queries;
+        assert_eq!(rows.len(), 1, "one run is one query: {rows:?}");
+        let q = &rows[0];
+        QueryCounters {
+            node_retries: q.retries,
+            query_restarts: q.restarts,
+            aborted: q.state == QueryState::Aborted,
+            stages_skipped: q.stages_skipped,
+            segments_corrupt: q.segments_corrupt,
+            rows_materialized: q.rows_materialized,
+            bytes_materialized: q.bytes_materialized,
+        }
+    }
+}
+
 fn plan_by_index(i: u8) -> EnginePlan {
     match i % 5 {
         0 => q1_engine_plan(),
@@ -183,6 +227,7 @@ proptest! {
         prop_assert_eq!(report.node_retries, injector.fired().len() as u64);
         prop_assert!(!report.aborted);
         prop_assert_eq!(Tally::of_trace(&rec.events()), Tally::of_report(&report));
+        prop_assert_eq!(QueryCounters::of_fold(&rec.events()), QueryCounters::of_report(&report));
     }
 
     /// Repeated failures on the same node (multiple attempts) still
@@ -207,9 +252,12 @@ proptest! {
             .flat_map(|&s| (0..attempts).map(move |a| Injection { stage: s, node, attempt: a }))
             .collect();
         let injector = FailureInjector::with(injections);
-        let report = run_query(&plan, &config, &catalog, &injector, &RunOptions::default());
+        let rec = MemoryRecorder::new();
+        let opts = RunOptions { rec: &rec, ..Default::default() };
+        let report = run_query(&plan, &config, &catalog, &injector, &opts);
         prop_assert_eq!(&report.results, &expected);
         prop_assert_eq!(report.node_retries, (stage_roots.len() as u32 * attempts) as u64);
+        prop_assert_eq!(QueryCounters::of_fold(&rec.events()), QueryCounters::of_report(&report));
     }
 
     /// Coarse restart under random single failures reproduces the
@@ -244,6 +292,7 @@ proptest! {
         prop_assert_eq!(report.query_restarts, restarts);
         prop_assert_eq!(&report.results, &expected);
         prop_assert_eq!(Tally::of_trace(&rec.events()), Tally::of_report(&report));
+        prop_assert_eq!(QueryCounters::of_fold(&rec.events()), QueryCounters::of_report(&report));
     }
 
     /// The materialized-row count is identical across failure schedules

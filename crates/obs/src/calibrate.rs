@@ -16,14 +16,14 @@
 use serde::{Deserialize, Serialize};
 
 use crate::event::{ArgValue, Event, Phase};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::Metrics;
 use crate::report::Summary;
 
 /// Below this predicted magnitude a relative error is meaningless and the
 /// observation is dropped from the distributions.
 const MIN_PREDICTED_S: f64 = 1e-9;
 
-fn arg_f64(e: &Event, key: &str) -> Option<f64> {
+pub(crate) fn arg_f64(e: &Event, key: &str) -> Option<f64> {
     match e.get_arg(key)? {
         ArgValue::F64(v) => Some(*v),
         ArgValue::U64(v) => Some(*v as f64),
@@ -32,7 +32,7 @@ fn arg_f64(e: &Event, key: &str) -> Option<f64> {
     }
 }
 
-fn arg_u64(e: &Event, key: &str) -> Option<u64> {
+pub(crate) fn arg_u64(e: &Event, key: &str) -> Option<u64> {
     match e.get_arg(key)? {
         ArgValue::U64(v) => Some(*v),
         ArgValue::I64(v) if *v >= 0 => Some(*v as u64),
@@ -369,14 +369,15 @@ impl CalibrationReport {
         self.stage_error_stats().and_then(|s| s.drift())
     }
 
-    /// Pushes the report into `reg` as gauges and histograms, so the
-    /// Prometheus exporter can serve calibration alongside raw metrics.
+    /// Adds the report to `reg` as gauges and histograms, so the
+    /// Prometheus exporter can serve calibration alongside the trace's
+    /// metrics.
     ///
     /// Signed relative errors do not fit the log-bucketed (positive-only)
     /// histograms directly, so magnitudes are split by sign:
     /// `calibration.stage_rel_error_over` holds under-predictions
     /// (observed > predicted), `..._under` holds over-predictions.
-    pub fn export_metrics(&self, reg: &MetricsRegistry) {
+    pub fn export_metrics(&self, reg: &mut Metrics) {
         reg.gauge_set("calibration.stage_count", self.stages.len() as f64);
         reg.gauge_set("calibration.query_count", self.queries.len() as f64);
         if let Some(stats) = self.stage_error_stats() {
@@ -626,13 +627,12 @@ mod tests {
         assert!((stats.mean_abs - 0.1).abs() < 1e-9);
         assert_eq!(report.drift_score(), Some(stats.drift().unwrap()));
 
-        let reg = MetricsRegistry::new();
-        report.export_metrics(&reg);
-        let snap = reg.snapshot();
+        let mut snap = Metrics::new();
+        report.export_metrics(&mut snap);
         assert_eq!(snap.gauge("calibration.stage_count"), Some(2.0));
         assert_eq!(snap.histogram("calibration.stage_rel_error_over").unwrap().count, 1);
         assert_eq!(snap.histogram("calibration.stage_rel_error_under").unwrap().count, 1);
-        // The exported registry must survive the Prometheus formatter.
+        // The exported metrics must survive the Prometheus formatter.
         let text = crate::export::to_prometheus(&snap);
         assert!(text.contains("# TYPE calibration_stage_rel_error_over histogram"));
     }
@@ -666,9 +666,9 @@ mod tests {
         assert_eq!(report.measured_tm_bytes_per_s, Some(2e6));
         assert!(report.to_summary().render().contains("2.00 MB/s"));
 
-        let reg = MetricsRegistry::new();
-        report.export_metrics(&reg);
-        assert_eq!(reg.snapshot().gauge("calibration.measured_tm_bytes_per_s"), Some(2e6));
+        let mut reg = Metrics::new();
+        report.export_metrics(&mut reg);
+        assert_eq!(reg.gauge("calibration.measured_tm_bytes_per_s"), Some(2e6));
 
         // Absent (or zero-rate) store stats leave the hook empty.
         let no_store =

@@ -1,7 +1,7 @@
 //! Event-log exporters: JSONL (machine-readable, one event per line,
 //! lossless round-trip), Chrome trace-event JSON (loadable in
 //! `chrome://tracing` or Perfetto's legacy importer), and Prometheus
-//! text exposition format for [`MetricsSnapshot`]s.
+//! text exposition format for [`Metrics`].
 
 use std::fmt::Write as _;
 use std::io::Write;
@@ -10,7 +10,7 @@ use std::path::Path;
 use serde::Value;
 
 use crate::event::{ArgValue, Event, Phase};
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{Histogram, Metrics};
 
 /// Serializes events as JSONL: one self-contained JSON object per line.
 /// The format round-trips through [`from_jsonl`] losslessly.
@@ -187,12 +187,12 @@ fn prom_families<T>(
     families
 }
 
-/// Serializes a [`MetricsSnapshot`] in the Prometheus text exposition
-/// format (version 0.0.4).
+/// Serializes [`Metrics`] in the Prometheus text exposition format
+/// (version 0.0.4).
 ///
-/// Counters export as `counter`, gauges as `gauge` — except unset
-/// gauges still holding the registry's NaN sentinel, which are skipped
-/// (Prometheus scrapers reject a `NaN` sample) — histograms as
+/// Counters export as `counter`, gauges as `gauge` — except `NaN`
+/// gauges, which are skipped (Prometheus scrapers reject a `NaN`
+/// sample) — histograms as
 /// `histogram` with cumulative `_bucket{le="..."}` series (bucket upper
 /// bounds are the log-bucket upper edges `2^(i-39)`), a `+Inf` bucket,
 /// `_sum` and `_count`. Every exported family gets exactly one `# HELP`
@@ -204,20 +204,17 @@ fn prom_families<T>(
 /// `name="<original>"` label so series remain distinct; across kinds,
 /// the family name gets a `_counter`/`_gauge`/`_histogram` suffix so no
 /// family is declared with two types.
-pub fn to_prometheus(snapshot: &MetricsSnapshot) -> String {
-    use crate::metrics::HistogramSnapshot;
-
-    // Unset gauges carry the registry's NaN sentinel; a `NaN` sample is
-    // rejected by Prometheus text-format 0.0.4 scrapers, so they are
-    // dropped before family grouping (a family whose every gauge is
-    // unset vanishes entirely rather than emitting HELP/TYPE with no
-    // samples).
+pub fn to_prometheus(metrics: &Metrics) -> String {
+    // A `NaN` sample is rejected by Prometheus text-format 0.0.4
+    // scrapers, so such gauges are dropped before family grouping (a
+    // family whose every gauge is `NaN` vanishes entirely rather than
+    // emitting HELP/TYPE with no samples).
     let set_gauges: Vec<(String, f64)> =
-        snapshot.gauges.iter().filter(|(_, v)| !v.is_nan()).cloned().collect();
+        metrics.gauges.iter().filter(|(_, v)| !v.is_nan()).cloned().collect();
 
-    let counters = prom_families(&snapshot.counters);
+    let counters = prom_families(&metrics.counters);
     let gauges = prom_families(&set_gauges);
-    let histograms = prom_families(&snapshot.histograms);
+    let histograms = prom_families(&metrics.histograms);
 
     // A sanitized name claimed by more than one kind must fork into
     // per-kind families: one name cannot carry two `# TYPE`s.
@@ -285,7 +282,7 @@ pub fn to_prometheus(snapshot: &MetricsSnapshot) -> String {
             let mut cum = 0u64;
             for &(i, c) in &h.buckets {
                 cum += c;
-                let (_, hi) = HistogramSnapshot::bucket_bounds(i);
+                let (_, hi) = Histogram::bucket_bounds(i);
                 let _ = writeln!(out, "{n}_bucket{{{prefix}le=\"{}\"}} {cum}", prom_f64(hi));
             }
             let _ = writeln!(out, "{n}_bucket{{{prefix}le=\"+Inf\"}} {}", h.count);
@@ -393,15 +390,13 @@ mod tests {
 
     #[test]
     fn prometheus_export_passes_format_sanity() {
-        use crate::metrics::MetricsRegistry;
-
-        let reg = MetricsRegistry::new();
+        let mut reg = Metrics::new();
         reg.counter_add("search.memo_hits", 42);
         reg.gauge_set("sim.overhead_pct", 12.5);
         for v in [0.25, 1.0, 1.5, 3.0, 250.0] {
             reg.observe("engine.stage_seconds", v);
         }
-        let text = to_prometheus(&reg.snapshot());
+        let text = to_prometheus(&reg);
 
         // Exactly one `# TYPE` line per metric, with sanitized names.
         let type_lines: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
@@ -458,17 +453,17 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_export_of_empty_snapshot_is_empty() {
-        let snap = MetricsSnapshot::default();
+    fn prometheus_export_of_empty_metrics_is_empty() {
+        let snap = Metrics::default();
         assert_eq!(to_prometheus(&snap), "");
     }
 
-    /// An unset gauge (the registry's NaN sentinel, reachable in
-    /// hand-built or deserialized snapshots) must not serialize as a
-    /// `NaN` sample: text-format 0.0.4 scrapers reject it.
+    /// A `NaN` gauge (reachable in hand-built or deserialized metrics)
+    /// must not serialize as a `NaN` sample: text-format 0.0.4 scrapers
+    /// reject it.
     #[test]
-    fn prometheus_skips_nan_sentinel_gauges() {
-        let mut snap = MetricsSnapshot::default();
+    fn prometheus_skips_nan_gauges() {
+        let mut snap = Metrics::default();
         snap.gauges.push(("engine.unset".into(), f64::NAN));
         snap.gauges.push(("engine.set".into(), 2.5));
         let text = to_prometheus(&snap);
@@ -478,13 +473,13 @@ mod tests {
         // The all-unset family vanishes entirely — no HELP/TYPE for it.
         assert!(!text.contains("engine_unset"), "unset gauge family leaked: {text}");
 
-        // All-NaN snapshot exports nothing at all.
-        let mut snap = MetricsSnapshot::default();
+        // All-NaN metrics export nothing at all.
+        let mut snap = Metrics::default();
         snap.gauges.push(("only.unset".into(), f64::NAN));
         assert_eq!(to_prometheus(&snap), "");
 
         // Infinities are representable in the exposition format and stay.
-        let mut snap = MetricsSnapshot::default();
+        let mut snap = Metrics::default();
         snap.gauges.push(("inf.gauge".into(), f64::INFINITY));
         assert!(to_prometheus(&snap).contains("inf_gauge +Inf\n"));
     }
@@ -494,12 +489,10 @@ mod tests {
     /// HELP/TYPE and are told apart by a `name` label.
     #[test]
     fn prometheus_within_kind_collisions_get_name_labels() {
-        use crate::metrics::MetricsRegistry;
-
-        let reg = MetricsRegistry::new();
+        let mut reg = Metrics::new();
         reg.counter_add("store.put.bytes", 10);
         reg.counter_add("store.put bytes", 32); // both sanitize to store_put_bytes
-        let text = to_prometheus(&reg.snapshot());
+        let text = to_prometheus(&reg);
 
         assert_eq!(text.matches("# TYPE store_put_bytes counter").count(), 1);
         assert!(text.contains("# HELP store_put_bytes store.put bytes, store.put.bytes\n"));
@@ -514,13 +507,11 @@ mod tests {
     /// forks off with a kind suffix.
     #[test]
     fn prometheus_cross_kind_collisions_fork_families() {
-        use crate::metrics::MetricsRegistry;
-
-        let reg = MetricsRegistry::new();
+        let mut reg = Metrics::new();
         reg.counter_add("engine.retries", 3);
         reg.gauge_set("engine-retries", 1.5); // sanitizes to engine_retries too
         reg.observe("engine retries", 0.5); // and so does this histogram
-        let text = to_prometheus(&reg.snapshot());
+        let text = to_prometheus(&reg);
 
         assert!(text.contains("# TYPE engine_retries_counter counter\n"));
         assert!(text.contains("# TYPE engine_retries_gauge gauge\n"));
@@ -544,12 +535,10 @@ mod tests {
     /// series (`_bucket`, `_sum`, `_count`) alongside `le`.
     #[test]
     fn prometheus_histogram_collisions_label_all_series() {
-        use crate::metrics::MetricsRegistry;
-
-        let reg = MetricsRegistry::new();
+        let mut reg = Metrics::new();
         reg.observe("put.seconds", 1.0);
         reg.observe("put-seconds", 4.0);
-        let text = to_prometheus(&reg.snapshot());
+        let text = to_prometheus(&reg);
 
         assert_eq!(text.matches("# TYPE put_seconds histogram").count(), 1);
         assert!(text.contains("put_seconds_bucket{name=\"put-seconds\",le=\"8\"} 1\n"));

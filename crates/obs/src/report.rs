@@ -1,12 +1,9 @@
 //! A structured plain-text summary: banners, aligned tables and free
 //! lines collected into one renderable value instead of scattered
 //! `println!` calls — so harness output can be printed, diffed against a
-//! golden transcript, exported, or mirrored into a [`Recorder`] as
-//! events.
+//! golden transcript or exported.
 
-use crate::event::Event;
-use crate::metrics::MetricsSnapshot;
-use crate::recorder::Recorder;
+use crate::metrics::{Histogram, Metrics};
 
 #[derive(Debug, Clone)]
 enum Item {
@@ -107,58 +104,27 @@ impl Summary {
     pub fn print(&self) {
         print!("{}", self.render());
     }
-
-    /// Mirrors the summary's structure into `rec` as instant events
-    /// under category `cat`: one `section` event per banner (carrying the
-    /// title) and one `table` event per table (carrying its dimensions
-    /// and the section it belongs to).
-    pub fn record_events(&self, rec: &dyn Recorder, cat: &str) {
-        if !rec.enabled() {
-            return;
-        }
-        let mut section = String::new();
-        let mut seq = 0u64;
-        for item in &self.items {
-            seq += 1;
-            match item {
-                Item::Banner(title) => {
-                    section = title.clone();
-                    rec.record(Event::instant("section", cat, seq).arg("title", title.as_str()));
-                }
-                Item::Table { headers, rows } => {
-                    rec.record(
-                        Event::instant("table", cat, seq)
-                            .arg("section", section.as_str())
-                            .arg("cols", headers.len())
-                            .arg("rows", rows.len()),
-                    );
-                }
-                Item::Line(_) => {}
-            }
-        }
-    }
 }
 
-/// Renders a [`MetricsSnapshot`] as a [`Summary`]: one table per metric
-/// kind, histogram rows carrying interpolated p50/p90/p99 quantiles.
-pub fn metrics_summary(snap: &MetricsSnapshot) -> Summary {
+/// Renders [`Metrics`] as a [`Summary`]: one table per metric kind,
+/// histogram rows carrying interpolated p50/p90/p99 quantiles.
+pub fn metrics_summary(m: &Metrics) -> Summary {
     let mut out = Summary::new();
     out.banner("Metrics");
-    if !snap.counters.is_empty() {
+    if !m.counters.is_empty() {
         let rows: Vec<Vec<String>> =
-            snap.counters.iter().map(|(n, v)| vec![n.clone(), v.to_string()]).collect();
+            m.counters.iter().map(|(n, v)| vec![n.clone(), v.to_string()]).collect();
         out.table(&["counter", "value"], &rows);
     }
-    if !snap.gauges.is_empty() {
+    if !m.gauges.is_empty() {
         let rows: Vec<Vec<String>> =
-            snap.gauges.iter().map(|(n, v)| vec![n.clone(), format!("{v:.4}")]).collect();
+            m.gauges.iter().map(|(n, v)| vec![n.clone(), format!("{v:.4}")]).collect();
         out.table(&["gauge", "value"], &rows);
     }
-    if !snap.histograms.is_empty() {
-        let q = |h: &crate::metrics::HistogramSnapshot, q: f64| {
-            h.quantile(q).map_or_else(|| "-".into(), |v| format!("{v:.4}"))
-        };
-        let rows: Vec<Vec<String>> = snap
+    if !m.histograms.is_empty() {
+        let q =
+            |h: &Histogram, q: f64| h.quantile(q).map_or_else(|| "-".into(), |v| format!("{v:.4}"));
+        let rows: Vec<Vec<String>> = m
             .histograms
             .iter()
             .map(|(n, h)| {
@@ -175,7 +141,7 @@ pub fn metrics_summary(snap: &MetricsSnapshot) -> Summary {
             .collect();
         out.table(&["histogram", "count", "mean", "p50", "p90", "p99", "max"], &rows);
     }
-    if snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty() {
+    if m.counters.is_empty() && m.gauges.is_empty() && m.histograms.is_empty() {
         out.line("no metrics recorded");
     }
     out
@@ -184,7 +150,6 @@ pub fn metrics_summary(snap: &MetricsSnapshot) -> Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::MemoryRecorder;
 
     #[test]
     fn renders_banner_table_and_lines() {
@@ -208,28 +173,14 @@ mod tests {
     }
 
     #[test]
-    fn record_events_mirrors_structure() {
-        let mut s = Summary::new();
-        s.banner("A").table(&["x"], &[]).banner("B").table(&["y"], &[vec!["1".into()]]);
-        let rec = MemoryRecorder::new();
-        s.record_events(&rec, "bench");
-        let events = rec.events();
-        assert_eq!(events.len(), 4);
-        assert_eq!(events[0].name, "section");
-        assert_eq!(events[1].name, "table");
-        assert_eq!(events[3].get_arg("section"), Some(&crate::event::ArgValue::Str("B".into())));
-    }
-
-    #[test]
     fn metrics_summary_shows_quantiles() {
-        use crate::metrics::MetricsRegistry;
-        let reg = MetricsRegistry::new();
+        let mut reg = Metrics::new();
         reg.counter_add("retries", 4);
         reg.gauge_set("overhead_pct", 7.5);
         for _ in 0..10 {
             reg.observe("stage_seconds", 2.5);
         }
-        let text = metrics_summary(&reg.snapshot()).render();
+        let text = metrics_summary(&reg).render();
         assert!(text.contains("==== Metrics ===="));
         assert!(text.contains("retries"));
         assert!(text.contains("7.5000"));

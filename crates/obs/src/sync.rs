@@ -1,19 +1,8 @@
-//! Synchronization shim for the flight recorder: `std` + `parking_lot`
-//! normally, `loom` under `--cfg loom`.
+//! Synchronization and time for library code.
 //!
-//! The flight recorder ([`crate::flight`]) is the one piece of this crate
-//! with a non-trivial concurrent protocol — a ticket-dispensing ring
-//! written by every worker thread and snapshotted concurrently — so its
-//! primitives cross this module and the loom CI job
-//! (`RUSTFLAGS="--cfg loom"`) model-checks the very ring the production
-//! build runs (`crates/obs/tests/loom.rs`). Everything else in the crate
-//! (metrics registry, progress registry, HTTP server) uses [`plain`]:
-//! `std` / `parking_lot` in every build, documented as *outside* the
-//! loom-modeled protocol — those paths are either lock-free single-word
-//! atomics or coarse mutexes with no ordering protocol worth modeling.
-//! The source-discipline analyzer (`FT201`, `ftpde lint --source`)
-//! enforces that every primitive in library code routes through one of
-//! the two, so the split is visible instead of ambient.
+//! [`plain`] is the crate's one route to a lock: the `FT201` source lint
+//! (`ftpde lint --source`) flags any primitive in library code that
+//! bypasses a crate's `sync` module, so every use stays visible.
 //!
 //! [`clock`] is the workspace's wall-clock seam: library code reads time
 //! through it (clippy's `disallowed-methods`, configured in
@@ -21,62 +10,19 @@
 //! is what lets a deterministic simulator virtualize time without
 //! touching the call sites.
 
-#[cfg(not(loom))]
-pub use std::sync::atomic::{AtomicU64, Ordering};
-
-#[cfg(loom)]
-pub use loom::sync::atomic::{AtomicU64, Ordering};
-
-#[cfg(not(loom))]
-pub use parking_lot::{Mutex, MutexGuard};
-
-#[cfg(loom)]
-mod loom_impl {
-    /// Guard returned by [`Mutex::lock`].
-    pub type MutexGuard<'a, T> = loom::sync::MutexGuard<'a, T>;
-
-    /// A loom-instrumented mutex with parking_lot's non-poisoning API.
-    #[derive(Debug, Default)]
-    pub struct Mutex<T>(loom::sync::Mutex<T>);
-
-    impl<T> Mutex<T> {
-        /// Creates a new mutex.
-        pub fn new(value: T) -> Self {
-            Mutex(loom::sync::Mutex::new(value))
-        }
-
-        /// Acquires the lock. Every acquisition is a loom schedule point.
-        pub fn lock(&self) -> MutexGuard<'_, T> {
-            self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-
-        /// Consumes the mutex, returning the inner value.
-        pub fn into_inner(self) -> T {
-            self.0.into_inner()
-        }
-    }
-}
-
-#[cfg(loom)]
-pub use loom_impl::{Mutex, MutexGuard};
-
-/// `std`/`parking_lot` primitives re-exported unchanged in **every**
-/// build, including `--cfg loom`.
+/// `std`/`parking_lot` primitives, re-exported unchanged in every build.
 ///
 /// Code importing from here is declaring: *this synchronization is not
-/// part of a loom-modeled protocol* — lock-free counters, coarse
-/// registry mutexes, thread handles for the HTTP acceptor. Routing the
-/// declaration through one module keeps the escape visible (grep
-/// `sync::plain`) and lets the `FT201` source lint flag any primitive
-/// that bypasses both this module and the loom-switched one above.
-/// Anything with an ordering protocol worth model-checking belongs on
-/// the loom-switched re-exports instead.
+/// part of a loom-modeled protocol* — here, the [`MemoryRecorder`]'s
+/// event buffer. Routing the declaration through one module keeps the
+/// escape visible (grep `sync::plain`) and lets the `FT201` source lint
+/// flag any primitive that bypasses it. The engine and the store, whose
+/// loom models do check a protocol, keep loom-switched shims of their
+/// own beside their `plain` modules.
+///
+/// [`MemoryRecorder`]: crate::MemoryRecorder
 pub mod plain {
-    pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-    pub use std::sync::{Arc, OnceLock};
-    pub use std::thread;
-
-    pub use parking_lot::{Mutex, MutexGuard, RwLock};
+    pub use parking_lot::Mutex;
 }
 
 /// The wall-clock seam: all library reads of monotonic time route
@@ -164,7 +110,7 @@ pub mod clock {
         GLOBAL.advance(delta);
     }
 
-    #[cfg(all(test, not(loom)))]
+    #[cfg(test)]
     mod tests {
         use super::*;
 

@@ -1,10 +1,8 @@
 //! Serde round-trip guarantees for the exported observability types:
-//! trace events (through JSON and the JSONL exporter) and metric
-//! snapshots survive serialize → deserialize without loss.
+//! trace events (through JSON and the JSONL exporter) and metrics
+//! survive serialize → deserialize without loss.
 
-use ftpde_obs::{
-    export, ArgValue, Event, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Phase,
-};
+use ftpde_obs::{export, ArgValue, Event, Histogram, Metrics, Phase};
 
 fn sample_events() -> Vec<Event> {
     vec![
@@ -49,48 +47,44 @@ fn events_round_trip_through_the_jsonl_exporter() {
 }
 
 #[test]
-fn metrics_snapshot_round_trips_through_json() {
-    let reg = MetricsRegistry::new();
+fn metrics_round_trip_through_json() {
+    let mut reg = Metrics::new();
     reg.counter_add("search.memo_hits", 42);
     reg.counter_add("engine.node_retries", 3);
     reg.gauge_set("sim.overhead_pct", 12.5);
     for v in [0.25, 1.0, 3.0, 250.0] {
         reg.observe("engine.stage_seconds", v);
     }
-    let snap = reg.snapshot();
-
-    let text = serde_json::to_string(&snap).unwrap();
-    let back: MetricsSnapshot = serde_json::from_str(&text).unwrap();
-    assert_eq!(back, snap);
+    let text = serde_json::to_string(&reg).unwrap();
+    let back: Metrics = serde_json::from_str(&text).unwrap();
+    assert_eq!(back, reg);
     assert_eq!(back.counter("search.memo_hits"), 42);
     assert_eq!(back.gauge("sim.overhead_pct"), Some(12.5));
     let h = back.histogram("engine.stage_seconds").unwrap();
     assert_eq!(h.count, 4);
-    assert_eq!(h.mean(), snap.histogram("engine.stage_seconds").unwrap().mean());
+    assert_eq!(h.mean(), reg.histogram("engine.stage_seconds").unwrap().mean());
 }
 
 #[test]
-fn registry_snapshots_are_always_json_safe() {
-    let reg = MetricsRegistry::new();
+fn metrics_are_always_json_safe() {
+    let mut reg = Metrics::new();
     reg.observe("h", 1.0);
-    let snap = reg.snapshot();
-    let (_, h) = &snap.histograms[0];
+    let (_, h) = &reg.histograms[0];
     assert!(h.min.unwrap().is_finite() && h.max.unwrap().is_finite());
-    let back: MetricsSnapshot =
-        serde_json::from_str(&serde_json::to_string(&snap).unwrap()).unwrap();
-    assert_eq!(back, snap);
+    let back: Metrics = serde_json::from_str(&serde_json::to_string(&reg).unwrap()).unwrap();
+    assert_eq!(back, reg);
 }
 
 #[test]
-fn empty_histogram_snapshot_round_trips_through_json() {
+fn empty_histogram_round_trips_through_json() {
     // A never-observed histogram used to carry ±inf sentinels that became
     // `null` under JSON and failed to deserialize; min/max are now
     // `Option<f64>` so the empty state survives the round trip.
-    let empty = HistogramSnapshot::empty();
+    let empty = Histogram::empty();
     assert_eq!(empty.mean(), None);
     assert_eq!(empty.quantile(0.5), None);
     let text = serde_json::to_string(&empty).unwrap();
-    let back: HistogramSnapshot = serde_json::from_str(&text).unwrap();
+    let back: Histogram = serde_json::from_str(&text).unwrap();
     assert_eq!(back, empty);
     assert_eq!(back.min, None);
     assert_eq!(back.max, None);

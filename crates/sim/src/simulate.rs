@@ -206,21 +206,6 @@ pub fn simulate(
                 .arg("query_restarts", result.restarts)
         }
     });
-    // Always-on metrics: every simulated execution is visible in the
-    // process-global registry, recorder or not. Durations here are
-    // *virtual* seconds (simulated time), not wall clock.
-    let g = ftpde_obs::global();
-    g.counter_add("sim.runs_total", 1);
-    g.counter_add("sim.node_retries_total", result.node_retries);
-    g.counter_add("sim.restarts_total", u64::from(result.restarts));
-    if result.aborted {
-        g.counter_add("sim.aborts_total", 1);
-    }
-    if result.horizon_exceeded {
-        g.counter_add("sim.horizon_exceeded_total", 1);
-    }
-    g.observe("sim.completion_virtual_seconds", result.completion);
-    g.observe("sim.recovery_virtual_seconds", result.recovery_seconds);
     result
 }
 

@@ -23,9 +23,6 @@
 //!    file order, under either recovery mode. Same seed, same history.
 //! 7. **FT304** (warn) — scheduled faults that never fired mean the
 //!    schedule outran the run: the case tests less than it claims.
-//!
-//! Every `Error` finding triggers a flight-recorder dump, so a failing
-//! seed leaves a forensic trail beyond its report.
 
 use std::panic::AssertUnwindSafe;
 
@@ -250,7 +247,6 @@ pub fn run_case(case: &SimCase) -> CaseOutcome {
                 Severity::Error,
                 format!("panic during failure-free reference run: {msg}"),
             ));
-            dump_on_error(&report);
             return CaseOutcome { case: case.clone(), report, summary: None };
         }
     };
@@ -356,21 +352,12 @@ pub fn run_case(case: &SimCase) -> CaseOutcome {
         }
     };
 
-    dump_on_error(&report);
     CaseOutcome { case: case.clone(), report, summary }
 }
 
 /// Convenience: derive and run one seed.
 pub fn run_seed(seed: u64) -> CaseOutcome {
     run_case(&SimCase::derive(seed))
-}
-
-/// Dumps the flight recorder when a report carries an error, leaving a
-/// forensic trail next to the diagnostic.
-fn dump_on_error(report: &Report) {
-    if report.count(Severity::Error) > 0 {
-        let _ = ftpde_obs::flight::global().dump_now("sim-harness");
-    }
 }
 
 #[cfg(test)]

@@ -63,9 +63,9 @@
 //!   slot's first `get`, not at `open`. Until then `drain_corruptions`
 //!   stays empty and `contains` and `len` count the slot.
 //! * A run that reads no corrupt segment reports none. [`verify`]
-//!   (`ftpde store --verify`, `serve-metrics --store`) checksums every
-//!   segment, and the first `get` that needs a corrupt one finds it; its
-//!   rows never reach a result.
+//!   (`ftpde store --verify`) checksums every segment, and the first
+//!   `get` that needs a corrupt one finds it; its rows never reach a
+//!   result.
 //! * A run that does read one has already counted its producer as a
 //!   skipped stage; the coordinator's input check then rewinds to the
 //!   producer and re-executes it.
@@ -90,7 +90,7 @@ use crate::sync::clock;
 use crate::sync::plain::{Arc, AtomicU64, Mutex, Ordering};
 
 use crate::codec::{self, encoded_rows_len, CodecError, FrameHeader, FrameKind};
-use crate::stats::{record_corrupt_segments, record_fsyncs, record_get, record_put, StoreStats};
+use crate::stats::StoreStats;
 use crate::value::Row;
 use crate::{CorruptSegment, StoreBackend};
 
@@ -185,7 +185,6 @@ impl DiskBackend {
     /// Only real I/O failures (permissions, disk full) — corruption is
     /// handled, not propagated.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        let open_start = clock::now();
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let mut corruptions = Vec::new();
@@ -244,33 +243,24 @@ impl DiskBackend {
         let mut end = scan.end;
         if scan.damage.is_some() || !corruptions.is_empty() {
             stats.corrupt_segments += corruptions.len() as u64;
-            record_corrupt_segments(corruptions.len() as u64);
-            let fsyncs = match log.as_mut().filter(|_| end >= codec::LOG_HEADER_LEN as u64) {
+            match log.as_mut().filter(|_| end >= codec::LOG_HEADER_LEN as u64) {
                 Some(file) => {
                     stats.fsyncs += 1;
                     file.set_len(end)?;
                     file.seek(SeekFrom::Start(end))?;
                     write_frame(file, &FrameHeader::stats(stats), &[])?;
                     end += codec::FRAME_HEADER_LEN as u64;
-                    1
                 }
                 None => {
                     stats.fsyncs += 2;
                     let (file, new_end) = rewrite(&dir, &stats)?;
                     log = Some(file);
                     end = new_end;
-                    2
                 }
-            };
-            record_fsyncs(fsyncs);
+            }
         } else if let Some(file) = log.as_mut() {
             file.seek(SeekFrom::Start(end))?;
         }
-
-        // Cold-start cost, live on `/metrics`: how long the sweep, scan and
-        // repair took and how many segments they walked (kept or torn).
-        let walked = entries.len() + usize::from(matches!(scan.damage, Some(Damage::TornImage(_))));
-        crate::stats::record_reopen(clock::elapsed(open_start).as_secs_f64(), walked as u64);
 
         Ok(DiskBackend {
             dir,
@@ -384,12 +374,8 @@ impl DiskBackend {
                 }
             }
         }
-        let elapsed = clock::elapsed(started).as_secs_f64();
-        stats.write_seconds = write_seconds + elapsed;
+        stats.write_seconds = write_seconds + clock::elapsed(started).as_secs_f64();
         inner.stats = stats;
-        drop(inner);
-        record_fsyncs(fsyncs);
-        record_put(physical, elapsed);
     }
 
     /// Demotes a corrupt segment: append a tombstone, drop the entry and
@@ -409,18 +395,12 @@ impl DiskBackend {
         stats.fsyncs += fsyncs;
         let frame = FrameHeader::tombstone(entry.op, entry.node, stats);
         // ftpde-allow(FT211: appending the tombstone is the commit point — it must serialize with the index change it persists)
-        let synced = self.append(&mut inner, &frame, &[]).is_ok();
-        if !synced {
+        if self.append(&mut inner, &frame, &[]).is_err() {
             stats.fsyncs -= fsyncs;
         }
         inner.entries.retain(|e| e != entry);
         inner.stats = stats;
         inner.corruptions.push(CorruptSegment { op: entry.op, node: entry.node, reason });
-        drop(inner);
-        record_corrupt_segments(1);
-        if synced {
-            record_fsyncs(fsyncs);
-        }
     }
 }
 
@@ -451,8 +431,6 @@ impl StoreBackend for DiskBackend {
             inner.stats.rows_read += rows.len() as u64;
             inner.stats.bytes_read += bytes;
             inner.stats.read_seconds += elapsed;
-            drop(inner);
-            record_get(bytes, elapsed);
             return Some(rows);
         }
         let entry = inner.entries.iter().find(|e| e.covers(op, node))?.clone();
@@ -489,8 +467,6 @@ impl StoreBackend for DiskBackend {
                 stats.rows_read += shared.len() as u64;
                 stats.bytes_read += payload_bytes;
                 stats.read_seconds += elapsed;
-                drop(inner);
-                record_get(payload_bytes, elapsed);
                 Some(shared)
             }
             Err(reason) => {
@@ -514,16 +490,10 @@ impl StoreBackend for DiskBackend {
         let mut stats = inner.stats;
         stats.fsyncs += 2;
         // ftpde-allow(FT211: the rewrite is the commit point — it must serialize with the index change it persists)
-        let rewritten = rewrite(&self.dir, &stats);
-        let synced = rewritten.is_ok();
-        if let Ok((file, end)) = rewritten {
+        if let Ok((file, end)) = rewrite(&self.dir, &stats) {
             inner.log = Some(file);
             inner.end = end;
             inner.stats = stats;
-        }
-        drop(inner);
-        if synced {
-            record_fsyncs(2);
         }
     }
 
@@ -971,31 +941,6 @@ mod tests {
         assert_eq!(stats.fsyncs, 3, "one per put, plus the directory's when the log is created");
         assert_eq!(stats.segments_committed, 2);
         assert!(stats.write_bytes_per_s().is_some());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// The reopen path must publish its cold-start cost to the global
-    /// registry: `store.reopen_seconds` observations and a
-    /// `store.segments_scanned` count covering every committed segment
-    /// the open scanned.
-    #[test]
-    #[cfg_attr(miri, ignore = "touches the real filesystem")]
-    fn reopen_records_cold_start_metrics() {
-        let dir = tmp_dir("reopen-metrics");
-        two_puts(&dir);
-        let g = ftpde_obs::global();
-        let scanned_before = g.snapshot().counter("store.segments_scanned");
-        let reopens_before = g.snapshot().histogram("store.reopen_seconds").map_or(0, |h| h.count);
-        let _store = DiskBackend::open(&dir).unwrap();
-        let snap = g.snapshot();
-        // Lower bounds: sibling tests reopening stores in parallel also
-        // bump the global counters.
-        assert!(
-            snap.counter("store.segments_scanned") - scanned_before >= 2,
-            "both committed segments scanned on reopen"
-        );
-        let h = snap.histogram("store.reopen_seconds").expect("reopen timing recorded");
-        assert!(h.count - reopens_before >= 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use crate::codec::encoded_rows_len;
-use crate::stats::{record_get, record_put, StoreStats};
+use crate::stats::StoreStats;
 use crate::sync::clock;
 use crate::sync::plain::Arc;
 use crate::sync::Mutex;
@@ -50,8 +50,6 @@ impl StoreBackend for MemBackend {
         inner.stats.physical_bytes_written += bytes;
         inner.stats.segments_committed += 1;
         inner.stats.write_seconds += elapsed;
-        drop(inner);
-        record_put(bytes, elapsed);
     }
 
     fn put_replicated(&self, op: u32, rows: Vec<Row>, nodes: usize) {
@@ -71,8 +69,6 @@ impl StoreBackend for MemBackend {
         inner.stats.physical_bytes_written += bytes;
         inner.stats.segments_committed += 1;
         inner.stats.write_seconds += elapsed;
-        drop(inner);
-        record_put(bytes, elapsed);
     }
 
     fn get(&self, op: u32, node: usize) -> Option<Arc<Vec<Row>>> {
@@ -85,8 +81,6 @@ impl StoreBackend for MemBackend {
             inner.stats.rows_read += rows.len() as u64;
             inner.stats.bytes_read += bytes;
             inner.stats.read_seconds += elapsed;
-            drop(inner);
-            record_get(bytes, elapsed);
         }
         hit
     }
@@ -165,32 +159,6 @@ mod tests {
         assert!(store.is_empty());
         assert!(!store.contains(1, 0));
         assert_eq!(store.stats().logical_rows_written, 1);
-    }
-
-    /// Always-on instrumentation: backend traffic lands in the global
-    /// registry even with no recorder attached. Delta-based because the
-    /// registry is shared across concurrently running tests.
-    #[cfg(not(loom))]
-    #[test]
-    fn traffic_lands_in_the_global_registry() {
-        let before = ftpde_obs::global().snapshot();
-        let store = MemBackend::new();
-        store.put(77, 0, vec![int_row(&[1, 2, 3])]);
-        let _ = store.get(77, 0);
-        let after = ftpde_obs::global().snapshot();
-        let bytes = store.stats().physical_bytes_written;
-        assert!(after.counter("store.puts_total") > before.counter("store.puts_total"));
-        assert!(after.counter("store.gets_total") > before.counter("store.gets_total"));
-        assert!(
-            after.counter("store.put_bytes_total")
-                >= before.counter("store.put_bytes_total") + bytes
-        );
-        assert!(
-            after.counter("store.get_bytes_total")
-                >= before.counter("store.get_bytes_total") + bytes
-        );
-        let puts_before = before.histogram("store.put_seconds").map_or(0, |h| h.count);
-        assert!(after.histogram("store.put_seconds").unwrap().count > puts_before);
     }
 
     #[test]

@@ -13,128 +13,14 @@
 //! calls `tm(o)` — the cost of materializing to fault-tolerant storage —
 //! and is what `obs::calibrate` uses to ground the cost model's assumed
 //! constant in observed disk behavior.
+//!
+//! The stats reach a trace as the engine's closing `store_stats`
+//! instant, whose arguments `ftpde_obs::fold` exposes as the `store.*`
+//! gauges; that fold is the one mapping from these fields to metric
+//! names.
 
-use ftpde_obs::{MetricsRegistry, Summary};
+use ftpde_obs::Summary;
 use serde::{Deserialize, Serialize};
-
-/// Pre-resolved handles into the process-global registry
-/// ([`ftpde_obs::global`]) for the always-on store metrics. Both
-/// backends record through the `record_*` helpers below; resolution
-/// happens once per process, after which every update is a lock-free
-/// atomic op.
-///
-/// Throughput is derivable from these: physical write MB/s is
-/// `store.put_bytes_total / histogram("store.put_seconds").sum` (and
-/// symmetrically for reads) — the live view of the paper's `tm(o)`.
-#[cfg(not(loom))]
-#[derive(Debug)]
-struct LiveStoreMetrics {
-    /// `store.puts_total` — put/put_replicated calls.
-    puts: ftpde_obs::Counter,
-    /// `store.gets_total` — successful gets.
-    gets: ftpde_obs::Counter,
-    /// `store.put_bytes_total` — physical encoded bytes written.
-    put_bytes: ftpde_obs::Counter,
-    /// `store.get_bytes_total` — encoded bytes read back.
-    get_bytes: ftpde_obs::Counter,
-    /// `store.fsyncs_total` — durability barriers issued.
-    fsyncs: ftpde_obs::Counter,
-    /// `store.segments_committed_total`.
-    segments_committed: ftpde_obs::Counter,
-    /// `store.corrupt_segments_total`.
-    corrupt_segments: ftpde_obs::Counter,
-    /// `store.put_seconds` — wall seconds per write path entry.
-    put_seconds: ftpde_obs::HistogramHandle,
-    /// `store.get_seconds` — wall seconds per successful read.
-    get_seconds: ftpde_obs::HistogramHandle,
-}
-
-/// The singleton [`LiveStoreMetrics`].
-#[cfg(not(loom))]
-fn live() -> &'static LiveStoreMetrics {
-    static LIVE: crate::sync::plain::OnceLock<LiveStoreMetrics> =
-        crate::sync::plain::OnceLock::new();
-    LIVE.get_or_init(|| {
-        let g = ftpde_obs::global();
-        LiveStoreMetrics {
-            puts: g.counter("store.puts_total"),
-            gets: g.counter("store.gets_total"),
-            put_bytes: g.counter("store.put_bytes_total"),
-            get_bytes: g.counter("store.get_bytes_total"),
-            fsyncs: g.counter("store.fsyncs_total"),
-            segments_committed: g.counter("store.segments_committed_total"),
-            corrupt_segments: g.counter("store.corrupt_segments_total"),
-            put_seconds: g.histogram("store.put_seconds"),
-            get_seconds: g.histogram("store.get_seconds"),
-        }
-    })
-}
-
-/// Records one physical write (a committed segment) into the global
-/// registry. No-op under `--cfg loom`: the loom model checker explores
-/// `MemBackend` interleavings and must not touch foreign (untracked)
-/// synchronization like the global registry's `OnceLock`.
-pub(crate) fn record_put(bytes: u64, elapsed_s: f64) {
-    #[cfg(not(loom))]
-    {
-        let m = live();
-        m.puts.inc();
-        m.put_bytes.add(bytes);
-        m.segments_committed.inc();
-        m.put_seconds.observe(elapsed_s);
-    }
-    #[cfg(loom)]
-    let _ = (bytes, elapsed_s);
-}
-
-/// Records one successful read into the global registry (loom no-op).
-pub(crate) fn record_get(bytes: u64, elapsed_s: f64) {
-    #[cfg(not(loom))]
-    {
-        let m = live();
-        m.gets.inc();
-        m.get_bytes.add(bytes);
-        m.get_seconds.observe(elapsed_s);
-    }
-    #[cfg(loom)]
-    let _ = (bytes, elapsed_s);
-}
-
-/// Records durability barriers into the global registry (loom no-op).
-pub(crate) fn record_fsyncs(n: u64) {
-    #[cfg(not(loom))]
-    live().fsyncs.add(n);
-    #[cfg(loom)]
-    let _ = n;
-}
-
-/// Records detected segment corruption into the global registry
-/// (loom no-op).
-pub(crate) fn record_corrupt_segments(n: u64) {
-    #[cfg(not(loom))]
-    live().corrupt_segments.add(n);
-    #[cfg(loom)]
-    let _ = n;
-}
-
-/// Records one [`crate::DiskBackend`] reopen — debris sweep, a scan of
-/// the log's frame headers and any repair (checksums wait for each slot's
-/// first `get`) — into the global registry, so cold-start recovery cost is
-/// visible on `/metrics`: `store.reopen_seconds` (histogram) and
-/// `store.segments_scanned` (counter of committed segments the scan
-/// walked, kept or torn). Loom no-op. These
-/// are resolved ad hoc rather than through [`LiveStoreMetrics`]: reopen
-/// is a once-per-process-lifetime path, not a hot one.
-pub(crate) fn record_reopen(elapsed_s: f64, segments_scanned: u64) {
-    #[cfg(not(loom))]
-    {
-        let g = ftpde_obs::global();
-        g.observe("store.reopen_seconds", elapsed_s);
-        g.counter_add("store.segments_scanned", segments_scanned);
-    }
-    #[cfg(loom)]
-    let _ = (elapsed_s, segments_scanned);
-}
 
 /// Cumulative counters of one store backend (or of a store directory
 /// across process lifetimes — the disk backend persists its stats in
@@ -188,31 +74,6 @@ impl StoreStats {
     pub fn replication_amplification(&self) -> Option<f64> {
         (self.physical_rows_written > 0)
             .then(|| self.logical_rows_written as f64 / self.physical_rows_written as f64)
-    }
-
-    /// Folds the stats into a metrics registry under the `store.`
-    /// namespace, from where `export::to_prometheus` renders them.
-    pub fn export_metrics(&self, reg: &MetricsRegistry) {
-        reg.counter_add("store.logical_rows_written_total", self.logical_rows_written);
-        reg.counter_add("store.physical_rows_written_total", self.physical_rows_written);
-        reg.counter_add("store.logical_bytes_written_total", self.logical_bytes_written);
-        reg.counter_add("store.physical_bytes_written_total", self.physical_bytes_written);
-        reg.counter_add("store.rows_read_total", self.rows_read);
-        reg.counter_add("store.bytes_read_total", self.bytes_read);
-        reg.counter_add("store.fsyncs_total", self.fsyncs);
-        reg.counter_add("store.segments_committed_total", self.segments_committed);
-        reg.counter_add("store.corrupt_segments_total", self.corrupt_segments);
-        if let Some(v) = self.write_bytes_per_s() {
-            reg.gauge_set("store.write_bytes_per_s", v);
-            reg.observe("store.write_throughput_bytes_per_s", v);
-        }
-        if let Some(v) = self.read_bytes_per_s() {
-            reg.gauge_set("store.read_bytes_per_s", v);
-            reg.observe("store.read_throughput_bytes_per_s", v);
-        }
-        if let Some(v) = self.replication_amplification() {
-            reg.gauge_set("store.replication_amplification", v);
-        }
     }
 
     /// Human-readable rendering for CLI and bench output.
@@ -274,20 +135,6 @@ mod tests {
         assert_eq!(zero.write_bytes_per_s(), None);
         assert_eq!(zero.read_bytes_per_s(), None);
         assert_eq!(zero.replication_amplification(), None);
-    }
-
-    #[test]
-    fn metrics_export_lands_in_registry() {
-        let reg = MetricsRegistry::new();
-        sample().export_metrics(&reg);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("store.logical_rows_written_total"), 40);
-        assert_eq!(snap.counter("store.physical_rows_written_total"), 10);
-        assert_eq!(snap.counter("store.fsyncs_total"), 3);
-        assert_eq!(snap.counter("store.corrupt_segments_total"), 1);
-        assert_eq!(snap.gauge("store.write_bytes_per_s"), Some(2000.0));
-        assert_eq!(snap.gauge("store.replication_amplification"), Some(4.0));
-        assert!(snap.histogram("store.write_throughput_bytes_per_s").is_some());
     }
 
     #[test]

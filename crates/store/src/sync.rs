@@ -61,7 +61,7 @@ pub use ftpde_obs::sync::clock;
 /// See [`ftpde_obs::sync::plain`] for the rationale.
 pub mod plain {
     pub use std::sync::atomic::{AtomicU64, Ordering};
-    pub use std::sync::{Arc, OnceLock};
+    pub use std::sync::Arc;
 
     pub use parking_lot::Mutex;
 }

@@ -2,7 +2,8 @@
 //! cost-based search, the discrete-event simulator, and the real
 //! execution engine under an injected node failure — then export the
 //! engine's event log as JSONL and as a Chrome trace you can load in
-//! `chrome://tracing` or https://ui.perfetto.dev.
+//! `chrome://tracing` or https://ui.perfetto.dev. The metrics it prints
+//! are a fold of the three recorded traces.
 //!
 //! ```text
 //! cargo run --example observability
@@ -11,7 +12,7 @@
 use ftpde::cluster::prelude::*;
 use ftpde::core::prelude::*;
 use ftpde::engine::prelude::*;
-use ftpde::obs::{export, MemoryRecorder, MetricsRegistry};
+use ftpde::obs::{export, fold, metrics_summary, MemoryRecorder};
 use ftpde::sim::prelude::*;
 use ftpde::tpch::datagen::Database;
 use ftpde::tpch::prelude::*;
@@ -71,18 +72,14 @@ fn main() {
         report.results[0].1.len()
     );
 
-    // Fold the run into a metrics snapshot...
-    let metrics = MetricsRegistry::new();
-    metrics.counter_add("engine.node_retries", report.node_retries as u64);
-    metrics.counter_add("search.configs_explored", stats.configs_explored);
-    for t in &report.stage_timings {
-        metrics.observe("engine.stage_seconds", t.wall_us as f64 / 1e6);
-    }
-    println!("metrics snapshot: {}", serde_json_snapshot(&metrics));
+    // Fold the three traces into their metrics...
+    let events = engine_rec.events();
+    let all: Vec<_> =
+        rec.events().into_iter().chain(sim_rec.events()).chain(events.clone()).collect();
+    print!("{}", metrics_summary(&fold(&all).metrics).render());
 
     // ...and export the engine timeline in both formats, plus the
     // prediction-tagged simulator timeline for offline calibration.
-    let events = engine_rec.events();
     let dir = std::path::Path::new("target/obs");
     let jsonl = dir.join("engine_run.jsonl");
     let chrome = dir.join("engine_trace.json");
@@ -98,8 +95,4 @@ fn main() {
         sim_jsonl.display(),
         sim_jsonl.display()
     );
-}
-
-fn serde_json_snapshot(metrics: &MetricsRegistry) -> String {
-    serde_json::to_string(&metrics.snapshot()).expect("snapshots always serialize")
 }

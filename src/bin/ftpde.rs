@@ -5,15 +5,13 @@
 //! ftpde simulate --query Q5 --sf 100 --nodes 10 --mtbf 3600 [--traces 10] [--seed 42]
 //! ftpde success  --runtime-min 30 --nodes 10 --mtbf 3600
 //! ftpde dot      --query Q5 --sf 100 --mtbf 3600 > plan.dot
-//! ftpde obs      --trace run.jsonl [--format summary|calibration|prom|json]
+//! ftpde obs      --trace run.jsonl [--format summary|calibration|prom|queries|json]
 //! ftpde lint     --all | --query Q5 | --plan plan.json | --source [--root <dir>] [--format text|json]
 //! ftpde explain  FT201
 //! ftpde store    --inspect <dir> | --verify <dir> [--format text|json]
 //! ftpde check    --trace run.jsonl|- [--query Q5 --config best] [--format text|json]
 //! ftpde sim      --seed 42 | --seeds 0..64 [--shrink] [--bug serve-corrupt-data] [--bug-base tests/bug_base.jsonl]
 //! ftpde sim      --replay-bug-base tests/bug_base.jsonl
-//! ftpde serve-metrics [--port N] [--store <dir>] [--flight-dir <dir>] [--budget-ms N] [--duration-s N]
-//! ftpde top      [--addr host:port] [--interval-ms N] [--iterations N] [--no-clear]
 //! ```
 //!
 //! * `plan` — run the cost-based search for a TPC-H query and explain the
@@ -25,13 +23,17 @@
 //! * `dot` — emit the chosen fault-tolerant plan as Graphviz DOT (stages
 //!   as dashed clusters, checkpoints highlighted).
 //! * `obs` — replay a recorded JSONL trace offline and print a trace
-//!   summary, a predicted-vs-observed calibration report, Prometheus
-//!   text-format metrics, or the calibration report as JSON.
+//!   summary, a predicted-vs-observed calibration report, the trace's
+//!   metrics in Prometheus text format, one row per query (state,
+//!   stages, retries, restarts, rewinds, corrupt segments, materialized
+//!   volume, elapsed and predicted seconds), or the calibration report
+//!   as JSON. Metrics and query rows are folds of the trace
+//!   (`ftpde_obs::fold`).
 //! * `lint` — run the static-analysis passes (`FT001`…) of
 //!   `ftpde-analysis` over the built-in plans, one TPC-H query, or an
 //!   arbitrary serialized plan; or, with `--source`, run the
 //!   source-discipline analyzer (`FT201`, `FT204`, `FT205`, `FT207` and
-//!   `FT210`…`FT214`) over the workspace's own Rust sources. Exits nonzero on any Error-severity diagnostic,
+//!   `FT210`…`FT213`) over the workspace's own Rust sources. Exits nonzero on any Error-severity diagnostic,
 //!   so both modes can gate CI.
 //! * `explain` — print the long-form explanation of one diagnostic code
 //!   (`ftpde explain FT201`), from the same registry that defines every
@@ -57,16 +59,6 @@
 //!   divergence, panics, unfired schedules). `--shrink` minimizes each
 //!   failing seed to a 1-minimal schedule; `--bug-base` records the
 //!   reproductions; `--replay-bug-base` re-judges a committed base.
-//! * `serve-metrics` — run the embedded HTTP telemetry server
-//!   (`/metrics`, `/healthz`, `/flight`, `/queries`) against the
-//!   process-global metrics registry, flight recorder and per-query
-//!   progress tracker. `--store <dir>` wires a disk-store verify into
-//!   `/healthz`; `--flight-dir` / `--budget-ms` configure where the
-//!   flight recorder dumps on anomalies and its latency budget.
-//! * `top` — a terminal dashboard polling a telemetry endpoint: live
-//!   query table (stages, retries, restarts, bytes materialized,
-//!   predicted-vs-elapsed drift), store throughput gauges, flight
-//!   recorder status and recent anomalies.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -103,8 +95,6 @@ fn main() -> ExitCode {
             "store" => cmd_store(&flags),
             "check" => cmd_check(&flags),
             "sim" => cmd_sim(&flags),
-            "serve-metrics" => cmd_serve_metrics(&flags),
-            "top" => cmd_top(&flags),
             _ => Err(format!("unknown command {cmd:?}")),
         }
     };
@@ -122,7 +112,7 @@ const USAGE: &str = "usage:
   ftpde simulate --query <Q1|Q3|Q5|Q1C|Q2C> --sf <N> --nodes <N> --mtbf <secs> [--mttr <secs>] [--traces <N>] [--seed <N>]
   ftpde success  --runtime-min <N> --nodes <N> --mtbf <secs>
   ftpde dot      --query <Q1|Q3|Q5|Q1C|Q2C> --sf <N> --nodes <N> --mtbf <secs>
-  ftpde obs      --trace <run.jsonl> [--format <summary|calibration|prom|json>]
+  ftpde obs      --trace <run.jsonl> [--format <summary|calibration|prom|queries|json>]
   ftpde lint     --all | --query <Q1|Q3|Q5|Q1C|Q2C> | --plan <plan.json> | --source
                  [--sf <N>] [--nodes <N>] [--mtbf <secs>] [--mttr <secs>]
                  [--format <text|json|sarif>] [--root <dir>] [--emit-lock-graph [<dir>]]
@@ -132,9 +122,7 @@ const USAGE: &str = "usage:
                  [--sf <N>] [--nodes <N>] [--mtbf <secs>] [--mttr <secs>] [--format <text|json>]
   ftpde sim      --seed <N> | --seeds <A..B> [--shrink] [--bug <none|serve-corrupt-data>]
                  [--bug-base <file.jsonl>] [--format <text|json>]
-  ftpde sim      --replay-bug-base <file.jsonl> [--format <text|json>]
-  ftpde serve-metrics [--port <N>] [--store <dir>] [--flight-dir <dir>] [--budget-ms <N>] [--duration-s <N>]
-  ftpde top      [--addr <host:port>] [--interval-ms <N>] [--iterations <N>] [--no-clear]";
+  ftpde sim      --replay-bug-base <file.jsonl> [--format <text|json>]";
 
 /// Splits `["cmd", "--k", "v", ...]` into the command and a flag map.
 /// A flag followed by another flag (or nothing) is boolean, stored as
@@ -309,60 +297,6 @@ fn cmd_dot(flags: &HashMap<String, String>) -> CliResult<()> {
     Ok(())
 }
 
-/// Folds a recorded trace into a metrics registry: per-category event
-/// counters, span-duration histograms, and failure counters.
-fn trace_registry(events: &[obs::Event]) -> obs::MetricsRegistry {
-    let reg = obs::MetricsRegistry::new();
-    for e in events {
-        reg.counter_add(&format!("trace.events.{}", e.cat), 1);
-        match e.phase {
-            obs::Phase::Span => {
-                reg.observe(&format!("trace.span_seconds.{}", e.cat), e.dur_us as f64 / 1e6);
-            }
-            obs::Phase::Instant => {
-                if e.name == "node_failure" {
-                    reg.counter_add(&format!("trace.failures.{}", e.cat), 1);
-                } else if e.name == "store_stats" {
-                    fold_store_stats(&reg, e);
-                }
-            }
-        }
-    }
-    reg
-}
-
-/// Folds an engine `store_stats` instant into the registry under the
-/// same `store.*` names `StoreStats::export_metrics` uses, so
-/// `--format prom` serves storage throughput from a replayed trace.
-/// The event carries the backend's *cumulative* counters, so every field
-/// is exposed as a gauge and later instants supersede earlier ones.
-fn fold_store_stats(reg: &obs::MetricsRegistry, e: &obs::Event) {
-    let num = |key: &str| match e.get_arg(key) {
-        Some(obs::ArgValue::U64(v)) => Some(*v as f64),
-        Some(obs::ArgValue::I64(v)) => Some(*v as f64),
-        Some(obs::ArgValue::F64(v)) => Some(*v),
-        _ => None,
-    };
-    for (arg, gauge) in [
-        ("logical_rows_written", "store.logical_rows_written"),
-        ("physical_rows_written", "store.physical_rows_written"),
-        ("physical_bytes_written", "store.physical_bytes_written"),
-        ("bytes_read", "store.bytes_read"),
-        ("fsyncs", "store.fsyncs"),
-        ("segments_committed", "store.segments_committed"),
-        ("corrupt_segments", "store.corrupt_segments"),
-        ("write_bytes_per_s", "store.write_bytes_per_s"),
-        ("read_bytes_per_s", "store.read_bytes_per_s"),
-    ] {
-        if let Some(v) = num(arg) {
-            reg.gauge_set(gauge, v);
-        }
-    }
-    if let Some(v) = num("write_bytes_per_s") {
-        reg.observe("store.write_throughput_bytes_per_s", v);
-    }
-}
-
 /// Renders a replayed trace in the requested format.
 fn render_obs(events: &[obs::Event], format: &str) -> CliResult<String> {
     let calibration = || obs::CalibrationReport::from_events(events);
@@ -387,30 +321,32 @@ fn render_obs(events: &[obs::Event], format: &str) -> CliResult<String> {
             Ok(format!(
                 "{}{}",
                 head.render(),
-                obs::metrics_summary(&trace_registry(events).snapshot()).render()
+                obs::metrics_summary(&obs::fold(events).metrics).render()
             ))
         }
         "calibration" => Ok(calibration().to_summary().render()),
         "prom" => {
-            let reg = trace_registry(events);
-            calibration().export_metrics(&reg);
-            Ok(obs::export::to_prometheus(&reg.snapshot()))
+            let mut metrics = obs::fold(events).metrics;
+            calibration().export_metrics(&mut metrics);
+            Ok(obs::export::to_prometheus(&metrics))
         }
+        "queries" => Ok(obs::fold(events).queries_summary().render()),
         "json" => serde_json::to_string(&calibration())
             .map(|mut s| {
                 s.push('\n');
                 s
             })
             .map_err(|e| format!("calibration report failed to serialize: {e:?}")),
-        other => {
-            Err(format!("unknown format {other:?} (expected summary, calibration, prom or json)"))
-        }
+        other => Err(format!(
+            "unknown format {other:?} (expected summary, calibration, prom, queries or json)"
+        )),
     }
 }
 
 fn cmd_obs(flags: &HashMap<String, String>) -> CliResult<()> {
     let path = flags.get("trace").ok_or("missing required flag --trace")?;
-    let format = get_format(flags, &["summary", "calibration", "prom", "json"], "summary")?;
+    let format =
+        get_format(flags, &["summary", "calibration", "prom", "queries", "json"], "summary")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let events = obs::export::from_jsonl(&text)
         .map_err(|e| format!("{path} is not a JSONL event log: {e:?}"))?;
@@ -890,217 +826,6 @@ fn cmd_sim(flags: &HashMap<String, String>) -> CliResult<()> {
     }
 }
 
-/// Builds and starts the telemetry server from `serve-metrics` flags:
-/// bind port, optional disk-store health source, flight-recorder dump
-/// directory and latency budget. Factored out of [`cmd_serve_metrics`]
-/// so tests can start (and drop) the server without parking.
-fn start_serve(flags: &HashMap<String, String>) -> CliResult<obs::ServerHandle> {
-    let port: u16 = get_int(flags, "port", Some(obs::serve::DEFAULT_PORT))?;
-    if let Some(dir) = flags.get("flight-dir") {
-        if dir == "true" {
-            return Err("--flight-dir needs a directory argument".into());
-        }
-        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
-        obs::flight::global().set_dump_dir(Some(dir.into()));
-    }
-    if flags.contains_key("budget-ms") {
-        let ms = get_f64(flags, "budget-ms", None)?;
-        if ms <= 0.0 {
-            return Err("--budget-ms must be > 0".into());
-        }
-        obs::flight::global().set_latency_budget_us((ms * 1000.0) as u64);
-    }
-    let health = match flags.get("store") {
-        Some(dir) if dir == "true" => return Err("--store needs a directory argument".into()),
-        Some(dir) => {
-            let dir = dir.clone();
-            // Re-verify on every /healthz hit so corruption that appears
-            // after startup flips the status without a restart.
-            let source: obs::serve::HealthSource =
-                Box::new(move || match ftpde::store::verify(&dir) {
-                    Ok(report) => {
-                        let detail = serde_json::to_string(&report)
-                            .ok()
-                            .and_then(|s| serde_json::from_str::<serde::Value>(&s).ok())
-                            .unwrap_or(serde::Value::Null);
-                        (report.corrupt == 0, detail)
-                    }
-                    Err(e) => {
-                        (false, serde::Value::Str(format!("cannot read store at {dir}: {e}")))
-                    }
-                });
-            Some(source)
-        }
-        None => None,
-    };
-    obs::serve_with(obs::global(), obs::ServeOptions { port, health })
-        .map_err(|e| format!("cannot bind telemetry server on port {port}: {e}"))
-}
-
-fn cmd_serve_metrics(flags: &HashMap<String, String>) -> CliResult<()> {
-    let duration_s = get_f64(flags, "duration-s", Some(0.0))?;
-    let srv = start_serve(flags)?;
-    println!("serving telemetry on http://{}/ — /metrics /healthz /flight /queries", srv.addr());
-    if duration_s > 0.0 {
-        std::thread::sleep(std::time::Duration::from_secs_f64(duration_s));
-        srv.stop();
-        Ok(())
-    } else {
-        // Park forever: the server thread does the work.
-        loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
-        }
-    }
-}
-
-/// Reads one `ftpde top` frame's worth of endpoint payloads and renders
-/// the dashboard.
-fn top_frame(addr: std::net::SocketAddr) -> CliResult<String> {
-    let get = |path: &str| -> CliResult<String> {
-        let (status, body) = obs::serve::http_get(addr, path).map_err(|e| {
-            format!("cannot reach http://{addr}{path}: {e} (is `ftpde serve-metrics` running?)")
-        })?;
-        if status != 200 {
-            return Err(format!("http://{addr}{path}: HTTP {status}"));
-        }
-        Ok(body)
-    };
-    render_top(&addr.to_string(), &get("/healthz")?, &get("/queries")?, &get("/flight")?)
-}
-
-/// Renders one dashboard frame from the `/healthz`, `/queries` and
-/// `/flight` payloads. Pure so tests can feed synthetic JSON.
-fn render_top(addr: &str, healthz: &str, queries: &str, flight: &str) -> CliResult<String> {
-    let health: serde::Value =
-        serde_json::from_str(healthz).map_err(|e| format!("/healthz is not JSON: {e:?}"))?;
-    let snap: obs::ProgressSnapshot =
-        serde_json::from_str(queries).map_err(|e| format!("/queries is not JSON: {e:?}"))?;
-    let fl: serde::Value =
-        serde_json::from_str(flight).map_err(|e| format!("/flight is not JSON: {e:?}"))?;
-
-    let status = health.get("status").and_then(serde::Value::as_str).unwrap_or("?");
-    let uptime = health.get("uptime_s").and_then(serde::Value::as_f64).unwrap_or(0.0);
-    let corrupt = health.get("corrupt_segments").and_then(serde::Value::as_u64).unwrap_or(0);
-    let mut out = format!(
-        "ftpde top — {addr} — {status} — up {uptime:.0}s — {} running, {corrupt} corrupt\n\n",
-        snap.running()
-    );
-
-    out.push_str(&format!(
-        "{:>4}  {:<9} {:>7} {:>5} {:>5} {:>9} {:>8} {:>7} {:>6}  LABEL\n",
-        "ID", "STATE", "STAGES", "RETR", "RSTRT", "MAT MB", "ELAPSED", "PRED", "DRIFT"
-    ));
-    if snap.queries.is_empty() {
-        out.push_str("  (no queries yet)\n");
-    }
-    for q in &snap.queries {
-        let pred = q.predicted_s.map_or_else(|| "-".to_string(), |p| format!("{p:.1}s"));
-        let drift = match q.predicted_s {
-            Some(p) if p > 0.0 => format!("{:+.0}%", (q.elapsed_s - p) / p * 100.0),
-            _ => "-".to_string(),
-        };
-        out.push_str(&format!(
-            "{:>4}  {:<9} {:>7} {:>5} {:>5} {:>9.1} {:>7.1}s {:>7} {:>6}  {}\n",
-            q.id,
-            q.state,
-            format!("{}/{}", q.stages_done, q.stages_total),
-            q.retries,
-            q.restarts,
-            q.bytes_materialized as f64 / 1e6,
-            q.elapsed_s,
-            pred,
-            drift,
-            q.label
-        ));
-    }
-
-    // Store line: the /healthz store detail when `serve-metrics --store`
-    // is wired (a serialized verify report); omitted otherwise.
-    if let Some(store) = health.get("store") {
-        let segments = store.get("segments").and_then(serde::Value::as_array).map(<[_]>::len);
-        let stats = store.get("stats");
-        let bytes = stats
-            .and_then(|s| s.get("physical_bytes_written"))
-            .and_then(serde::Value::as_u64)
-            .unwrap_or(0);
-        let store_corrupt = store.get("corrupt").and_then(serde::Value::as_u64).unwrap_or(0);
-        if let Some(segments) = segments {
-            let mut line = format!(
-                "\nstore: {segments} segment(s), {:.1} MB written, {store_corrupt} corrupt",
-                bytes as f64 / 1e6
-            );
-            if let Some(w) = stats
-                .and_then(|s| s.get("write_bytes_per_s"))
-                .and_then(serde::Value::as_f64)
-                .filter(|w| w.is_finite() && *w > 0.0)
-            {
-                line.push_str(&format!(", write {:.1} MB/s", w / 1e6));
-            }
-            line.push('\n');
-            out.push_str(&line);
-        }
-    }
-
-    let cap = fl.get("capacity").and_then(serde::Value::as_u64).unwrap_or(0);
-    let recorded = fl.get("recorded").and_then(serde::Value::as_u64).unwrap_or(0);
-    let dumps = fl.get("dumps").and_then(serde::Value::as_u64).unwrap_or(0);
-    out.push_str(&format!(
-        "\nflight: {recorded} recorded (ring capacity {cap}), {dumps} dump(s)\n"
-    ));
-    let anomalies: Vec<String> = fl
-        .get("events")
-        .and_then(serde::Value::as_array)
-        .map(|events| {
-            events
-                .iter()
-                .filter_map(|e| {
-                    let name = e.get("name").and_then(serde::Value::as_str)?;
-                    if !obs::flight::DUMP_TRIGGERS.contains(&name) {
-                        return None;
-                    }
-                    let ts = e.get("ts_us").and_then(serde::Value::as_u64).unwrap_or(0);
-                    Some(format!("{name} @{:.3}s", ts as f64 / 1e6))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    if !anomalies.is_empty() {
-        let recent: Vec<&str> = anomalies.iter().rev().take(5).rev().map(String::as_str).collect();
-        out.push_str(&format!("  anomalies: {}\n", recent.join(", ")));
-    }
-    Ok(out)
-}
-
-fn cmd_top(flags: &HashMap<String, String>) -> CliResult<()> {
-    use std::io::Write as _;
-    let default_addr = format!("127.0.0.1:{}", obs::serve::DEFAULT_PORT);
-    let addr_s = flags.get("addr").map_or(default_addr.as_str(), String::as_str);
-    let addr: std::net::SocketAddr =
-        addr_s.parse().map_err(|_| format!("--addr: not a host:port address: {addr_s:?}"))?;
-    let interval_ms = get_f64(flags, "interval-ms", Some(1000.0))?;
-    if interval_ms <= 0.0 {
-        return Err("--interval-ms must be > 0".into());
-    }
-    // 0 = poll until interrupted; tests pass --iterations 1.
-    let iterations: u64 = get_int(flags, "iterations", Some(0))?;
-    let clear = !flags.contains_key("no-clear");
-    let mut shown = 0u64;
-    loop {
-        let frame = top_frame(addr)?;
-        if clear {
-            // ANSI: clear screen, home cursor.
-            print!("\x1b[2J\x1b[H");
-        }
-        print!("{frame}");
-        let _ = std::io::stdout().flush();
-        shown += 1;
-        if iterations > 0 && shown >= iterations {
-            return Ok(());
-        }
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms as u64));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1167,10 +892,6 @@ mod tests {
         assert!(simulate("seed", "-7").is_err());
         assert!(sim_seeds(&flags(&[("seed", "-7")])).is_err());
         assert!(get_cluster(&flags(&[("mtbf", "3600"), ("nodes", "2.5")])).is_err());
-        for port in ["70000", "-1"] {
-            assert!(start_serve(&flags(&[("port", port)])).is_err(), "--port {port}");
-        }
-        assert!(cmd_top(&flags(&[("iterations", "-1")])).is_err());
 
         // 2^53 + 1 has no f64 representation; the simulator gets it as given.
         let seeds = sim_seeds(&flags(&[("seed", "9007199254740993")])).unwrap();
@@ -1273,7 +994,69 @@ mod tests {
         assert!(json.contains("\"stages\""));
         assert!(json.contains("\"queries\""));
 
-        assert!(render_obs(&events, "nope").is_err());
+        let queries = render_obs(&events, "queries").unwrap();
+        assert!(queries.contains("==== Queries ===="), "{queries}");
+
+        let err = render_obs(&events, "nope").unwrap_err();
+        assert!(err.contains("queries"), "{err}");
+    }
+
+    /// Two engine queries in one trace, the first with a node retry and
+    /// a materialized stage, the second aborted after one restart: one
+    /// row each, in trace order.
+    #[test]
+    fn obs_queries_format_prints_one_row_per_query() {
+        let events = vec![
+            obs::Event::instant("plan_estimate", "engine", 0).arg("pred_runtime_s", 2.0),
+            obs::Event::instant("node_failure", "engine", 100).tid(1),
+            obs::Event::instant("redeploy", "engine", 100).tid(1),
+            obs::Event::span("stage 3", "engine", 0, 500).arg("stage", 3u64),
+            obs::Event::instant("materialize", "engine", 510).arg("rows", 4u64).arg("bytes", 96u64),
+            obs::Event::span("stage 7", "engine", 520, 300).arg("stage", 7u64),
+            obs::Event::instant("query_completed", "engine", 1_250_000)
+                .arg("rows_materialized", 4u64),
+            obs::Event::span("stage 7", "engine", 0, 10).arg("stage", 7u64),
+            obs::Event::instant("query_restart", "engine", 20),
+            obs::Event::span("stage 7", "engine", 20, 10).arg("stage", 7u64),
+            obs::Event::instant("query_aborted", "engine", 40),
+        ];
+        let text = render_obs(&events, "queries").unwrap();
+        let rows: Vec<Vec<&str>> = text
+            .lines()
+            .filter(|l| l.trim_start().starts_with(|c: char| c.is_ascii_digit()))
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                [
+                    "0",
+                    "engine",
+                    "completed",
+                    "2",
+                    "0",
+                    "1",
+                    "0",
+                    "0",
+                    "0",
+                    "4",
+                    "96",
+                    "1.250",
+                    "2.000"
+                ],
+                ["1", "engine", "aborted", "2", "0", "0", "2", "0", "0", "0", "0", "0.000", "-"],
+            ],
+            "{text}"
+        );
+
+        let dir = std::env::temp_dir().join(format!("ftpde_cli_queries_{}", std::process::id()));
+        let path = dir.join("two.jsonl");
+        obs::export::write_file(&path, &obs::export::to_jsonl(&events)).unwrap();
+        let p = path.to_string_lossy().to_string();
+        cmd_obs(&flags(&[("trace", p.as_str()), ("format", "queries")])).unwrap();
+        let err = cmd_obs(&flags(&[("trace", p.as_str()), ("format", "rows")])).unwrap_err();
+        assert!(err.contains("queries"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1283,7 +1066,7 @@ mod tests {
         let path = dir.join("run.jsonl");
         obs::export::write_file(&path, &obs::export::to_jsonl(&calibratable_events())).unwrap();
         let p = path.to_string_lossy().to_string();
-        for format in ["summary", "calibration", "prom", "json"] {
+        for format in ["summary", "calibration", "prom", "queries", "json"] {
             cmd_obs(&flags(&[("trace", p.as_str()), ("format", format)])).unwrap();
         }
         // Default format is the summary; missing/garbage traces error.
@@ -1446,142 +1229,5 @@ mod tests {
         assert!(prom.contains("store_write_bytes_per_s 1500000"), "{prom}");
         assert!(prom.contains("store_segments_committed 3"), "{prom}");
         assert!(prom.contains("store_logical_rows_written 128"), "{prom}");
-    }
-
-    #[test]
-    fn serve_metrics_and_top_end_to_end() {
-        use ftpde::store::{int_row, DiskBackend, StoreBackend};
-
-        // A healthy disk store for the /healthz health source.
-        let dir = std::env::temp_dir().join(format!("ftpde-cli-serve-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let disk = DiskBackend::open(&dir).unwrap();
-            disk.put(0, 0, vec![int_row(&[1, 2]), int_row(&[3, 4])]);
-        }
-        let d = dir.to_string_lossy().to_string();
-        let flight_dir = dir.join("flight");
-        let fd = flight_dir.to_string_lossy().to_string();
-
-        // Ephemeral port so parallel test runs never collide.
-        let srv = start_serve(&flags(&[
-            ("port", "0"),
-            ("store", d.as_str()),
-            ("flight-dir", fd.as_str()),
-            ("budget-ms", "30000"),
-        ]))
-        .unwrap();
-        let addr = srv.addr();
-
-        let (status, body) = obs::serve::http_get(addr, "/healthz").unwrap();
-        assert_eq!(status, 200);
-        let v: serde::Value = serde_json::from_str(&body).unwrap();
-        // The wired store verifies clean and its report lands under "store".
-        assert!(v.get("store").and_then(|s| s.get("segments")).is_some(), "{body}");
-
-        // One dashboard frame through the real client path renders the
-        // banner, the query table header and the flight line.
-        let frame = top_frame(addr).unwrap();
-        assert!(frame.contains("ftpde top"), "{frame}");
-        assert!(frame.contains("STAGES"), "{frame}");
-        assert!(frame.contains("flight:"), "{frame}");
-        assert!(frame.contains("store:"), "{frame}");
-
-        // The polling command itself, bounded to one iteration.
-        let a = addr.to_string();
-        cmd_top(&flags(&[
-            ("addr", a.as_str()),
-            ("iterations", "1"),
-            ("no-clear", "true"),
-            ("interval-ms", "10"),
-        ]))
-        .unwrap();
-
-        drop(srv);
-
-        // Flag validation.
-        assert!(start_serve(&flags(&[("port", "0"), ("store", "true")])).is_err());
-        assert!(start_serve(&flags(&[("port", "0"), ("flight-dir", "true")])).is_err());
-        assert!(start_serve(&flags(&[("port", "0"), ("budget-ms", "-1")])).is_err());
-        assert!(cmd_top(&flags(&[("addr", "not-an-addr")])).is_err());
-        assert!(cmd_top(&flags(&[("addr", a.as_str()), ("interval-ms", "0")])).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn top_reports_unreachable_endpoints() {
-        // A bound-then-dropped listener yields a port nobody serves.
-        let addr = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        let a = addr.to_string();
-        let err = cmd_top(&flags(&[("addr", a.as_str()), ("iterations", "1")])).unwrap_err();
-        assert!(err.contains("serve-metrics"), "{err}");
-    }
-
-    #[test]
-    fn render_top_formats_synthetic_payloads() {
-        let healthz = r#"{
-            "status": "degraded", "uptime_s": 42.0, "queries_running": 1,
-            "corrupt_segments": 2,
-            "flight": {"capacity": 16, "recorded": 3, "dumps": 1},
-            "store": {
-                "dir": "/tmp/s", "corrupt": 2,
-                "stats": {"physical_bytes_written": 2500000, "write_bytes_per_s": 1500000.0},
-                "segments": [{}, {}, {}], "orphans": []
-            }
-        }"#;
-        let queries = r#"{"queries": [
-            {"id": 1, "label": "sink ⋈", "state": "running", "stages_done": 2,
-             "stages_total": 4, "retries": 1, "restarts": 0,
-             "bytes_materialized": 12500000, "rows_materialized": 100,
-             "segments_corrupt": 2, "elapsed_s": 3.2, "predicted_s": 4.0},
-            {"id": 2, "label": "agg", "state": "completed", "stages_done": 1,
-             "stages_total": 1, "retries": 0, "restarts": 0,
-             "bytes_materialized": 0, "rows_materialized": 0,
-             "segments_corrupt": 0, "elapsed_s": 0.5, "predicted_s": null}
-        ]}"#;
-        let flight = r#"{"capacity": 16, "recorded": 3, "dumps": 1, "events": [
-            {"name": "materialize", "cat": "engine", "phase": "Span",
-             "ts_us": 100, "dur_us": 50, "pid": 0, "tid": 0, "args": []},
-            {"name": "segment_corrupt", "cat": "engine", "phase": "Instant",
-             "ts_us": 12345678, "dur_us": 0, "pid": 0, "tid": 1, "args": []}
-        ]}"#;
-
-        let frame = render_top("127.0.0.1:9188", healthz, queries, flight).unwrap();
-        assert!(frame.contains("degraded"), "{frame}");
-        assert!(frame.contains("1 running, 2 corrupt"), "{frame}");
-        assert!(frame.contains("2/4"), "{frame}");
-        // 12.5 MB materialized, -20% prediction drift for query 1.
-        assert!(frame.contains("12.5"), "{frame}");
-        assert!(frame.contains("-20%"), "{frame}");
-        // No prediction for query 2 renders as dashes.
-        assert!(frame.contains("agg"), "{frame}");
-        // Store summary from the verify report.
-        assert!(frame.contains("store: 3 segment(s), 2.5 MB written, 2 corrupt"), "{frame}");
-        assert!(frame.contains("write 1.5 MB/s"), "{frame}");
-        // Flight ring and the anomaly tail (non-trigger events excluded).
-        assert!(frame.contains("flight: 3 recorded (ring capacity 16), 1 dump(s)"), "{frame}");
-        assert!(frame.contains("anomalies: segment_corrupt @12.346s"), "{frame}");
-        assert!(!frame.contains("materialize @"), "{frame}");
-
-        // Garbage payloads are errors, not panics.
-        assert!(render_top("a", "nope", queries, flight).is_err());
-        assert!(render_top("a", healthz, "nope", flight).is_err());
-        assert!(render_top("a", healthz, queries, "nope").is_err());
-
-        // An empty dashboard still renders.
-        let empty = render_top(
-            "a",
-            r#"{"status": "ok", "uptime_s": 0.0, "queries_running": 0,
-                "corrupt_segments": 0, "flight": {"capacity": 16, "recorded": 0, "dumps": 0},
-                "store": null}"#,
-            r#"{"queries": []}"#,
-            r#"{"capacity": 16, "recorded": 0, "dumps": 0, "events": []}"#,
-        )
-        .unwrap();
-        assert!(empty.contains("(no queries yet)"), "{empty}");
-        assert!(!empty.contains("anomalies"), "{empty}");
     }
 }

@@ -20,7 +20,7 @@
 //! | [`sim`] | discrete-event cluster simulator executing fault-tolerant plans against failure traces under all four schemes |
 //! | [`engine`] | in-process partition-parallel execution engine with real tuples, failure injection and recovery |
 //! | [`store`] | durable, pluggable checkpoint storage: in-memory and on-disk backends with CRC-checked segments, an append-only commit log and crash recovery |
-//! | [`obs`] | observability: event recorder, metrics registry, JSONL / Chrome-trace exporters used by the search, simulator and engine |
+//! | [`obs`] | observability: event recorder used by the search, simulator and engine; trace folds into query rows and metrics; JSONL / Chrome-trace / Prometheus exporters |
 //! | [`analysis`] | static analysis: the coded plan linter (`FT001`…), collapsed-plan and cost-model verifiers, pruning-soundness oracle |
 //! | [`simharness`] | deterministic whole-system simulation: seeded workloads and fault schedules driven through the real engine, oracle checks (`FT301`…), schedule shrinking and the committed bug base |
 //! | [`mod@bench`] | experiment harnesses reproducing the paper's tables and figures, plus the checkpoint-store micro-benchmark |

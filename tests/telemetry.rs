@@ -1,14 +1,8 @@
-//! End-to-end test of the live telemetry plane: a failure-injected Q3
-//! run on a disk store hits a torn (corrupt) segment, the always-on
-//! flight recorder dumps its ring to JSONL, the dump replays through the
-//! trace-conformance checker without parse errors, and the HTTP
-//! telemetry endpoints serve the aftermath — per-query progress on
-//! `/queries`, dump counters on `/healthz`, the ring itself on
-//! `/flight` and Prometheus text on `/metrics`.
-//!
-//! One test function on purpose: the flight recorder's dump directory
-//! is process-global state, and the endpoints read process-global
-//! registries, so the scenario runs as a single ordered story.
+//! End-to-end test of the trace folds: a failure-injected Q3 run on a
+//! disk store, a torn log, and the resumed run that heals it. Each run's
+//! trace folds ([`ftpde::obs::fold`]) into one query row equal to the
+//! run's `RunReport`, and the resumed trace's `store.*` metrics equal the
+//! reopened store's own stats.
 #![cfg(not(miri))]
 
 use std::path::PathBuf;
@@ -16,7 +10,7 @@ use std::path::PathBuf;
 use ftpde::analysis::prelude::*;
 use ftpde::core::config::MatConfig;
 use ftpde::engine::prelude::*;
-use ftpde::obs;
+use ftpde::obs::{self, MemoryRecorder, QueryRow, QueryState};
 use ftpde::tpch::datagen::Database;
 
 const SF: f64 = 0.001;
@@ -28,17 +22,32 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn flight_dump_from_injected_corruption_replays_and_serves() {
-    let store_dir = scratch("store");
-    let flight_dir = scratch("flight");
-    std::fs::create_dir_all(&flight_dir).unwrap();
-    let flight = obs::flight::global();
-    flight.set_dump_dir(Some(flight_dir.clone()));
+/// The one query row of `events`, checked field by field against the
+/// report of the run that recorded them.
+fn assert_row_is_the_report(events: &[obs::Event], report: &RunReport) -> QueryRow {
+    let rows = obs::fold(events).queries;
+    assert_eq!(rows.len(), 1, "{rows:?}");
+    let row = rows.into_iter().next().unwrap();
+    assert_eq!(row.cat, "engine");
+    assert_eq!(row.state, QueryState::Completed);
+    let executed = report.stage_timings.iter().filter(|t| !t.skipped).count() as u64;
+    assert_eq!(row.stages_executed, executed);
+    assert_eq!(row.stages_skipped, report.stages_skipped);
+    assert_eq!(row.retries, report.node_retries);
+    assert_eq!(row.restarts, u64::from(report.query_restarts));
+    assert_eq!(row.segments_corrupt, report.segments_corrupt);
+    assert_eq!(row.rows_materialized, report.rows_materialized);
+    assert_eq!(row.bytes_materialized, report.bytes_materialized);
+    let end = events.last().map_or(0, |e| e.ts_us);
+    assert_eq!(row.elapsed_s, end as f64 / 1e6, "the terminal event's timestamp");
+    row
+}
 
-    // A failure-injected Q3 run, fully materialized to disk. The flight
-    // recorder rides along on every engine run — no recorder was asked
-    // for, yet the ring fills.
+#[test]
+fn torn_log_resume_folds_into_its_report_and_store_stats() {
+    let store_dir = scratch("store");
+
+    // A failure-injected Q3 run, fully materialized to disk.
     let plan = q3_engine_plan();
     let dag = plan.to_plan_dag();
     let config = MatConfig::all(&dag);
@@ -46,11 +55,15 @@ fn flight_dump_from_injected_corruption_replays_and_serves() {
     let catalog = load_catalog(&Database::generate(SF, SEED), nodes);
     let stage_roots: Vec<u32> = plan.op_ids().map(|id| id.0).collect();
     let injector = FailureInjector::random_first_attempts(&stage_roots, nodes, 0.4, 7);
+    let first_rec = MemoryRecorder::new();
     let first = {
         let disk = DiskBackend::open(&store_dir).unwrap();
-        run_query_resumable(&plan, &config, &catalog, &injector, &RunOptions::default(), &disk)
+        let opts = RunOptions { rec: &first_rec, ..Default::default() };
+        run_query_resumable(&plan, &config, &catalog, &injector, &opts, &disk)
     };
-    assert!(flight.total_recorded() > 0, "the flight ring must fill on any engine run");
+    assert!(first.node_retries > 0, "the injector must fire");
+    let row = assert_row_is_the_report(&first_rec.events(), &first);
+    assert_eq!(row.input_rewinds, 0);
 
     // Tear the last frame's image in half — the crash-mid-append shape.
     // Sinks are never materialized, so that frame holds a non-sink stage.
@@ -64,89 +77,50 @@ fn flight_dump_from_injected_corruption_replays_and_serves() {
         .set_len(victim.offset + image / 2)
         .unwrap();
 
-    // The resume detects the corruption, heals it, and — the tentpole —
-    // the detection anomaly snapshots the ring to disk.
-    let dumps_before = flight.dump_count();
-    let corrupt_total = || obs::global().snapshot().counter("store.corrupt_segments_total");
-    let corrupt_before = corrupt_total();
+    // The resume reports open's repair, heals it and matches the first
+    // run bit for bit.
     let reopened = DiskBackend::open(&store_dir).unwrap();
-    assert_eq!(corrupt_total() - corrupt_before, 1, "open's repair reaches the live counter");
-    let resumed = run_query_resumable(
-        &plan,
-        &config,
-        &catalog,
-        &FailureInjector::none(),
-        &RunOptions::default(),
-        &reopened,
-    );
+    let rec = MemoryRecorder::new();
+    let opts = RunOptions { rec: &rec, ..Default::default() };
+    let resumed =
+        run_query_resumable(&plan, &config, &catalog, &FailureInjector::none(), &opts, &reopened);
     assert_eq!(resumed.results, first.results, "healed resume must be bit-identical");
-    assert!(resumed.segments_corrupt >= 1, "the torn segment must be detected");
-    assert!(flight.dump_count() > dumps_before, "corruption must trigger a flight dump");
-    assert_eq!(flight.dump_write_errors(), 0);
+    let events = rec.events();
+    let corrupt: Vec<&obs::Event> = events.iter().filter(|e| e.name == "segment_corrupt").collect();
+    assert_eq!(corrupt.len(), 1, "open's repair reaches the trace exactly once: {corrupt:?}");
+    assert_eq!(resumed.segments_corrupt, 1);
+    assert!(resumed.stages_skipped > 0, "the intact stages resume from the store");
 
-    // The dump file exists, names its trigger, parses as the same JSONL
-    // schema every other tool reads, and ends on the trigger event.
-    let dump_files: Vec<PathBuf> = std::fs::read_dir(&flight_dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().contains("segment_corrupt")))
-        .collect();
-    assert!(!dump_files.is_empty(), "a segment_corrupt-triggered dump file must exist");
-    let text = std::fs::read_to_string(&dump_files[0]).unwrap();
-    let events =
-        obs::export::from_jsonl(&text).expect("flight dump must replay without parse errors");
-    assert!(!events.is_empty());
-    assert_eq!(
-        events.last().map(|e| e.name.as_str()),
-        Some("segment_corrupt"),
-        "the dump window must end on its trigger"
-    );
+    // The resumed trace folds into its report...
+    assert_row_is_the_report(&events, &resumed);
 
-    // The conformance checker replays the dump: a ring snapshot is a
-    // truncated window, so findings are allowed — parse failures and
-    // panics are not.
-    let replay =
-        check_trace(&dump_files[0].to_string_lossy(), &events, None, &CheckOptions::default());
-    let _ = ReportSet::new(vec![replay]);
+    // ...and into the reopened store's stats, one `store.*` gauge each.
+    let metrics = obs::fold(&events).metrics;
+    let s = reopened.stats();
+    for (name, want) in [
+        ("store.logical_rows_written", s.logical_rows_written as f64),
+        ("store.physical_rows_written", s.physical_rows_written as f64),
+        ("store.physical_bytes_written", s.physical_bytes_written as f64),
+        ("store.bytes_read", s.bytes_read as f64),
+        ("store.fsyncs", s.fsyncs as f64),
+        ("store.segments_committed", s.segments_committed as f64),
+        ("store.corrupt_segments", s.corrupt_segments as f64),
+    ] {
+        assert_eq!(metrics.gauge(name), Some(want), "{name}");
+    }
+    assert_eq!(metrics.gauge("store.write_bytes_per_s"), s.write_bytes_per_s());
+    assert_eq!(metrics.gauge("store.read_bytes_per_s"), s.read_bytes_per_s());
+    assert_eq!(s.corrupt_segments, 1, "the repair is counted in the store's lifetime stats");
+    assert_eq!(metrics.counter("engine.segments_corrupt_total"), 1);
+    assert_eq!(metrics.counter("engine.queries_total"), 1);
 
-    // Endpoint smoke, in-process: serve the global registries and poll
-    // exactly what `ftpde top` polls.
-    let srv = obs::serve(obs::global()).unwrap();
-    let addr = srv.addr();
+    // The trace the folds read is an ordinary JSONL event log that the
+    // conformance checker accepts.
+    let parsed = obs::export::from_jsonl(&obs::export::to_jsonl(&events)).unwrap();
+    assert_eq!(parsed, events);
+    let check = check_trace("resumed", &parsed, None, &CheckOptions::default());
+    assert_eq!(check.count(Severity::Error), 0, "{:?}", check.diagnostics);
 
-    let (status, body) = obs::serve::http_get(addr, "/healthz").unwrap();
-    assert_eq!(status, 200);
-    let health: serde::Value = serde_json::from_str(&body).unwrap();
-    let dumps =
-        health.get("flight").and_then(|f| f.get("dumps")).and_then(serde::Value::as_u64).unwrap();
-    assert!(dumps >= 1, "dump count must surface on /healthz: {body}");
-
-    let (status, body) = obs::serve::http_get(addr, "/queries").unwrap();
-    assert_eq!(status, 200);
-    let snap: obs::ProgressSnapshot = serde_json::from_str(&body).unwrap();
-    let healed = snap
-        .queries
-        .iter()
-        .find(|q| q.segments_corrupt >= 1)
-        .expect("the healed run must report its corruption on /queries");
-    assert_eq!(healed.state, "completed");
-    assert!(healed.stages_total >= 1);
-
-    let (status, body) = obs::serve::http_get(addr, "/flight").unwrap();
-    assert_eq!(status, 200);
-    let fl: serde::Value = serde_json::from_str(&body).unwrap();
-    assert!(fl.get("recorded").and_then(serde::Value::as_u64).unwrap() > 0);
-    assert!(
-        fl.get("events").and_then(serde::Value::as_array).is_some_and(|a| !a.is_empty()),
-        "{body}"
-    );
-
-    let (status, body) = obs::serve::http_get(addr, "/metrics").unwrap();
-    assert_eq!(status, 200);
-    assert!(body.contains("obs_flight_dumps_total"), "{body}");
-
-    srv.stop();
-    flight.set_dump_dir(None);
+    drop(reopened);
     let _ = std::fs::remove_dir_all(&store_dir);
-    let _ = std::fs::remove_dir_all(&flight_dir);
 }

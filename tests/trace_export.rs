@@ -9,7 +9,7 @@ use serde::Value;
 use ftpde::core::collapse::CollapsedPlan;
 use ftpde::core::config::MatConfig;
 use ftpde::engine::prelude::*;
-use ftpde::obs::{export, ArgValue, Event, MemoryRecorder, MetricsRegistry, Phase};
+use ftpde::obs::{export, fold, ArgValue, Event, MemoryRecorder, Metrics, Phase, QueryState};
 use ftpde::tpch::datagen::Database;
 
 /// One traced Q3 run, two stages (the first join materialized), with node
@@ -105,6 +105,73 @@ fn chrome_trace_of_a_failed_run_has_spans_and_the_failure_instant() {
     assert_eq!(failure.get("tid").and_then(Value::as_u64), Some(2));
 }
 
+/// The metrics fold of an engine trace carries the engine counters and
+/// the stage and query duration histograms, and `--format prom` renders
+/// them.
+#[test]
+fn metrics_fold_of_a_failed_run_counts_its_retry_and_stages() {
+    let (events, stages, _) = traced_failure_run();
+    let m = fold(&events).metrics;
+    assert_eq!(m.counter("engine.queries_total"), 1);
+    assert_eq!(m.counter("engine.queries_aborted_total"), 0);
+    assert_eq!(m.counter("engine.node_retries_total"), 1);
+    assert_eq!(m.counter("engine.query_restarts_total"), 0);
+    assert_eq!(m.counter("engine.stages_total"), stages as u64);
+    assert_eq!(m.counter("trace.failures.engine"), 1);
+    let stage_spans: u64 = events
+        .iter()
+        .filter(|e| e.phase == Phase::Span && e.name.starts_with("stage "))
+        .map(|e| e.dur_us)
+        .sum();
+    let h = m.histogram("engine.stage_seconds").expect("stage durations");
+    assert_eq!(h.count, stages as u64);
+    assert!((h.sum - stage_spans as f64 / 1e6).abs() < 1e-9);
+    let q = m.histogram("engine.query_seconds").expect("query duration");
+    assert_eq!(q.max, Some(events.last().unwrap().ts_us as f64 / 1e6));
+
+    let prom = export::to_prometheus(&m);
+    for family in [
+        "# TYPE engine_node_retries_total counter",
+        "# TYPE engine_stage_seconds histogram",
+        "# TYPE engine_query_seconds histogram",
+        "# TYPE store_fsyncs gauge",
+    ] {
+        assert!(prom.contains(family), "{family} missing:\n{prom}");
+    }
+}
+
+/// A coarse run that hits its restart limit folds into one aborted row
+/// whose restarts count the aborting failure, as the report does.
+#[test]
+fn an_aborted_coarse_run_folds_into_an_aborted_row() {
+    let plan = q3_engine_plan();
+    let dag = plan.to_plan_dag();
+    let config = MatConfig::none(&dag);
+    let sink = plan.sinks()[0];
+    let injector =
+        FailureInjector::with((0..3).map(|a| Injection { stage: sink.0, node: 0, attempt: a }));
+    let catalog = load_catalog(&Database::generate(0.001, 42), 2);
+    let rec = MemoryRecorder::new();
+    let opts = RunOptions {
+        recovery: EngineRecovery::CoarseRestart,
+        max_restarts: 3,
+        rec: &rec,
+        ..Default::default()
+    };
+    let report = run_query(&plan, &config, &catalog, &injector, &opts);
+    assert!(report.aborted);
+
+    let folded = fold(&rec.events());
+    assert_eq!(folded.queries.len(), 1);
+    let row = &folded.queries[0];
+    assert_eq!(row.state, QueryState::Aborted);
+    assert_eq!(row.restarts, u64::from(report.query_restarts));
+    assert_eq!(row.stages_executed, report.stage_timings.len() as u64);
+    assert_eq!(row.retries, 0);
+    assert_eq!(folded.metrics.counter("engine.queries_aborted_total"), 1);
+    assert_eq!(folded.metrics.counter("engine.query_restarts_total"), 3);
+}
+
 // --- exporter edge cases -------------------------------------------------
 
 #[test]
@@ -121,9 +188,13 @@ fn exporters_handle_an_empty_recorder() {
     let root: Value = serde_json::from_str(&export::to_chrome_trace(&events)).unwrap();
     assert_eq!(root.get("traceEvents").and_then(Value::as_array).map(<[_]>::len), Some(0));
 
-    // Prometheus: an empty registry exports an empty document — no stray
-    // `# TYPE` headers for metrics that were never recorded.
-    assert_eq!(export::to_prometheus(&MetricsRegistry::new().snapshot()), "");
+    // Prometheus: no metrics export an empty document — no stray
+    // `# TYPE` headers for metrics that were never recorded — and so do
+    // the folds of an empty trace.
+    assert_eq!(export::to_prometheus(&Metrics::new()), "");
+    let folded = fold(&events);
+    assert!(folded.queries.is_empty());
+    assert_eq!(export::to_prometheus(&folded.metrics), "");
 
     // Calibration over no events: empty report, no quantiles, no drift.
     let report = ftpde::obs::CalibrationReport::from_events(&events);
@@ -167,6 +238,22 @@ fn a_truncated_timeline_keeps_every_exporter_well_formed() {
     let report = ftpde::obs::CalibrationReport::from_events(&events);
     assert!(report.queries.is_empty());
     assert!(report.stages.is_empty());
+
+    // Both folds read the cut query as incomplete: its one executed
+    // stage, no retries (the simulator counts them on the terminal it
+    // never wrote), and no query duration.
+    let folded = fold(&events);
+    assert_eq!(folded.queries.len(), 1);
+    let row = &folded.queries[0];
+    assert_eq!(row.state, QueryState::Incomplete);
+    assert_eq!((row.stages_executed, row.retries, row.restarts), (1, 0, 0));
+    assert!((row.elapsed_s - 1.5).abs() < 1e-9, "the end of its last event");
+    let m = &folded.metrics;
+    assert_eq!(m.counter("sim.queries_total"), 1);
+    assert_eq!(m.counter("sim.stages_total"), 1);
+    assert_eq!(m.counter("trace.failures.sim"), 1);
+    assert!(m.histogram("sim.query_seconds").is_none());
+    assert!(export::to_prometheus(m).contains("# TYPE sim_stages_total counter"));
 
     // The conformance checker names the truncation, as a warning.
     let report = check_trace("truncated", &events, None, &CheckOptions::default());
@@ -213,10 +300,23 @@ fn out_of_order_timestamps_survive_every_exporter() {
     assert_eq!(report.queries.len(), 1);
     assert!((report.queries[0].observed_s - 3.0).abs() < 1e-9);
 
-    // And the Prometheus side accepts metrics derived from that report.
-    let reg = MetricsRegistry::new();
-    report.export_metrics(&reg);
-    let prom = export::to_prometheus(&reg.snapshot());
+    // The folds go by file order: the terminal closes the first query,
+    // and the two events flushed after it open a second one that never
+    // ends.
+    let folded = fold(&events);
+    let states: Vec<QueryState> = folded.queries.iter().map(|q| q.state).collect();
+    assert_eq!(states, [QueryState::Completed, QueryState::Incomplete]);
+    assert_eq!(folded.queries[0].stages_executed, 1);
+    assert!((folded.queries[0].elapsed_s - 3.0).abs() < 1e-9);
+    assert_eq!(folded.queries[1].predicted_s, None, "plan_estimate carries no pred_runtime_s");
+    assert_eq!(folded.metrics.counter("sim.queries_total"), 2);
+    assert_eq!(folded.metrics.histogram("sim.query_seconds").map(|h| h.count), Some(1));
+
+    // And the Prometheus side accepts the metrics plus the calibration.
+    let mut metrics = folded.metrics;
+    report.export_metrics(&mut metrics);
+    let prom = export::to_prometheus(&metrics);
     assert!(prom.contains("# TYPE calibration_stage_count gauge"));
     assert!(prom.contains("calibration_stage_count 1"));
+    assert!(prom.contains("sim_queries_total 2"));
 }
