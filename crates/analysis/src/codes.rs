@@ -197,21 +197,6 @@ pub const REGISTRY: &[CodeInfo] = &[
                       mismatch means the trace and the model describe different executions.",
     },
     CodeInfo {
-        code: Code::FT201,
-        severity: Severity::Error,
-        summary: "sync primitive outside a `sync` shim (invisible to loom/TSan)",
-        explanation: "All synchronization (`std::sync`, `std::thread`, `parking_lot`, \
-                      `loom`) in library code must route through a crate's `sync` shim \
-                      module, which compiles to std/parking_lot normally and to the loom \
-                      model under `--cfg loom`. A primitive used directly is invisible to \
-                      the loom and TSan CI jobs, so the race models verify a protocol the \
-                      production build does not actually run. Fix: import the primitive \
-                      from the crate's `sync` (loom-modeled) or `sync::plain` \
-                      (std-in-all-builds, documented as outside the modeled protocol) \
-                      module. Suppress only with `// ftpde-allow(FT201: reason)` when the \
-                      use is provably outside any concurrent protocol.",
-    },
-    CodeInfo {
         code: Code::FT204,
         severity: Severity::Lint,
         summary: "unwrap/expect/panic! in library code",
@@ -233,76 +218,6 @@ pub const REGISTRY: &[CodeInfo] = &[
                       the page cache, so a crash leaves a checkpoint log that is torn or \
                       empty where its commits should be. Any function in `crates/store` \
                       that renames must also `sync_all`/`sync_data`.",
-    },
-    CodeInfo {
-        code: Code::FT207,
-        severity: Severity::Error,
-        summary: "unused or malformed `ftpde-allow` suppression",
-        explanation: "`// ftpde-allow(FT2xx: reason)` is the sanctioned escape hatch: it \
-                      suppresses findings of that code on the same or the next line and \
-                      must carry a non-empty reason. A suppression that matches nothing is \
-                      rot — the violation it excused was fixed or moved — and a malformed \
-                      one silently suppresses nothing; both are errors so the escape \
-                      hatches stay exactly as numerous as the exceptions they justify.",
-    },
-    CodeInfo {
-        code: Code::FT210,
-        severity: Severity::Error,
-        summary: "lock-order cycle across the workspace (potential deadlock)",
-        explanation: "The analyzer builds a workspace-wide lock-order graph: an edge A → B \
-                      is recorded whenever some function acquires shim lock B (directly or \
-                      through the call graph) while already holding shim lock A. A cycle in \
-                      that graph means two locks are taken in both orders on different code \
-                      paths — the classic two-thread deadlock, which no amount of testing \
-                      reliably reproduces. Every acquisition routes through the `sync` shims \
-                      (FT201), so the graph covers the whole workspace. Fix by making one \
-                      order canonical (acquire in a fixed global order, or narrow one \
-                      critical section until it no longer nests). Inspect the graph with \
-                      `ftpde lint --source --emit-lock-graph <dir>`.",
-    },
-    CodeInfo {
-        code: Code::FT211,
-        severity: Severity::Error,
-        summary: "blocking I/O while a shim lock guard is live",
-        explanation: "A file or socket operation (fsync, open, read, rename, remove, \
-                      `TcpStream`/`TcpListener`, `std::process`, sleeps) executed while a \
-                      shim `MutexGuard` is live stalls every thread that wants that lock for \
-                      the full device latency — milliseconds per fsync, unbounded for \
-                      sockets. Under N concurrent queries sharing one store backend this \
-                      serializes the fleet on a single disk flush. Fix: stage the I/O \
-                      outside the critical section (build bytes before locking, write after \
-                      unlocking) and keep only the in-memory state flip under the lock. If \
-                      the commit protocol genuinely requires the lock across the I/O (e.g. \
-                      the manifest rewrite that publishes the state it serializes), carry an \
-                      audited `// ftpde-allow(FT211: reason)`.",
-    },
-    CodeInfo {
-        code: Code::FT212,
-        severity: Severity::Error,
-        summary: "channel send/recv or thread join under a shim lock",
-        explanation: "Blocking on another thread's progress — `JoinHandle::join`, a channel \
-                      `send`/`recv` — while holding a shim lock inverts the lock hierarchy: \
-                      the joined/peer thread may need exactly that lock to make progress, \
-                      which is a deadlock that depends on scheduling and load. Even when the \
-                      peer never takes the lock, the critical section now lasts as long as \
-                      an arbitrary other thread's work. Fix: drop the guard before joining \
-                      or communicating (collect what you need under the lock, release, then \
-                      block), or restructure so the channel endpoint lives outside the \
-                      locked state.",
-    },
-    CodeInfo {
-        code: Code::FT213,
-        severity: Severity::Error,
-        summary: "re-entrant acquisition of the same shim lock",
-        explanation: "The shim mutexes (parking_lot in production builds) are not \
-                      re-entrant: locking a mutex while the same thread already holds it \
-                      deadlocks immediately. The analyzer tracks which guard is live at each \
-                      statement and follows calls through the workspace call graph, so it \
-                      catches the indirect form too — a helper that locks `self.inner` \
-                      called from a method that already holds `self.inner`. Fix: pass the \
-                      live guard (or `&mut` of the guarded data) down to the helper instead \
-                      of re-locking, or split the helper into a locked wrapper plus a \
-                      lock-free core.",
     },
     CodeInfo {
         code: Code::FT301,
@@ -397,24 +312,13 @@ pub fn explain(code: Code) -> String {
     out
 }
 
-/// The FT20x (source-discipline) rows as a Markdown table — the exact
+/// The FT2xx (source-discipline) rows as a Markdown table — the exact
 /// text embedded in `DESIGN.md` §14 between the `FT2XX-TABLE` markers.
 /// A test regenerates the table and diffs it against the docs, so the
 /// table in the book cannot drift from the registry.
 pub fn ft2xx_markdown_table() -> String {
-    markdown_table("FT20")
-}
-
-/// The FT21x (concurrency-discipline) rows as a Markdown table — the
-/// exact text embedded in `DESIGN.md` §16 between the `FT21X-TABLE`
-/// markers, drift-checked the same way as the §14 table.
-pub fn ft21x_markdown_table() -> String {
-    markdown_table("FT21")
-}
-
-fn markdown_table(prefix: &str) -> String {
     let mut out = String::from("| code | default severity | checks |\n|---|---|---|\n");
-    for ci in REGISTRY.iter().filter(|ci| ci.code.as_str().starts_with(prefix)) {
+    for ci in REGISTRY.iter().filter(|ci| ci.code.as_str().starts_with("FT2")) {
         out.push_str(&format!("| {} | {} | {} |\n", ci.code, ci.severity, ci.summary));
     }
     out
@@ -465,31 +369,20 @@ mod tests {
 
     #[test]
     fn explain_wraps_and_names_the_code() {
-        let text = explain(Code::FT201);
-        assert!(text.starts_with("FT201 [error]:"));
+        let text = explain(Code::FT205);
+        assert!(text.starts_with("FT205 [error]:"));
         assert!(text.lines().all(|l| l.len() <= 79), "over-long line in:\n{text}");
-        assert!(text.contains("loom"));
+        assert!(text.contains("fsync"));
     }
 
     #[test]
     fn ft2xx_table_lists_exactly_the_source_codes() {
         let table = ft2xx_markdown_table();
-        for code in ["FT201", "FT204", "FT205", "FT207"] {
+        for code in ["FT204", "FT205"] {
             assert!(table.contains(code), "missing {code}");
         }
         assert!(!table.contains("FT105"));
-        assert!(!table.contains("FT210"), "FT21x has its own table (§16)");
-        assert_eq!(table.lines().count(), 2 + 4);
-    }
-
-    #[test]
-    fn ft21x_table_lists_exactly_the_concurrency_codes() {
-        let table = ft21x_markdown_table();
-        for code in ["FT210", "FT211", "FT212", "FT213"] {
-            assert!(table.contains(code), "missing {code}");
-        }
-        assert!(!table.contains("FT201"));
-        assert_eq!(table.lines().count(), 2 + 4);
+        assert_eq!(table.lines().count(), 2 + 2);
     }
 
     #[test]

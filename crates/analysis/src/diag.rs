@@ -95,30 +95,11 @@ pub enum Code {
     /// Observed-cost conservation (Eq. 1): stage wall-clock agrees with
     /// the collapsed cost model / attempt accounting within tolerance.
     FT108,
-    /// Source discipline: `std::sync`/`std::thread`/`parking_lot`/`loom`
-    /// primitive outside a `sync` shim module (escapes loom/TSan
-    /// coverage).
-    FT201,
     /// Source discipline: `unwrap`/`expect`/`panic!` in library code.
     FT204,
     /// Source discipline: fsync pairing — a rename on the store commit
     /// path without `sync_all`/`sync_data` in the same function.
     FT205,
-    /// Source discipline: unused or malformed `// ftpde-allow(...)`
-    /// suppression.
-    FT207,
-    /// Concurrency discipline: cycle in the workspace lock-order graph
-    /// (two shim locks acquired in both orders — potential deadlock).
-    FT210,
-    /// Concurrency discipline: blocking I/O (fsync, file or socket ops,
-    /// `std::process`, sleeps) while a shim lock guard is live.
-    FT211,
-    /// Concurrency discipline: channel `send`/`recv` or
-    /// `JoinHandle::join` while a shim lock guard is live.
-    FT212,
-    /// Concurrency discipline: re-entrant acquisition of the same shim
-    /// lock, directly or through the call graph (parking_lot deadlocks).
-    FT213,
     /// Simulation harness: replaying the same seed produced a different
     /// canonical trace (nondeterministic execution).
     FT301,
@@ -154,14 +135,8 @@ impl Code {
         Code::FT106,
         Code::FT107,
         Code::FT108,
-        Code::FT201,
         Code::FT204,
         Code::FT205,
-        Code::FT207,
-        Code::FT210,
-        Code::FT211,
-        Code::FT212,
-        Code::FT213,
         Code::FT301,
         Code::FT302,
         Code::FT303,
@@ -189,14 +164,8 @@ impl Code {
             Code::FT106 => "FT106",
             Code::FT107 => "FT107",
             Code::FT108 => "FT108",
-            Code::FT201 => "FT201",
             Code::FT204 => "FT204",
             Code::FT205 => "FT205",
-            Code::FT207 => "FT207",
-            Code::FT210 => "FT210",
-            Code::FT211 => "FT211",
-            Code::FT212 => "FT212",
-            Code::FT213 => "FT213",
             Code::FT301 => "FT301",
             Code::FT302 => "FT302",
             Code::FT303 => "FT303",
@@ -470,10 +439,10 @@ mod tests {
 
     #[test]
     fn source_located_diagnostics_render_and_round_trip() {
-        let d = Diagnostic::new(Code::FT201, Severity::Error, "std::sync outside shim")
-            .at_line("crates/engine/src/coordinator.rs", 21);
+        let d = Diagnostic::new(Code::FT205, Severity::Error, "rename without fsync")
+            .at_line("crates/store/src/disk.rs", 21);
         let text = d.to_string();
-        assert!(text.contains("FT201 [error] crates/engine/src/coordinator.rs:21:"), "{text}");
+        assert!(text.contains("FT205 [error] crates/store/src/disk.rs:21:"), "{text}");
         let json = serde_json::to_string(&d).unwrap();
         let back: Diagnostic = serde_json::from_str(&json).unwrap();
         assert_eq!(back, d);
@@ -490,7 +459,7 @@ mod tests {
 
     #[test]
     fn column_located_diagnostics_render_and_round_trip() {
-        let d = Diagnostic::new(Code::FT211, Severity::Error, "fsync under lock")
+        let d = Diagnostic::new(Code::FT205, Severity::Error, "rename without fsync")
             .at_line("crates/store/src/disk.rs", 240)
             .at_col(13);
         let text = d.to_string();

@@ -27,17 +27,9 @@
 //!   `ftpde check` CLI subcommand is its command-line face.
 //! * [`source`] — a **source-discipline analyzer** linting the
 //!   workspace's own Rust sources with a dependency-free tokenizer:
-//!   synchronization primitives outside the `sync` shims, panics in
-//!   library code, unsynced renames on the store commit path, and
-//!   unused `ftpde-allow` suppressions (`FT201`, `FT204`, `FT205`,
-//!   `FT207`). On top of the token passes sits a
-//!   **concurrency-discipline analysis** (`FT210`…`FT213`): a
-//!   conservative workspace call graph ([`source::callgraph`]), a
-//!   lock-site dataflow ([`source::locks`]) tracking guard liveness,
-//!   and a lock-order graph ([`source::LockGraph`]) with cycle
-//!   detection — lock-order cycles, and blocking I/O / channel ops /
-//!   re-entrant acquisition under a live guard.
-//!   `ftpde lint --source` is its CLI face.
+//!   panics in library code (`FT204`, a ratchet) and unsynced renames
+//!   on the store commit path (`FT205`). `ftpde lint --source` is its
+//!   CLI face.
 //! * [`codes`] — the **unified diagnostic registry**: every FT code's
 //!   default severity, summary and long-form explanation in one table,
 //!   backing `ftpde explain FT###` (and `--list`) and the generated
@@ -95,8 +87,5 @@ pub mod prelude {
         OracleReport, RULE12_SLACK,
     };
     pub use crate::passes::PlanValidator;
-    pub use crate::source::{
-        classify, lint_sources, lint_str, lint_workspace, FileClass, LockGraph, SourceFile,
-        SourceScan,
-    };
+    pub use crate::source::{classify, lint_str, lint_workspace, FileClass, SourceScan};
 }

@@ -136,7 +136,7 @@ mod tests {
     fn sample() -> ReportSet {
         let mut r = Report::new("crates/store/src/disk.rs");
         r.push(
-            Diagnostic::new(Code::FT211, Severity::Error, "blocking `fs::write` under `inner`")
+            Diagnostic::new(Code::FT205, Severity::Error, "fn `commit` renames without `sync_all`")
                 .at_line("crates/store/src/disk.rs", 42)
                 .at_col(7),
         );
@@ -152,7 +152,7 @@ mod tests {
         assert_eq!(runs.len(), 1);
         let results = runs[0].get("results").and_then(Value::as_array).unwrap();
         assert_eq!(results.len(), 2);
-        assert_eq!(results[0].get("ruleId").and_then(Value::as_str), Some("FT211"));
+        assert_eq!(results[0].get("ruleId").and_then(Value::as_str), Some("FT205"));
         assert_eq!(results[0].get("level").and_then(Value::as_str), Some("error"));
         assert_eq!(results[1].get("level").and_then(Value::as_str), Some("note"));
     }
@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn only_fired_rules_are_listed() {
         let doc = to_sarif_string(&sample());
-        assert!(doc.contains("\"FT211\""), "{doc}");
-        assert!(!doc.contains("\"FT210\""), "unfired rules must be omitted: {doc}");
+        assert!(doc.contains("\"FT205\""), "{doc}");
+        assert!(!doc.contains("\"FT001\""), "unfired rules must be omitted: {doc}");
     }
 }

@@ -3,18 +3,12 @@
 //!
 //! The plan linter (`FT0xx`) checks what the optimizer *produces* and
 //! the conformance checker (`FT1xx`) checks what the engine *did*; this
-//! module closes the triangle by checking what the code *is*. The
-//! paper's recovery contract (§2.2) and every cost term in Eq. 5-7
-//! assume operators re-execute deterministically after a failure — and
-//! the loom/TSan CI jobs only verify synchronization that actually
-//! routes through the `sync` shim modules. Neither assumption is worth
-//! much if any file can grab a `std::sync::Mutex` directly, so this
-//! analyzer makes the discipline *static*: a dependency-free,
-//! comment/string-aware tokenizer ([`tokens`]) feeds coded passes
-//! ([`passes`], `FT201`, `FT204`, `FT205`, `FT207`) that run over every
-//! source file in the workspace. The sanctioned escape hatch is an
-//! inline `// ftpde-allow(FT2xx: reason)` comment, itself audited: a
-//! suppression that is malformed or matches nothing is an error (FT207).
+//! module closes the triangle by checking what the code *is*. A
+//! dependency-free, comment/string-aware tokenizer ([`tokens`]) feeds
+//! two coded passes ([`passes`]) that run over every library source
+//! file in the workspace: `FT204`, a ratchet on panicking calls, and
+//! `FT205`, which pairs every rename on the store's commit path with an
+//! fsync.
 //!
 //! Checks the compiler can make with type resolution live with the
 //! compiler instead: clock reads and `HashMap`/`HashSet` in core and the
@@ -25,28 +19,22 @@
 //! `ftpde lint --source` is the CLI face and CI gate; see `DESIGN.md`
 //! §14 for the full code table (generated from [`crate::codes`]).
 
-pub mod callgraph;
 pub mod items;
-pub mod locks;
 pub mod passes;
 pub mod tokens;
 
 use std::path::Path;
 
 use crate::diag::{Code, Diagnostic, Report, ReportSet, Severity};
-pub use locks::LockGraph;
 
 /// What kind of code a file is — which discipline it owes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
-    /// Library code: the full discipline (FT201, FT204, FT205 and the
-    /// FT21x concurrency passes).
+    /// Library code: every pass runs (FT204, and FT205 under
+    /// `crates/store/`).
     Lib,
-    /// Benchmark-harness code (`crates/bench`): FT201 only.
-    Bench,
-    /// `sync` shim modules (the sanctioned home of raw primitives and
-    /// the clock seam), tests, examples, bench targets, binaries and
-    /// build scripts: only the suppression audit (FT207) runs.
+    /// Tests, examples, benchmark code, binaries and build scripts: no
+    /// pass runs.
     Exempt,
 }
 
@@ -65,13 +53,11 @@ pub fn classify(rel_path: &str) -> Option<FileClass> {
     if parts.iter().any(|p| SKIP_DIRS.contains(p)) {
         return None;
     }
-    if matches!(file, "sync.rs" | "main.rs" | "build.rs")
-        || parts.iter().any(|p| matches!(*p, "sync" | "tests" | "examples" | "benches" | "bin"))
+    if matches!(file, "main.rs" | "build.rs")
+        || rel_path.starts_with("crates/bench/")
+        || parts.iter().any(|p| matches!(*p, "tests" | "examples" | "benches" | "bin"))
     {
         return Some(FileClass::Exempt);
-    }
-    if rel_path.starts_with("crates/bench/") {
-        return Some(FileClass::Bench);
     }
     Some(FileClass::Lib)
 }
@@ -82,26 +68,14 @@ pub fn lint_str(rel_path: &str, class: FileClass, src: &str) -> Report {
     passes::lint_tokens(rel_path, class, &tokens::tokenize(src))
 }
 
-/// One in-memory source file fed to [`lint_sources`].
-#[derive(Debug, Clone)]
-pub struct SourceFile {
-    /// Workspace-relative path, forward slashes.
-    pub rel: String,
-    pub class: FileClass,
-    pub text: String,
-}
-
 /// The result of a whole-workspace scan.
 #[derive(Debug, Clone)]
 pub struct SourceScan {
     /// Per-file reports, only for files with findings; subjects are
     /// workspace-relative paths, deterministically ordered.
     pub set: ReportSet,
-    /// Total files tokenized and linted (clean files included).
+    /// Total files classified and linted (clean files included).
     pub files_scanned: usize,
-    /// The workspace lock-order graph observed by the FT21x analysis
-    /// (see [`locks`]); empty when no ordered acquisitions exist.
-    pub lock_graph: LockGraph,
 }
 
 impl SourceScan {
@@ -159,49 +133,19 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<SourceScan> {
     discover(root, root, &mut files)?;
     // Deterministic report order regardless of directory-entry order.
     files.sort();
-    let mut sources = Vec::new();
+    let mut reports = Vec::new();
+    let mut files_scanned = 0;
     for rel in &files {
         let Some(class) = classify(rel) else { continue };
-        let text = std::fs::read_to_string(root.join(rel))?;
-        sources.push(SourceFile { rel: rel.clone(), class, text });
+        let report = lint_str(rel, class, &std::fs::read_to_string(root.join(rel))?);
+        files_scanned += 1;
+        if !report.diagnostics.is_empty() {
+            reports.push(report);
+        }
     }
-    let mut scan = lint_sources(&sources);
+    let mut scan = SourceScan { set: ReportSet::new(reports), files_scanned };
     apply_ft204_ratchet(root, &mut scan);
     Ok(scan)
-}
-
-/// Lints a set of in-memory files as one unit: the per-file passes
-/// plus the cross-file FT21x concurrency analysis over the library
-/// subset. This is the pure core of [`lint_workspace`], also used by
-/// the fixture tests.
-pub fn lint_sources(files: &[SourceFile]) -> SourceScan {
-    let tokenized: Vec<tokens::Tokenized> =
-        files.iter().map(|f| tokens::tokenize(&f.text)).collect();
-    let mut lints: Vec<passes::FileLint> =
-        files.iter().zip(&tokenized).map(|(f, tz)| passes::collect(&f.rel, f.class, tz)).collect();
-
-    let lib: Vec<(usize, &str, &[tokens::Tok])> = files
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.class == FileClass::Lib)
-        .map(|(i, f)| (i, f.rel.as_str(), tokenized[i].toks.as_slice()))
-        .collect();
-    let analysis = locks::analyze(&lib);
-    for finding in analysis.findings {
-        lints[finding.file].push_finding(finding.diag);
-    }
-
-    let mut reports: Vec<Report> = lints
-        .into_iter()
-        .map(passes::FileLint::finish)
-        .filter(|r| !r.diagnostics.is_empty())
-        .collect();
-    reports.sort_by(|a, b| a.subject.cmp(&b.subject));
-    SourceScan {
-        set: ReportSet::new(reports),
-        files_scanned: files.len(),
-        lock_graph: analysis.graph,
-    }
 }
 
 /// The FT204 hygiene ratchet: when the workspace commits a baseline
@@ -273,22 +217,20 @@ mod tests {
         use FileClass::*;
         for (path, want) in [
             ("crates/engine/src/coordinator.rs", Some(Lib)),
-            ("crates/engine/src/sync.rs", Some(Exempt)),
-            ("crates/store/src/sync.rs", Some(Exempt)),
-            ("crates/core/src/sync.rs", Some(Exempt)),
-            ("crates/obs/src/sync/clock.rs", Some(Exempt)),
-            ("crates/bench/src/fig13.rs", Some(Bench)),
+            ("crates/core/src/sync.rs", Some(Lib)),
+            ("crates/obs/src/sync.rs", Some(Lib)),
+            ("crates/bench/src/fig13.rs", Some(Exempt)),
             ("crates/bench/benches/fig13_pruning.rs", Some(Exempt)),
             ("crates/bench/src/main.rs", Some(Exempt)),
-            ("crates/engine/tests/loom.rs", Some(Exempt)),
+            ("crates/engine/tests/recovery_proptests.rs", Some(Exempt)),
             ("examples/conformance.rs", Some(Exempt)),
             ("src/bin/ftpde.rs", Some(Exempt)),
             ("src/lib.rs", Some(Lib)),
             ("build.rs", Some(Exempt)),
             ("tests/end_to_end.rs", Some(Exempt)),
-            ("vendor/loom/src/lib.rs", None),
+            ("vendor/serde/src/lib.rs", None),
             ("target/debug/build/foo.rs", None),
-            ("crates/analysis/tests/fixtures/ft201.rs", None),
+            ("crates/analysis/tests/fixtures/ft205.rs", None),
             ("README.md", None),
         ] {
             assert_eq!(classify(path), want, "{path}");
@@ -299,18 +241,14 @@ mod tests {
     fn scan_renders_rollup_and_gates_on_errors() {
         let mut bad = Report::new("crates/x/src/lib.rs");
         bad.push(
-            Diagnostic::new(Code::FT201, Severity::Error, "std::sync outside shim")
+            Diagnostic::new(Code::FT205, Severity::Error, "rename without fsync")
                 .at_line("crates/x/src/lib.rs", 3),
         );
-        let scan = SourceScan {
-            set: ReportSet::new(vec![bad]),
-            files_scanned: 10,
-            lock_graph: LockGraph::default(),
-        };
+        let scan = SourceScan { set: ReportSet::new(vec![bad]), files_scanned: 10 };
         assert!(!scan.is_clean());
         let text = scan.render();
         assert!(text.contains("10 file(s) scanned"), "{text}");
-        assert!(text.contains("FT201 [error]: 1 finding(s)"), "{text}");
+        assert!(text.contains("FT205 [error]: 1 finding(s)"), "{text}");
         assert!(text.contains("crates/x/src/lib.rs:3"), "{text}");
     }
 }

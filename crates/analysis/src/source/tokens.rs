@@ -9,28 +9,27 @@
 //! lexical surface that matters for that guarantee:
 //!
 //! * line (`//`, `///`, `//!`) and nested block (`/* /* */ */`) comments,
-//!   kept separately (suppression comments are parsed out of them);
+//!   skipped;
 //! * string, raw-string (`r#"…"#`, any `#` count), byte-string, char and
 //!   byte-char literals, with escapes;
 //! * lifetimes vs char literals (`'a` vs `'a'`);
 //! * raw identifiers (`r#fn`), numeric literals (including `0x…`, float
 //!   exponents, and `0..n` ranges), and single-char punctuation.
 //!
-//! Output is a flat token stream plus a comment list; tokens carry
-//! 1-based line and column numbers (comments carry only lines).
+//! Output is a flat token stream; tokens carry 1-based line numbers.
 
 /// One lexical token. Literal payloads are not kept — the passes only
 /// need to know *that* a literal occupies the position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Tok {
     /// An identifier or keyword (raw identifiers lose their `r#`).
-    Ident { text: String, line: u32, col: u32 },
+    Ident { text: String, line: u32 },
     /// A single punctuation character (`::` is two `:` tokens).
-    Punct { ch: char, line: u32, col: u32 },
+    Punct { ch: char, line: u32 },
     /// A string/char/byte/numeric literal.
-    Lit { line: u32, col: u32 },
+    Lit { line: u32 },
     /// A lifetime or loop label (`'a`, `'static`).
-    Lifetime { line: u32, col: u32 },
+    Lifetime { line: u32 },
 }
 
 impl Tok {
@@ -41,16 +40,6 @@ impl Tok {
             | Tok::Punct { line, .. }
             | Tok::Lit { line, .. }
             | Tok::Lifetime { line, .. } => *line,
-        }
-    }
-
-    /// The 1-based column (in chars) the token starts at.
-    pub fn col(&self) -> u32 {
-        match self {
-            Tok::Ident { col, .. }
-            | Tok::Punct { col, .. }
-            | Tok::Lit { col, .. }
-            | Tok::Lifetime { col, .. } => *col,
         }
     }
 
@@ -81,37 +70,19 @@ impl Tok {
     }
 }
 
-/// One comment (line or block), with its text and start line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Comment {
-    /// Comment text including the `//` / `/*` introducer.
-    pub text: String,
-    /// 1-based line the comment starts on.
-    pub line: u32,
-}
-
-/// A tokenized source file.
-#[derive(Debug, Clone, Default)]
-pub struct Tokenized {
-    /// Code tokens, in source order.
-    pub toks: Vec<Tok>,
-    /// Comments, in source order.
-    pub comments: Vec<Comment>,
-}
-
-/// Tokenizes Rust source. Lexically invalid input (unterminated string,
-/// stray byte) never panics: the cursor always advances, and garbage
-/// degrades to punctuation tokens.
-pub fn tokenize(src: &str) -> Tokenized {
-    Lexer { chars: src.chars().collect(), pos: 0, line: 1, col: 1, out: Tokenized::default() }.run()
+/// Tokenizes Rust source into its code tokens, in source order.
+/// Lexically invalid input (unterminated string, stray byte) never
+/// panics: the cursor always advances, and garbage degrades to
+/// punctuation tokens.
+pub fn tokenize(src: &str) -> Vec<Tok> {
+    Lexer { chars: src.chars().collect(), pos: 0, line: 1, out: Vec::new() }.run()
 }
 
 struct Lexer {
     chars: Vec<char>,
     pos: usize,
     line: u32,
-    col: u32,
-    out: Tokenized,
+    out: Vec<Tok>,
 }
 
 impl Lexer {
@@ -119,81 +90,67 @@ impl Lexer {
         self.chars.get(self.pos + ahead).copied()
     }
 
-    /// Consumes one char, tracking line numbers and 1-based columns.
+    /// Consumes one char, tracking line numbers.
     fn bump(&mut self) -> Option<char> {
         let c = self.peek(0)?;
         self.pos += 1;
         if c == '\n' {
             self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
         }
         Some(c)
     }
 
-    fn run(mut self) -> Tokenized {
+    fn run(mut self) -> Vec<Tok> {
         while let Some(c) = self.peek(0) {
-            let (line, col) = (self.line, self.col);
+            let line = self.line;
             match c {
                 _ if c.is_whitespace() => {
                     self.bump();
                 }
-                '/' if self.peek(1) == Some('/') => self.line_comment(line),
-                '/' if self.peek(1) == Some('*') => self.block_comment(line),
-                '"' => self.string_lit(line, col),
-                'r' | 'b' if self.raw_or_byte_lit(line, col) => {}
-                '\'' => self.char_or_lifetime(line, col),
-                _ if c.is_ascii_digit() => self.number(line, col),
-                _ if c == '_' || c.is_alphanumeric() => self.ident(line, col),
+                '/' if self.peek(1) == Some('/') => self.line_comment(),
+                '/' if self.peek(1) == Some('*') => self.block_comment(),
+                '"' => self.string_lit(line),
+                'r' | 'b' if self.raw_or_byte_lit(line) => {}
+                '\'' => self.char_or_lifetime(line),
+                _ if c.is_ascii_digit() => self.number(line),
+                _ if c == '_' || c.is_alphanumeric() => self.ident(line),
                 _ => {
                     self.bump();
-                    self.out.toks.push(Tok::Punct { ch: c, line, col });
+                    self.out.push(Tok::Punct { ch: c, line });
                 }
             }
         }
         self.out
     }
 
-    fn line_comment(&mut self, line: u32) {
-        let mut text = String::new();
-        while let Some(c) = self.peek(0) {
-            if c == '\n' {
-                break;
-            }
-            text.push(c);
+    fn line_comment(&mut self) {
+        while self.peek(0).is_some_and(|c| c != '\n') {
             self.bump();
         }
-        self.out.comments.push(Comment { text, line });
     }
 
-    fn block_comment(&mut self, line: u32) {
-        let mut text = String::new();
+    fn block_comment(&mut self) {
         let mut depth = 0usize;
         while let Some(c) = self.peek(0) {
             if c == '/' && self.peek(1) == Some('*') {
                 depth += 1;
-                text.push_str("/*");
                 self.bump();
                 self.bump();
             } else if c == '*' && self.peek(1) == Some('/') {
                 depth -= 1;
-                text.push_str("*/");
                 self.bump();
                 self.bump();
                 if depth == 0 {
                     break;
                 }
             } else {
-                text.push(c);
                 self.bump();
             }
         }
-        self.out.comments.push(Comment { text, line });
     }
 
     /// Consumes a `"…"` literal (escape-aware).
-    fn string_lit(&mut self, line: u32, col: u32) {
+    fn string_lit(&mut self, line: u32) {
         self.bump(); // opening quote
         while let Some(c) = self.bump() {
             match c {
@@ -204,13 +161,13 @@ impl Lexer {
                 _ => {}
             }
         }
-        self.out.toks.push(Tok::Lit { line, col });
+        self.out.push(Tok::Lit { line });
     }
 
     /// Handles the `r`/`b` prefix family: `r"…"`, `r#"…"#`, `b"…"`,
     /// `br#"…"#`, `b'x'`, and raw identifiers `r#ident`. Returns `true`
     /// if it consumed a token; `false` to fall through to `ident()`.
-    fn raw_or_byte_lit(&mut self, line: u32, col: u32) -> bool {
+    fn raw_or_byte_lit(&mut self, line: u32) -> bool {
         let is_raw_opener = |lex: &Self, at: usize| {
             // `at` points just past an `r`: zero or more `#`s then `"`.
             let mut hashes = 0usize;
@@ -226,7 +183,7 @@ impl Lexer {
                     self.bump(); // r, #*, "
                 }
                 self.raw_string_body(hashes);
-                self.out.toks.push(Tok::Lit { line, col });
+                self.out.push(Tok::Lit { line });
                 true
             }
             (Some('r'), Some('#'))
@@ -235,7 +192,7 @@ impl Lexer {
                 // r#ident — drop the prefix, lex the rest as an ident.
                 self.bump();
                 self.bump();
-                self.ident(line, col);
+                self.ident(line);
                 true
             }
             (Some('b'), Some('r')) if is_raw_opener(self, 2).is_some() => {
@@ -244,18 +201,18 @@ impl Lexer {
                     self.bump(); // b, r, #*, "
                 }
                 self.raw_string_body(hashes);
-                self.out.toks.push(Tok::Lit { line, col });
+                self.out.push(Tok::Lit { line });
                 true
             }
             (Some('b'), Some('"')) => {
                 self.bump(); // b — string_lit consumes the quotes.
-                self.string_lit(line, col);
+                self.string_lit(line);
                 true
             }
             (Some('b'), Some('\'')) => {
                 self.bump(); // b
                 self.char_body();
-                self.out.toks.push(Tok::Lit { line, col });
+                self.out.push(Tok::Lit { line });
                 true
             }
             _ => false,
@@ -276,7 +233,7 @@ impl Lexer {
     }
 
     /// `'a` (lifetime) vs `'a'` / `'\n'` (char literal).
-    fn char_or_lifetime(&mut self, line: u32, col: u32) {
+    fn char_or_lifetime(&mut self, line: u32) {
         let is_lifetime = match (self.peek(1), self.peek(2)) {
             // 'x' / '\…' are char literals; '_, 'a followed by anything
             // but a closing quote is a lifetime.
@@ -294,10 +251,10 @@ impl Lexer {
                     break;
                 }
             }
-            self.out.toks.push(Tok::Lifetime { line, col });
+            self.out.push(Tok::Lifetime { line });
         } else {
             self.char_body();
-            self.out.toks.push(Tok::Lit { line, col });
+            self.out.push(Tok::Lit { line });
         }
     }
 
@@ -315,7 +272,7 @@ impl Lexer {
         }
     }
 
-    fn number(&mut self, line: u32, col: u32) {
+    fn number(&mut self, line: u32) {
         while let Some(c) = self.peek(0) {
             if c == '_' || c.is_alphanumeric() {
                 self.bump();
@@ -330,10 +287,10 @@ impl Lexer {
                 break;
             }
         }
-        self.out.toks.push(Tok::Lit { line, col });
+        self.out.push(Tok::Lit { line });
     }
 
-    fn ident(&mut self, line: u32, col: u32) {
+    fn ident(&mut self, line: u32) {
         let mut text = String::new();
         while let Some(c) = self.peek(0) {
             if c == '_' || c.is_alphanumeric() {
@@ -343,7 +300,7 @@ impl Lexer {
                 break;
             }
         }
-        self.out.toks.push(Tok::Ident { text, line, col });
+        self.out.push(Tok::Ident { text, line });
     }
 }
 
@@ -352,7 +309,7 @@ mod tests {
     use super::*;
 
     fn idents(src: &str) -> Vec<String> {
-        tokenize(src).toks.iter().filter_map(|t| t.ident().map(String::from)).collect()
+        tokenize(src).iter().filter_map(|t| t.ident().map(String::from)).collect()
     }
 
     #[test]
@@ -368,19 +325,16 @@ mod tests {
         assert!(!ids.contains(&"Mutex".to_string()), "{ids:?}");
         assert!(!ids.contains(&"Instant".to_string()), "{ids:?}");
         assert!(ids.contains(&"real".to_string()));
-        let t = tokenize(src);
-        assert_eq!(t.comments.len(), 2);
-        assert!(t.comments[0].text.contains("std::sync::Mutex"));
-        assert!(t.comments[1].text.contains("nested"));
+        assert!(!ids.contains(&"nested".to_string()), "{ids:?}");
     }
 
     #[test]
     fn lifetimes_are_not_char_literals() {
         let t = tokenize("fn f<'a>(x: &'a str) -> &'static str { 'q' ; '\\n' }");
-        let lifetimes = t.toks.iter().filter(|t| matches!(t, Tok::Lifetime { .. })).count();
-        let lits = t.toks.iter().filter(|t| matches!(t, Tok::Lit { .. })).count();
-        assert_eq!(lifetimes, 3, "{:?}", t.toks);
-        assert_eq!(lits, 2, "{:?}", t.toks);
+        let lifetimes = t.iter().filter(|t| matches!(t, Tok::Lifetime { .. })).count();
+        let lits = t.iter().filter(|t| matches!(t, Tok::Lit { .. })).count();
+        assert_eq!(lifetimes, 3, "{t:?}");
+        assert_eq!(lits, 2, "{t:?}");
     }
 
     #[test]
@@ -390,48 +344,34 @@ mod tests {
         assert!(ids.contains(&"raw".to_string()), "{ids:?}");
         // No stray tokens from inside the raw string.
         assert!(!ids.contains(&"x".to_string()));
-        assert_eq!(t.toks.iter().filter(|t| matches!(t, Tok::Lit { .. })).count(), 3);
+        assert_eq!(t.iter().filter(|t| matches!(t, Tok::Lit { .. })).count(), 3);
     }
 
     #[test]
     fn line_numbers_are_one_based_and_track_newlines() {
         let t = tokenize("a\nb\n  c");
-        let lines: Vec<u32> = t.toks.iter().map(Tok::line).collect();
+        let lines: Vec<u32> = t.iter().map(Tok::line).collect();
         assert_eq!(lines, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn columns_are_one_based_and_reset_per_line() {
-        let t = tokenize("a bb  c\n  let s = \"x\";");
-        let pos: Vec<(u32, u32)> = t.toks.iter().map(|t| (t.line(), t.col())).collect();
-        // a@1:1  bb@1:3  c@1:7  let@2:3  s@2:7  =@2:9  "x"@2:11  ;@2:14
-        assert_eq!(
-            pos,
-            vec![(1, 1), (1, 3), (1, 7), (2, 3), (2, 7), (2, 9), (2, 11), (2, 14)],
-            "{:?}",
-            t.toks
-        );
     }
 
     #[test]
     fn numbers_do_not_eat_ranges() {
         let t = tokenize("for i in 0..10 { x[i] = 1.5e-3; }");
-        let dots = t.toks.iter().filter(|t| t.is_punct('.')).count();
-        assert_eq!(dots, 2, "{:?}", t.toks);
-        assert_eq!(t.toks.iter().filter(|t| matches!(t, Tok::Lit { .. })).count(), 3);
+        let dots = t.iter().filter(|t| t.is_punct('.')).count();
+        assert_eq!(dots, 2, "{t:?}");
+        assert_eq!(t.iter().filter(|t| matches!(t, Tok::Lit { .. })).count(), 3);
     }
 
     #[test]
     fn unterminated_string_terminates_lexing() {
         let t = tokenize("let s = \"never closed");
-        assert!(t.toks.iter().any(|t| matches!(t, Tok::Lit { .. })));
+        assert!(t.iter().any(|t| matches!(t, Tok::Lit { .. })));
     }
 
     #[test]
     fn double_colon_is_two_colons() {
         let t = tokenize("std::sync::Mutex");
         let pattern: Vec<String> = t
-            .toks
             .iter()
             .map(|t| match t {
                 Tok::Ident { text, .. } => text.clone(),

@@ -11,9 +11,7 @@
 use std::path::{Path, PathBuf};
 
 use ftpde_analysis::diag::{Code, Report, Severity};
-use ftpde_analysis::source::{
-    classify, lint_sources, lint_str, lint_workspace, FileClass, SourceFile,
-};
+use ftpde_analysis::source::{classify, lint_str, lint_workspace, FileClass};
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
@@ -31,26 +29,6 @@ fn at(report: &Report) -> Vec<(Code, u32)> {
 }
 
 #[test]
-fn ft201_fixture_catches_every_smuggling_route() {
-    let r =
-        lint_fixture("ft201_sync_primitives.rs", "crates/engine/src/fixture.rs", FileClass::Lib);
-    let want = [
-        (Code::FT201, 6),
-        (Code::FT201, 7),
-        (Code::FT201, 9),
-        (Code::FT201, 12),
-        (Code::FT201, 13),
-        (Code::FT201, 14),
-    ];
-    assert_eq!(at(&r), want, "{}", r.render());
-    assert!(!r.is_clean(), "FT201 is an Error and must gate");
-    // The same text inside a shim is the sanctioned home.
-    let shim =
-        lint_fixture("ft201_sync_primitives.rs", "crates/engine/src/sync.rs", FileClass::Exempt);
-    assert!(shim.diagnostics.is_empty(), "{}", shim.render());
-}
-
-#[test]
 fn ft204_fixture_is_lint_severity_and_spares_tests() {
     let r = lint_fixture("ft204_panics.rs", "crates/engine/src/fixture.rs", FileClass::Lib);
     let want = [(Code::FT204, 5), (Code::FT204, 6), (Code::FT204, 8)];
@@ -63,53 +41,6 @@ fn ft205_fixture_requires_fsync_in_the_renaming_fn() {
     let r = lint_fixture("ft205_unsynced_rename.rs", "crates/store/src/fixture.rs", FileClass::Lib);
     assert_eq!(at(&r), [(Code::FT205, 8)], "{}", r.render());
     assert!(r.diagnostics[0].message.contains("torn_commit"), "{}", r.render());
-}
-
-#[test]
-fn ft207_fixture_audits_suppressions_both_ways() {
-    let r = lint_fixture("ft207_suppressions.rs", "crates/obs/src/fixture.rs", FileClass::Lib);
-    // Malformed allows (lines 17, 18) come first, then the unsuppressed
-    // FT201 (line 19), then the unused-but-well-formed allow (line 11).
-    // The used allow on line 6 produces nothing at all.
-    let want = [(Code::FT207, 17), (Code::FT207, 18), (Code::FT201, 19), (Code::FT207, 11)];
-    assert_eq!(at(&r), want, "{}", r.render());
-}
-
-/// Lints one fixture through the cross-file pipeline: the FT21x
-/// concurrency passes need the call-graph analysis, which runs in
-/// [`lint_sources`], not in the single-file [`lint_str`].
-fn lint_concurrency_fixture(name: &str) -> Report {
-    let rel = "crates/engine/src/fixture.rs";
-    let files = [SourceFile { rel: rel.to_string(), class: FileClass::Lib, text: fixture(name) }];
-    let scan = lint_sources(&files);
-    scan.set.reports.into_iter().next().unwrap_or_else(|| Report::new(rel))
-}
-
-#[test]
-fn ft210_fixture_catches_the_lock_order_cycle() {
-    let r = lint_concurrency_fixture("ft210_lock_order.rs");
-    assert_eq!(at(&r), [(Code::FT210, 22)], "{}", r.render());
-    assert!(!r.is_clean(), "FT210 is an Error and must gate");
-}
-
-#[test]
-fn ft211_fixture_catches_direct_and_transitive_blocking() {
-    let r = lint_concurrency_fixture("ft211_blocking_under_lock.rs");
-    assert_eq!(at(&r), [(Code::FT211, 14), (Code::FT211, 20)], "{}", r.render());
-    // FT21x findings are column-located (the offending token).
-    assert!(r.diagnostics.iter().all(|d| d.column.is_some()), "{}", r.render());
-}
-
-#[test]
-fn ft212_fixture_catches_recv_and_join_but_not_path_join() {
-    let r = lint_concurrency_fixture("ft212_channel_under_lock.rs");
-    assert_eq!(at(&r), [(Code::FT212, 17), (Code::FT212, 26)], "{}", r.render());
-}
-
-#[test]
-fn ft213_fixture_catches_reentrant_acquisition() {
-    let r = lint_concurrency_fixture("ft213_reentrant_lock.rs");
-    assert_eq!(at(&r), [(Code::FT213, 15), (Code::FT213, 23)], "{}", r.render());
 }
 
 /// The FT204 hygiene ratchet: a committed baseline gates increases and
@@ -140,9 +71,9 @@ fn ft204_ratchet_gates_on_increase_only() {
 }
 
 /// The dogfooding gate: the workspace that ships this analyzer passes
-/// it. Any reintroduced raw primitive, unsynced rename or stale
-/// suppression — e.g. deleting a `sync` shim route — fails this test
-/// before CI even runs the CLI.
+/// it. An unsynced rename on the store commit path, or a rise in the
+/// FT204 count above its baseline, fails this test before CI even runs
+/// the CLI.
 #[test]
 fn workspace_self_scan_is_clean() {
     let root = workspace_root();
@@ -154,17 +85,6 @@ fn workspace_self_scan_is_clean() {
     );
     assert!(scan.is_clean(), "workspace has source-discipline errors:\n{}", scan.render());
     assert_eq!(0, scan.set.count(Severity::Warn), "unresolved warnings:\n{}", scan.render());
-    // The concurrency passes specifically: zero FT21x findings survive
-    // (fixed or carrying an audited `ftpde-allow`).
-    let ft21x: Vec<String> = scan
-        .set
-        .reports
-        .iter()
-        .flat_map(|r| &r.diagnostics)
-        .filter(|d| matches!(d.code, Code::FT210 | Code::FT211 | Code::FT212 | Code::FT213))
-        .map(ToString::to_string)
-        .collect();
-    assert!(ft21x.is_empty(), "unfixed concurrency findings:\n{}", ft21x.join("\n"));
 }
 
 /// A seeded violation in a scratch workspace is detected end to end via
@@ -176,11 +96,12 @@ fn workspace_self_scan_is_clean() {
 fn seeded_violation_fails_a_workspace_scan() {
     let dir = std::env::temp_dir().join("ftpde_source_seeded_it");
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(dir.join("crates/x/src")).unwrap();
+    std::fs::create_dir_all(dir.join("crates/store/src")).unwrap();
     std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").unwrap();
     std::fs::write(
-        dir.join("crates/x/src/lib.rs"),
-        "use std::sync::Mutex;\npub fn t() -> std::time::Instant { std::time::Instant::now() }\n",
+        dir.join("crates/store/src/lib.rs"),
+        "pub fn commit(tmp: &str, dst: &str) { let _ = std::fs::rename(tmp, dst); }\n\
+         pub fn t() -> std::time::Instant { std::time::Instant::now() }\n",
     )
     .unwrap();
     let scan = lint_workspace(&dir).expect("scan");
@@ -188,7 +109,7 @@ fn seeded_violation_fails_a_workspace_scan() {
     assert!(!scan.is_clean());
     let codes: Vec<Code> =
         scan.set.reports.iter().flat_map(|r| r.diagnostics.iter().map(|d| d.code)).collect();
-    assert_eq!(codes, [Code::FT201], "{}", scan.render());
+    assert_eq!(codes, [Code::FT205], "{}", scan.render());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -212,32 +133,14 @@ fn design_doc_ft2xx_table_matches_registry() {
     );
 }
 
-/// DESIGN.md §16 embeds the generated FT21x table between markers; it
-/// must match the registry verbatim, same as the §14.3 table.
-#[test]
-fn design_doc_ft21x_table_matches_registry() {
-    let design = std::fs::read_to_string(workspace_root().join("DESIGN.md")).expect("DESIGN.md");
-    let begin =
-        "<!-- FT21X-TABLE BEGIN (generated: ftpde_analysis::codes::ft21x_markdown_table) -->";
-    let end = "<!-- FT21X-TABLE END -->";
-    let start = design.find(begin).expect("DESIGN.md must carry the FT21X-TABLE BEGIN marker");
-    let stop = design.find(end).expect("DESIGN.md must carry the FT21X-TABLE END marker");
-    let embedded = design[start + begin.len()..stop].trim();
-    let generated = ftpde_analysis::codes::ft21x_markdown_table();
-    assert_eq!(
-        embedded,
-        generated.trim(),
-        "DESIGN.md §16 table drifted from the registry — regenerate it"
-    );
-}
-
 /// Every classification the self-scan depends on, pinned against the
-/// real tree: shims are shims, fixtures are skipped, bench is bench.
+/// real tree: library code is library code, fixtures are skipped, bench
+/// code and binaries are exempt.
 #[test]
 fn classification_matches_the_real_tree() {
-    assert_eq!(classify("crates/obs/src/sync.rs"), Some(FileClass::Exempt));
-    assert_eq!(classify("crates/analysis/tests/fixtures/ft201_sync_primitives.rs"), None);
-    assert_eq!(classify("crates/bench/src/fig13.rs"), Some(FileClass::Bench));
+    assert_eq!(classify("crates/obs/src/sync.rs"), Some(FileClass::Lib));
+    assert_eq!(classify("crates/analysis/tests/fixtures/ft205_unsynced_rename.rs"), None);
+    assert_eq!(classify("crates/bench/src/fig13.rs"), Some(FileClass::Exempt));
     assert_eq!(classify("src/bin/ftpde.rs"), Some(FileClass::Exempt));
 }
 

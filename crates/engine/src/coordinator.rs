@@ -5,11 +5,15 @@
 //! paper's XDB coordinator does) or coarse-grained (restart the whole
 //! query, the classic parallel-database behaviour).
 //!
-//! A node kill takes effect in one place: the injector check a worker
-//! makes before the node reads its inputs. Both recovery modes run the same
-//! worker loop. Under coarse recovery the siblings of a killed node finish
-//! their attempt, and the coordinator discards their output when it
-//! restarts the query at the stage barrier.
+//! The coordinator owns recovery, as in the paper (§2.2). It reads each
+//! stage's cross-stage inputs from the store once, hands every worker its
+//! node's rows, and decides each kill when it deploys a node: it asks the
+//! injector before it spawns the node's attempt. A worker is a function of
+//! the catalog and its rows; it touches neither the store nor the injector.
+//! So every store call and every injector call runs on the coordinator's
+//! thread, in plan order. Under coarse recovery a killed node is not
+//! spawned, its siblings finish their attempt, and the coordinator
+//! discards their output when it restarts the query at the stage barrier.
 //!
 //! The stage structure is exactly the paper's collapsed plan: the engine
 //! reuses [`ftpde_core::collapse::CollapsedPlan`] on a structural mirror
@@ -23,19 +27,23 @@
 //! emits a `segment_corrupt` event, walks back to the producing stage and
 //! re-executes forward from there.
 //!
-//! Every fact about a run is emitted once, as a private `Fact`, on the
-//! coordinator's thread: workers hand theirs back at the stage barrier.
+//! Every fact about a run is the coordinator's own, emitted once as a
+//! private `Fact` on its thread: a worker hands back only its rows and its
+//! two clock reads at the stage barrier.
 //! One fold (`Run::emit`) adds each fact to the [`RunReport`] and, when
 //! the caller's recorder is enabled, records it as one trace event. The
 //! run's query row and its `engine.*` metrics are folds of that trace
 //! ([`ftpde_obs::fold()`]), so every channel agrees with the report, and the
 //! trace's order is deterministic.
 
-use std::time::Instant;
+use std::sync::Arc;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use ftpde_core::collapse::CollapsedPlan;
 use ftpde_core::config::MatConfig;
 use ftpde_core::cost::EstimateBreakdown;
+use ftpde_obs::sync::clock;
 use ftpde_obs::{Event, NoopRecorder, Recorder};
 use ftpde_store::value::Row;
 use ftpde_store::{CorruptSegment, MemBackend, StoreBackend, StoreStats};
@@ -43,8 +51,6 @@ use ftpde_store::{CorruptSegment, MemBackend, StoreBackend, StoreStats};
 use crate::failure::FailureInjector;
 use crate::ops::{merge_aggregates, run_stage, sorted_top_k, ExecCtx};
 use crate::plan::{EOpId, EnginePlan, OpKind};
-use crate::sync::clock;
-use crate::sync::plain::{thread, Arc};
 use crate::table::{Catalog, Distribution};
 
 /// How the coordinator recovers from node failures.
@@ -99,21 +105,6 @@ impl Default for RunOptions<'_> {
             pred: None,
         }
     }
-}
-
-/// Outcome of one node attempt, and of the node's part in a stage barrier.
-#[derive(Debug, Clone, PartialEq)]
-enum NodeOutcome {
-    /// The node finished its sub-plan.
-    Done(Vec<Row>),
-    /// An injected failure killed the node before it read its inputs
-    /// (coarse recovery: the stage is doomed and the query restarts).
-    Failed,
-    /// A cross-stage input read as absent: the worker's read found the
-    /// segment corrupt and demoted it after the coordinator's input check
-    /// passed. Carries the producing operator id; the coordinator must
-    /// re-run its input check, which rewinds to the producer.
-    InputLost(u32),
 }
 
 /// Wall-clock accounting for one stage execution (or resume-skip).
@@ -245,117 +236,117 @@ pub fn run_query_resumable(
                 continue;
             }
 
-            // Storage-level recovery: verify every cross-stage input is
-            // actually readable before deploying workers. A corrupt
-            // segment is demoted by the failed read; rewind to its
-            // producer and re-execute forward from there.
-            if let Some(producer) = first_unavailable_input(plan, &members, store, nodes) {
-                run.drain_corruptions();
-                let back = stage_list
-                    .iter()
-                    .position(|&pc| collapsed.op(pc).root.0 == producer)
-                    .expect("producer of a collapsed input is an earlier stage root");
-                debug_assert!(back <= idx, "inputs come from earlier stages");
-                run.emit(Fact::InputRewind { stage, producer });
-                assert!(
-                    run.input_rewinds < 10_000,
-                    "storage keeps corrupting faster than stages re-execute"
-                );
-                idx = back;
-                continue;
-            }
-
-            // One node's part in the stage, and the facts it learned. Its
-            // first attempt is its own attempt 0 under fine-grained
-            // recovery and the query restart count under coarse recovery:
-            // the coordinate the injector addresses. The worker shares only
-            // the store (and read-only inputs) with the coordinator.
-            let (recovery, repair_ms, t0) = (opts.recovery, opts.repair_ms, run.t0);
-            let first_attempt = match recovery {
-                EngineRecovery::FineGrained => 0,
-                EngineRecovery::CoarseRestart => run.report.query_restarts,
-            };
-            let run_node = |node: usize| {
-                let (mut attempt, mut facts) = (first_attempt, Vec::new());
-                loop {
-                    let start_us = micros_since(t0);
-                    let outcome = run_stage_on_node(
-                        plan, &members, root, node, attempt, catalog, store, injector,
+            // Storage-level recovery: read every cross-stage input on every
+            // node before deploying workers, and keep what is read: each
+            // worker gets its node's rows. A corrupt segment is demoted by
+            // the failed read; rewind to its producer and re-execute
+            // forward from there.
+            let inputs = match read_inputs(plan, &members, store, nodes) {
+                Ok(inputs) => inputs,
+                Err(producer) => {
+                    run.drain_corruptions();
+                    let back = stage_list
+                        .iter()
+                        .position(|&pc| collapsed.op(pc).root.0 == producer)
+                        .expect("producer of a collapsed input is an earlier stage root");
+                    debug_assert!(back <= idx, "inputs come from earlier stages");
+                    run.emit(Fact::InputRewind { stage, producer });
+                    assert!(
+                        run.input_rewinds < 10_000,
+                        "storage keeps corrupting faster than stages re-execute"
                     );
-                    let end_us = micros_since(t0);
-                    if let NodeOutcome::Done(rows) = &outcome {
-                        let rows = rows.len();
-                        facts.push(Fact::Attempt { stage, node, attempt, start_us, end_us, rows });
-                    }
-                    // A lost input is not retried: the segment stays absent
-                    // until the coordinator rewinds to its producer.
-                    if !matches!(outcome, NodeOutcome::Failed) {
-                        break (outcome, facts);
-                    }
-                    facts.push(Fact::NodeFailure { stage, node, attempt, start_us, end_us });
-                    // Repair time passes in virtual time only.
-                    if repair_ms > 0 {
-                        clock::advance(std::time::Duration::from_millis(repair_ms));
-                    }
-                    // Coarse recovery gives up here: the stage is doomed, its
-                    // siblings finish their attempt and the query restarts at
-                    // the barrier.
-                    if recovery == EngineRecovery::CoarseRestart {
-                        break (outcome, facts);
-                    }
-                    // Fine-grained recovery: the failed node's sub-plan is
-                    // redeployed on the spot.
-                    attempt += 1;
-                    assert!(attempt < 10_000, "injector never lets node finish");
-                    let at_us = micros_since(t0);
-                    facts.push(Fact::Redeploy { stage, node, attempt, at_us });
+                    idx = back;
+                    continue;
                 }
             };
 
-            // Execute the stage on every node, then emit what the workers
-            // learned, in node order, before the stage span.
-            let stage_start = micros_since(t0);
-            let partials: Vec<(NodeOutcome, Vec<Fact>)> = thread::scope(|s| {
-                let handles: Vec<_> =
-                    (0..nodes).map(|node| s.spawn(move || run_node(node))).collect();
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+            // Deployment: the coordinator asks the injector, node by node,
+            // whether the node's attempt dies before it reads its inputs. A
+            // node's first attempt is its own attempt 0 under fine-grained
+            // recovery and the query restart count under coarse recovery:
+            // the coordinate the injector addresses. Fine-grained recovery
+            // redeploys a killed node's sub-plan on the spot. Under coarse
+            // recovery the stage is doomed: the killed node is not spawned,
+            // its siblings still run their attempt, and the query restarts
+            // at the barrier.
+            let stage_start = micros_since(run.t0);
+            let first_attempt = match opts.recovery {
+                EngineRecovery::FineGrained => 0,
+                EngineRecovery::CoarseRestart => run.report.query_restarts,
+            };
+            let deploy = |node: usize| {
+                let (mut attempt, mut facts) = (first_attempt, Vec::new());
+                while injector.should_fail(stage, node, attempt) {
+                    let at_us = micros_since(run.t0);
+                    facts.push(Fact::NodeFailure { stage, node, attempt, at_us });
+                    // Repair time passes in virtual time only.
+                    if opts.repair_ms > 0 {
+                        clock::advance(Duration::from_millis(opts.repair_ms));
+                    }
+                    if opts.recovery == EngineRecovery::CoarseRestart {
+                        return (None, facts);
+                    }
+                    attempt += 1;
+                    assert!(attempt < 10_000, "injector never lets node finish");
+                    let at_us = micros_since(run.t0);
+                    facts.push(Fact::Redeploy { stage, node, attempt, at_us });
+                }
+                (Some(attempt), facts)
+            };
+            let deployments: Vec<(Option<u32>, Vec<Fact>)> = (0..nodes).map(deploy).collect();
+
+            // Execute the stage on every deployed node. A worker is a
+            // function of the catalog and its node's rows; it hands back its
+            // output and its two clock reads.
+            let (t0, members) = (run.t0, members.as_slice());
+            let outputs: Vec<Option<(Vec<Row>, u64, u64)>> = thread::scope(|s| {
+                let handles: Vec<_> = deployments
+                    .iter()
+                    .zip(&inputs)
+                    .enumerate()
+                    .map(|(node, ((attempt, _), stored))| {
+                        attempt.map(|_| {
+                            s.spawn(move || {
+                                let start_us = micros_since(t0);
+                                let stored: Vec<(EOpId, &[Row])> =
+                                    stored.iter().map(|(p, rows)| (*p, rows.as_slice())).collect();
+                                let ctx = ExecCtx { catalog, node, interrupted: &|| false };
+                                let rows = run_stage(plan, members, root, &stored, &ctx);
+                                (rows, start_us, micros_since(t0))
+                            })
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.map(|h| h.join().expect("worker panicked"))).collect()
             });
-            let wall_us = micros_since(t0) - stage_start;
-            let mut outcomes = Vec::with_capacity(nodes);
-            for (outcome, facts) in partials {
+            let wall_us = micros_since(run.t0) - stage_start;
+
+            // Emit each node's facts, in node order, before the stage span.
+            let mut partials = Vec::with_capacity(nodes);
+            for (node, ((attempt, facts), output)) in
+                deployments.into_iter().zip(outputs).enumerate()
+            {
                 facts.into_iter().for_each(|f| run.emit(f));
-                outcomes.push(outcome);
+                if let (Some(attempt), Some((rows, start_us, end_us))) = (attempt, output) {
+                    let n = rows.len();
+                    run.emit(Fact::Attempt { stage, node, attempt, start_us, end_us, rows: n });
+                    partials.push(rows);
+                }
             }
-            let stage_failed = outcomes.iter().any(|o| matches!(o, NodeOutcome::Failed));
-            let lost_input = outcomes.iter().any(|o| matches!(o, NodeOutcome::InputLost(_)));
-            let failed = stage_failed || lost_input;
+            let failed = partials.len() < nodes;
             run.emit(Fact::Stage { stage, start_us: stage_start, wall_us, failed });
 
-            if !stage_failed && lost_input {
-                // A worker observed a pre-checked input vanish (a
-                // concurrent read demoted the segment). Surface the
-                // corruption and re-enter the same stage: the input check
-                // will find the slot absent and rewind to its producer.
-                run.drain_corruptions();
-                continue;
-            }
-            if stage_failed {
+            if failed {
                 // A node died under coarse recovery: restart the query, or
                 // give up once this failure reaches the restart limit.
                 if run.report.query_restarts + 1 >= opts.max_restarts {
+                    run.emit(Fact::StoreStats);
                     run.emit(Fact::QueryAborted);
                     return run.finish(Vec::new());
                 }
                 run.emit(Fact::QueryRestart);
                 continue 'query;
             }
-            let partials: Vec<Vec<Row>> = outcomes
-                .into_iter()
-                .map(|o| match o {
-                    NodeOutcome::Done(rows) => rows,
-                    other => unreachable!("non-Done outcome {other:?} handled above"),
-                })
-                .collect();
 
             // Root output handling: gather points (aggregations, top-k)
             // merge globally and are broadcast; other roots stay
@@ -416,8 +407,9 @@ pub fn run_query_resumable(
 }
 
 /// One fact about a run. The coordinator emits each exactly once, on its
-/// own thread, through [`Run::emit`]. Worker facts carry the worker's clock
-/// reads; the coordinator's other facts are stamped when emitted.
+/// own thread, through [`Run::emit`]. A fact that carries clock reads keeps
+/// them (an attempt's are its worker's); the others are stamped when
+/// emitted.
 enum Fact {
     /// The cost model's headline prediction for the plan.
     PlanEstimate { cost_s: f64, runtime_s: f64 },
@@ -429,13 +421,13 @@ enum Fact {
     SegmentCorrupt(CorruptSegment),
     /// A node attempt that finished its sub-plan with `rows` output rows.
     Attempt { stage: u32, node: usize, attempt: u32, start_us: u64, end_us: u64, rows: usize },
-    /// An injected failure killed a node attempt at `end_us`.
-    NodeFailure { stage: u32, node: usize, attempt: u32, start_us: u64, end_us: u64 },
+    /// An injected failure killed a node attempt at its deployment.
+    NodeFailure { stage: u32, node: usize, attempt: u32, at_us: u64 },
     /// Fine-grained recovery redeployed a failed node's sub-plan as
     /// `attempt`.
     Redeploy { stage: u32, node: usize, attempt: u32, at_us: u64 },
     /// A stage barrier: every node's part, retries included. `failed`
-    /// when a node died or lost an input.
+    /// when a node died under coarse recovery.
     Stage { stage: u32, start_us: u64, wall_us: u64, failed: bool },
     /// A stage's output written to the store: one partition, or with no
     /// `node` the replicated gather result.
@@ -444,7 +436,7 @@ enum Fact {
     QueryRestart,
     /// A node failure under coarse recovery reached the restart limit.
     QueryAborted,
-    /// The store's lifetime accounting, at the end of a completed run.
+    /// The store's lifetime accounting, at the end of a run.
     StoreStats,
     /// The query finished.
     QueryCompleted,
@@ -540,8 +532,8 @@ impl<'a> Run<'a> {
         self.report.stage_timings.push(StageTiming { stage, wall_us, retries, skipped });
     }
 
-    /// The trace event of `fact`, stamped now unless the fact carries a
-    /// worker's clock reads, after the fold has added it to the report.
+    /// The trace event of `fact`, stamped now unless the fact carries its
+    /// own clock reads, after the fold has added it to the report.
     fn event(&self, fact: Fact) -> Event {
         let now = micros_since(self.t0);
         match fact {
@@ -574,14 +566,15 @@ impl<'a> Run<'a> {
                     .arg("ok", true)
                     .arg("rows", rows)
             }
-            // `lost_s` is the wall-clock work discarded with the attempt.
-            Fact::NodeFailure { stage, node, attempt, start_us, end_us } => {
-                Event::instant("node_failure", "engine", end_us)
+            // `lost_s` is the work discarded with the attempt: none, as the
+            // kill takes the node down at its deployment.
+            Fact::NodeFailure { stage, node, attempt, at_us } => {
+                Event::instant("node_failure", "engine", at_us)
                     .tid(node as u32 + 1)
                     .arg("stage", stage)
                     .arg("node", node)
                     .arg("attempt", attempt)
-                    .arg("lost_s", end_us.saturating_sub(start_us) as f64 / 1e6)
+                    .arg("lost_s", 0.0)
             }
             Fact::Redeploy { stage, node, attempt, at_us } => {
                 Event::instant("redeploy", "engine", at_us)
@@ -621,7 +614,8 @@ impl<'a> Run<'a> {
             Fact::QueryRestart => Event::instant("query_restart", "engine", now)
                 .arg("attempt", self.report.query_restarts),
             Fact::QueryAborted => Event::instant("query_aborted", "engine", now)
-                .arg("restarts", self.report.query_restarts),
+                .arg("restarts", self.report.query_restarts)
+                .arg("rows_materialized", self.materialized().1),
             // The backend's lifetime accounting, including measured
             // throughput: the observed `tm(o)` that `ftpde_obs::calibrate`
             // joins against the cost model's assumptions.
@@ -665,68 +659,29 @@ fn micros_since(t0: Instant) -> u64 {
     clock::elapsed(t0).as_micros() as u64
 }
 
-/// Checks that every cross-stage input the stage will read is actually
-/// available (readable, checksum-clean) on every node. Returns the
-/// producing operator id of the first unavailable input. Reads via
-/// `get`, which both verifies integrity and warms the backend's cache
-/// for the worker threads.
-fn first_unavailable_input(
+/// One node's cross-stage inputs: each stored input's producer and rows.
+type NodeInputs = Vec<(EOpId, Arc<Vec<Row>>)>;
+
+/// Reads every cross-stage input of the stage `members` on every node:
+/// member, then input, then node, one `get` each. Returns each node's
+/// rows, or the producing operator id of the first input that reads as
+/// absent (missing, or found corrupt and demoted by this read).
+fn read_inputs(
     plan: &EnginePlan,
     members: &[EOpId],
     store: &dyn StoreBackend,
     nodes: usize,
-) -> Option<u32> {
-    for &m in members {
-        for p in &plan.op(m).inputs {
-            if members.contains(p) {
-                continue;
-            }
-            for node in 0..nodes {
-                if store.get(p.0, node).is_none() {
-                    return Some(p.0);
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Executes the sub-plan `members` (rooted at `root`) on one node. The
-/// injector is checked once, before the node reads its inputs: a planned
-/// kill takes the node down there even when its partition holds no rows,
-/// and a node that passes it runs the stage to the end.
-#[allow(clippy::too_many_arguments)]
-fn run_stage_on_node(
-    plan: &EnginePlan,
-    members: &[EOpId],
-    root: EOpId,
-    node: usize,
-    attempt: u32,
-    catalog: &Catalog,
-    store: &dyn StoreBackend,
-    injector: &FailureInjector,
-) -> NodeOutcome {
-    if injector.should_fail(root.0, node, attempt) {
-        return NodeOutcome::Failed;
-    }
-    // Cross-stage inputs come from the fault-tolerant store, one read per
-    // member input. The coordinator's input check ran `get` on each of them
-    // before deploying this worker — but a later `get` can still find the
-    // segment corrupt and demote it, so a miss here is a recoverable
-    // lost input, not a bug.
-    let mut stored: Vec<(EOpId, Arc<Vec<Row>>)> = Vec::new();
+) -> Result<Vec<NodeInputs>, u32> {
+    let mut inputs: Vec<NodeInputs> = (0..nodes).map(|_| Vec::new()).collect();
     for &m in members {
         for &p in &plan.op(m).inputs {
-            if !members.contains(&p) {
-                let Some(rows) = store.get(p.0, node) else {
-                    return NodeOutcome::InputLost(p.0);
-                };
-                stored.push((p, rows));
+            if members.contains(&p) {
+                continue;
+            }
+            for (node, stored) in inputs.iter_mut().enumerate() {
+                stored.push((p, store.get(p.0, node).ok_or(p.0)?));
             }
         }
     }
-    let stored: Vec<(EOpId, &[Row])> =
-        stored.iter().map(|(p, rows)| (*p, rows.as_slice())).collect();
-    let ctx = ExecCtx { catalog, node, interrupted: &|| false };
-    NodeOutcome::Done(run_stage(plan, members, root, &stored, &ctx))
+    Ok(inputs)
 }

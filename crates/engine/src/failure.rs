@@ -8,14 +8,14 @@
 //! the same recovery code paths (the attempt's work lost, redeployment,
 //! re-execution from the last materialized intermediate) with perfectly
 //! reproducible schedules; the time-domain behaviour is the discrete-event
-//! simulator's job (`ftpde-sim`).
+//! simulator's job (`ftpde-sim`). Only the coordinator asks, on its own
+//! thread, before it deploys each node, so the injector holds no lock.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use crate::sync::plain::Mutex;
 
 /// A planned node kill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,11 +28,11 @@ pub struct Injection {
     pub attempt: u32,
 }
 
-/// A deterministic failure injector shared by all worker threads.
+/// A deterministic failure injector, asked by the coordinator's thread.
 #[derive(Debug, Default)]
 pub struct FailureInjector {
     planned: HashSet<Injection>,
-    fired: Mutex<Vec<Injection>>,
+    fired: RefCell<Vec<Injection>>,
 }
 
 impl FailureInjector {
@@ -43,7 +43,7 @@ impl FailureInjector {
 
     /// Fails exactly the given coordinates.
     pub fn with(injections: impl IntoIterator<Item = Injection>) -> Self {
-        FailureInjector { planned: injections.into_iter().collect(), fired: Mutex::new(Vec::new()) }
+        FailureInjector { planned: injections.into_iter().collect(), fired: RefCell::default() }
     }
 
     /// Randomly kills first attempts: every `(stage, node)` pair in
@@ -61,7 +61,7 @@ impl FailureInjector {
                 }
             }
         }
-        FailureInjector { planned, fired: Mutex::new(Vec::new()) }
+        FailureInjector { planned, fired: RefCell::default() }
     }
 
     /// `true` iff this `(stage, node, attempt)` execution should be killed.
@@ -69,7 +69,7 @@ impl FailureInjector {
     pub fn should_fail(&self, stage: u32, node: usize, attempt: u32) -> bool {
         let inj = Injection { stage, node, attempt };
         if self.planned.contains(&inj) {
-            let mut fired = self.fired.lock();
+            let mut fired = self.fired.borrow_mut();
             if !fired.contains(&inj) {
                 fired.push(inj);
             }
@@ -81,7 +81,7 @@ impl FailureInjector {
 
     /// The injections that actually fired, in firing order.
     pub fn fired(&self) -> Vec<Injection> {
-        self.fired.lock().clone()
+        self.fired.borrow().clone()
     }
 
     /// Number of planned injections.

@@ -34,7 +34,6 @@ pub mod failure;
 pub mod ops;
 pub mod plan;
 pub mod queries;
-pub mod sync;
 pub mod table;
 
 /// Convenient glob-import of the crate's main types.

@@ -99,7 +99,7 @@ impl Tally {
     /// a `query_restart` or the `query_aborted` that ends the run. A
     /// timeline entry counts the redeploys since the previous stage event,
     /// and a stage span's `dur_us` is its `wall_us`. The materialized rows
-    /// are `query_completed`'s argument.
+    /// are the terminal event's argument.
     fn of_trace(events: &[Event]) -> Self {
         let arg = |e: &Event, k: &str| match e.get_arg(k) {
             Some(ArgValue::U64(n)) => *n,
@@ -117,6 +117,7 @@ impl Tally {
                 "query_aborted" => {
                     t.query_restarts += 1;
                     t.aborted = true;
+                    t.rows_materialized = arg(e, "rows_materialized");
                 }
                 "segment_corrupt" => t.segments_corrupt += 1,
                 "query_completed" => t.rows_materialized = arg(e, "rows_materialized"),
@@ -323,4 +324,34 @@ proptest! {
         );
         prop_assert_eq!(&report.results, &expected.results);
     }
+}
+
+/// A coarse run that reaches its restart limit still records what it
+/// wrote: its trace folds into a query row equal to its report, and into
+/// the store's gauges.
+#[test]
+fn an_aborted_run_folds_into_its_report_and_store_stats() {
+    let plan = q3_engine_plan();
+    let dag = plan.to_plan_dag();
+    let sink = plan.sinks()[0];
+    let injector =
+        FailureInjector::with((0..3).map(|attempt| Injection { stage: sink.0, node: 0, attempt }));
+    let catalog = load_catalog(&Database::generate(0.001, 42), 2);
+    let rec = MemoryRecorder::new();
+    let opts = RunOptions {
+        recovery: EngineRecovery::CoarseRestart,
+        max_restarts: 3,
+        rec: &rec,
+        ..Default::default()
+    };
+    let report = run_query(&plan, &MatConfig::all(&dag), &catalog, &injector, &opts);
+    assert!(report.aborted);
+    assert!(report.rows_materialized > 0, "each attempt materializes before the sink dies");
+    let events = rec.events();
+    assert_eq!(QueryCounters::of_fold(&events), QueryCounters::of_report(&report));
+    assert_eq!(Tally::of_trace(&events), Tally::of_report(&report));
+    // A fresh in-memory store: its lifetime bytes are this run's.
+    let metrics = ftpde_obs::fold(&events).metrics;
+    let written = metrics.gauge("store.physical_bytes_written");
+    assert_eq!(written, Some(report.bytes_materialized as f64));
 }

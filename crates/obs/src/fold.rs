@@ -99,8 +99,10 @@ pub struct QueryRow {
     pub input_rewinds: u64,
     /// `segment_corrupt` instants.
     pub segments_corrupt: u64,
-    /// Logical rows written to the store: `query_completed`'s argument,
-    /// so 0 for a query that did not complete.
+    /// Logical rows written to the store: the terminal event's
+    /// `rows_materialized` argument (`query_completed` or
+    /// `query_aborted`), so 0 for an incomplete query or a terminal that
+    /// does not carry it.
     pub rows_materialized: u64,
     /// Physical bytes written to the store: the sum of the `materialize`
     /// instants' `bytes`.
@@ -133,6 +135,7 @@ impl QueryRow {
             }
             "query_aborted" => {
                 self.state = QueryState::Aborted;
+                self.rows_materialized = u("rows_materialized");
                 self.restarts += 1;
             }
             name if e.phase == Phase::Span && name.starts_with("stage ") => {
@@ -319,7 +322,9 @@ mod tests {
             stage("engine", 2, 0, 50),
             Event::instant("query_restart", "engine", 60),
             stage("engine", 2, 60, 50),
-            Event::instant("query_aborted", "engine", 120).arg("restarts", 2u64),
+            Event::instant("query_aborted", "engine", 120)
+                .arg("restarts", 2u64)
+                .arg("rows_materialized", 9u64),
         ]
     }
 
@@ -338,7 +343,7 @@ mod tests {
 
         assert_eq!(b.state, QueryState::Aborted);
         assert_eq!((b.stages_executed, b.restarts, b.retries), (2, 2, 0));
-        assert_eq!((b.rows_materialized, b.predicted_s), (0, None));
+        assert_eq!((b.rows_materialized, b.predicted_s), (9, None));
     }
 
     #[test]

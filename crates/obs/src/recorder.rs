@@ -7,11 +7,12 @@
 
 use std::time::Instant;
 
+use parking_lot::Mutex;
+
 use crate::event::Event;
 use crate::sync::clock;
-use crate::sync::plain::Mutex;
 
-/// An event sink shared across worker threads.
+/// An event sink. It is `Sync`, so one sink can be shared across threads.
 pub trait Recorder: Sync {
     /// `false` for sinks that drop everything; callers gate event
     /// construction on this.

@@ -1,29 +1,10 @@
-//! Synchronization and time for library code.
-//!
-//! [`plain`] is the crate's one route to a lock: the `FT201` source lint
-//! (`ftpde lint --source`) flags any primitive in library code that
-//! bypasses a crate's `sync` module, so every use stays visible.
+//! Time for library code.
 //!
 //! [`clock`] is the workspace's wall-clock seam: library code reads time
 //! through it (clippy's `disallowed-methods`, configured in
 //! `crates/clippy.toml`, rejects `Instant::now` everywhere else), which
 //! is what lets a deterministic simulator virtualize time without
 //! touching the call sites.
-
-/// `std`/`parking_lot` primitives, re-exported unchanged in every build.
-///
-/// Code importing from here is declaring: *this synchronization is not
-/// part of a loom-modeled protocol* — here, the [`MemoryRecorder`]'s
-/// event buffer. Routing the declaration through one module keeps the
-/// escape visible (grep `sync::plain`) and lets the `FT201` source lint
-/// flag any primitive that bypasses it. The engine and the store, whose
-/// loom models do check a protocol, keep loom-switched shims of their
-/// own beside their `plain` modules.
-///
-/// [`MemoryRecorder`]: crate::MemoryRecorder
-pub mod plain {
-    pub use parking_lot::Mutex;
-}
 
 /// The wall-clock seam: all library reads of monotonic time route
 /// through [`clock::now`]/[`clock::elapsed`] (enforced by the

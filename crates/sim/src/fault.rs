@@ -49,9 +49,10 @@ pub enum FaultEvent {
         node: u32,
     },
     /// The `nth_get`-th read of slot `(op, node)` after arming fails its
-    /// checksum: the slot is demoted and a corruption reported.
-    /// `nth_get = 0` fails the coordinator's pre-check; higher ordinals
-    /// reach the worker-side read and exercise the lost-input path.
+    /// checksum: the slot is demoted and a corruption reported. Every
+    /// read is the coordinator's input read before it deploys a stage.
+    /// `nth_get = 0` is the slot's first read; a higher ordinal is a
+    /// later consumer's read, or a re-read after a rewind.
     CorruptRead {
         /// Producing operator id of the slot.
         op: u32,

@@ -82,12 +82,13 @@ use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
+use ftpde_obs::sync::clock;
 use ftpde_obs::Summary;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-
-use crate::sync::clock;
-use crate::sync::plain::{Arc, AtomicU64, Mutex, Ordering};
 
 use crate::codec::{self, encoded_rows_len, CodecError, FrameHeader, FrameKind};
 use crate::stats::StoreStats;
@@ -161,6 +162,21 @@ impl DiskInner {
     /// append creates the log.
     fn append_fsyncs(&self) -> u64 {
         1 + u64::from(self.log.is_none())
+    }
+
+    /// Caches a segment's rows on the partition it covers, or on all
+    /// `nodes` partitions of a replicated segment.
+    fn cache(&mut self, op: u32, node: Option<usize>, nodes: usize, rows: &Arc<Vec<Row>>) {
+        match node {
+            Some(n) => {
+                self.cache.insert((op, n), Arc::clone(rows));
+            }
+            None => {
+                for n in 0..nodes {
+                    self.cache.insert((op, n), Arc::clone(rows));
+                }
+            }
+        }
     }
 }
 
@@ -360,42 +376,23 @@ impl DiskBackend {
         let write_seconds = stats.write_seconds;
         stats.write_seconds += clock::elapsed(started).as_secs_f64();
         let frame = FrameHeader::segment(&header, nodes, stats);
-        // ftpde-allow(FT211: appending the frame is the commit point — it must serialize with the index change it persists)
         let appended = self.append(&mut inner, &frame, &image);
         let offset = appended.unwrap_or_else(|e| panic!("store: failed to commit op {op}: {e}"));
         apply(&mut inner.entries, &frame, offset);
-        match node {
-            Some(n) => {
-                inner.cache.insert((op, n), shared);
-            }
-            None => {
-                for n in 0..nodes {
-                    inner.cache.insert((op, n), Arc::clone(&shared));
-                }
-            }
-        }
+        inner.cache(op, node, nodes, &shared);
         stats.write_seconds = write_seconds + clock::elapsed(started).as_secs_f64();
         inner.stats = stats;
     }
 
     /// Demotes a corrupt segment: append a tombstone, drop the entry and
-    /// record the corruption. Takes the `inner` lock itself — callers must
-    /// not hold it (the caller observed the corruption with no lock held,
-    /// so the entry is re-validated here before acting on it).
-    fn demote(&self, entry: &Entry, reason: String) {
-        let mut inner = self.inner.lock();
-        // A concurrent put or clear may have replaced the slot while the
-        // failed read ran; the successor must not be demoted.
-        if !inner.entries.contains(entry) {
-            return;
-        }
+    /// record the corruption.
+    fn demote(&self, inner: &mut DiskInner, entry: &Entry, reason: String) {
         let fsyncs = inner.append_fsyncs();
         let mut stats = inner.stats;
         stats.corrupt_segments += 1;
         stats.fsyncs += fsyncs;
         let frame = FrameHeader::tombstone(entry.op, entry.node, stats);
-        // ftpde-allow(FT211: appending the tombstone is the commit point — it must serialize with the index change it persists)
-        if self.append(&mut inner, &frame, &[]).is_err() {
+        if self.append(inner, &frame, &[]).is_err() {
             stats.fsyncs -= fsyncs;
         }
         inner.entries.retain(|e| e != entry);
@@ -434,33 +431,13 @@ impl StoreBackend for DiskBackend {
             return Some(rows);
         }
         let entry = inner.entries.iter().find(|e| e.covers(op, node))?.clone();
-        drop(inner);
-        // Read and decode the image with no lock held: committed frames
-        // are never rewritten in place, and the cache insert below
-        // re-validates the entry before publishing the rows.
         let read = File::open(self.dir.join(LOG_FILE))
             .map_err(|e| format!("unreadable: {e}"))
             .and_then(|mut log| read_entry(&mut log, &entry));
         match read {
             Ok(rows) => {
                 let shared = Arc::new(rows);
-                let mut inner = self.inner.lock();
-                // Only cache if the entry is still current — a
-                // concurrent put/clear may have replaced the slot while
-                // the read ran, and its rows must not be shadowed by
-                // this (now stale, but consistent-at-read-start) copy.
-                if inner.entries.contains(&entry) {
-                    match entry.node {
-                        Some(n) => {
-                            inner.cache.insert((op, n), Arc::clone(&shared));
-                        }
-                        None => {
-                            for n in 0..entry.nodes {
-                                inner.cache.insert((op, n), Arc::clone(&shared));
-                            }
-                        }
-                    }
-                }
+                inner.cache(op, entry.node, entry.nodes, &shared);
                 let payload_bytes = entry.len - codec::HEADER_LEN as u64;
                 let elapsed = clock::elapsed(started).as_secs_f64();
                 let stats = &mut inner.stats;
@@ -470,7 +447,7 @@ impl StoreBackend for DiskBackend {
                 Some(shared)
             }
             Err(reason) => {
-                self.demote(&entry, reason);
+                self.demote(&mut inner, &entry, reason);
                 None
             }
         }
@@ -489,7 +466,6 @@ impl StoreBackend for DiskBackend {
         // restart must keep the write volume it already cost.
         let mut stats = inner.stats;
         stats.fsyncs += 2;
-        // ftpde-allow(FT211: the rewrite is the commit point — it must serialize with the index change it persists)
         if let Ok((file, end)) = rewrite(&self.dir, &stats) {
             inner.log = Some(file);
             inner.end = end;

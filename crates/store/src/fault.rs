@@ -17,18 +17,19 @@
 //!   input rewind path rather than the corruption path.
 //! * **corrupt read** — the `nth` read of the slot (after arming) fails
 //!   its checksum: corruption recorded, slot demoted, `None` returned.
-//!   Ordinal 0 hits the coordinator's input pre-check; higher ordinals
-//!   survive until a worker-side read.
+//!   The engine reads a slot only in its coordinator's input read before
+//!   a stage: ordinal 0 is the slot's first read, and a higher ordinal
+//!   is a later consumer's read or a re-read after a rewind.
 //! * **delayed I/O** — each of the next `uses` accesses of the slot
-//!   advances the process [`VirtualClock`](crate::sync::clock) by a
+//!   advances the process [`VirtualClock`](ftpde_obs::sync::clock) by a
 //!   fixed number of virtual milliseconds: a straggling device that
 //!   stretches observed spans without one real sleep.
 //!
 //! All bookkeeping lives behind one mutex, and
 //! [`drain_corruptions`](StoreBackend::drain_corruptions) returns
-//! injected corruptions in sorted `(op, node, reason)` order — worker
-//! threads discover faults in racy order, and the harness's determinism
-//! oracle (FT301) must not see that race.
+//! injected corruptions in sorted `(op, node, reason)` order, so the
+//! harness's determinism oracle (FT301) sees one order whatever order the
+//! reads ran in.
 //!
 //! The decorator also carries the harness's *deliberately wrong*
 //! recovery mode, [`StoreBug::ServeCorruptData`]: instead of demoting a
@@ -38,11 +39,13 @@
 //! harness's result-divergence oracle (FT302) exists to catch, and the
 //! canonical seeded entry of the committed bug base.
 
-use crate::sync::{clock, Mutex};
-use crate::{CorruptSegment, Row, StoreBackend, StoreStats};
+use std::sync::Arc;
 use std::time::Duration;
 
-use crate::sync::plain::Arc;
+use ftpde_obs::sync::clock;
+use parking_lot::Mutex;
+
+use crate::{CorruptSegment, Row, StoreBackend, StoreStats};
 
 /// A deliberately wrong storage behavior, for harness self-tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -154,7 +157,9 @@ impl<'a> FaultStore<'a> {
     }
 
     /// Arms a checksum failure on the `nth_get`-th read (zero-based,
-    /// counted from arming) of `(op, node)`.
+    /// counted from arming) of `(op, node)`: 0 is the slot's first read
+    /// after arming, a higher ordinal a later consumer's read or a re-read
+    /// after a rewind.
     pub fn arm_corrupt_read(&self, op: u32, node: usize, nth_get: u32) {
         self.st.lock().corrupt_get.push((op, node, nth_get));
     }
@@ -174,7 +179,7 @@ impl<'a> FaultStore<'a> {
     }
 
     /// Descriptions of the armed faults that have taken effect so far,
-    /// sorted (worker threads fire them in racy order).
+    /// sorted.
     pub fn fired(&self) -> Vec<String> {
         let mut v = self.st.lock().fired.clone();
         v.sort();

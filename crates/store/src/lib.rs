@@ -29,12 +29,10 @@ pub mod disk;
 pub mod fault;
 pub mod mem;
 pub mod stats;
-pub mod sync;
 pub mod value;
 
 use std::fmt;
-
-use crate::sync::plain::Arc;
+use std::sync::Arc;
 
 pub use disk::{inspect, verify, DiskBackend, StoreReport};
 pub use fault::{FaultStore, StoreBug};
@@ -60,8 +58,10 @@ pub struct CorruptSegment {
 /// Checkpoint storage for materialized operator outputs, keyed by
 /// `(operator id, node index)`.
 ///
-/// Implementations are internally synchronized (`&self` methods callable
-/// from the engine's per-node worker threads) and must satisfy:
+/// The engine calls a backend only from its coordinator's thread, in plan
+/// order: workers get their rows from the coordinator and make no store
+/// call. The methods take `&self`, so implementations keep their state
+/// behind a lock, and they must satisfy:
 ///
 /// * **Read-your-writes**: after `put(op, n, rows)` returns, `get(op, n)`
 ///   returns exactly those rows, bit-identically, until `clear` or a

@@ -8,12 +8,13 @@
 //! semantic baseline the disk backend must be bit-identical to.
 
 use std::collections::HashMap;
+use std::sync::Arc;
+
+use ftpde_obs::sync::clock;
+use parking_lot::Mutex;
 
 use crate::codec::encoded_rows_len;
 use crate::stats::StoreStats;
-use crate::sync::clock;
-use crate::sync::plain::Arc;
-use crate::sync::Mutex;
 use crate::value::Row;
 use crate::{CorruptSegment, StoreBackend};
 

@@ -7,7 +7,7 @@
 //! ftpde dot      --query Q5 --sf 100 --mtbf 3600 > plan.dot
 //! ftpde obs      --trace run.jsonl [--format summary|calibration|prom|queries|json]
 //! ftpde lint     --all | --query Q5 | --plan plan.json | --source [--root <dir>] [--format text|json]
-//! ftpde explain  FT201
+//! ftpde explain  FT205
 //! ftpde store    --inspect <dir> | --verify <dir> [--format text|json]
 //! ftpde check    --trace run.jsonl|- [--query Q5 --config best] [--format text|json]
 //! ftpde sim      --seed 42 | --seeds 0..64 [--shrink] [--bug serve-corrupt-data] [--bug-base tests/bug_base.jsonl]
@@ -32,11 +32,11 @@
 //! * `lint` — run the static-analysis passes (`FT001`…) of
 //!   `ftpde-analysis` over the built-in plans, one TPC-H query, or an
 //!   arbitrary serialized plan; or, with `--source`, run the
-//!   source-discipline analyzer (`FT201`, `FT204`, `FT205`, `FT207` and
-//!   `FT210`…`FT213`) over the workspace's own Rust sources. Exits nonzero on any Error-severity diagnostic,
+//!   source-discipline analyzer (`FT204`, `FT205`) over the workspace's
+//!   own Rust sources. Exits nonzero on any Error-severity diagnostic,
 //!   so both modes can gate CI.
 //! * `explain` — print the long-form explanation of one diagnostic code
-//!   (`ftpde explain FT201`), from the same registry that defines every
+//!   (`ftpde explain FT205`), from the same registry that defines every
 //!   code's default severity.
 //! * `store` — inspect a durable checkpoint-store directory (`--inspect`
 //!   prints its log's committed segments, sizes, checksums and stats)
@@ -77,7 +77,7 @@ type CliResult<T> = std::result::Result<T, String>;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = if args.first().map(String::as_str) == Some("explain") {
-        // `explain FT201` takes a positional code, which the uniform
+        // `explain FT205` takes a positional code, which the uniform
         // `--flag value` grammar cannot express.
         cmd_explain(&args[1..])
     } else {
@@ -115,7 +115,7 @@ const USAGE: &str = "usage:
   ftpde obs      --trace <run.jsonl> [--format <summary|calibration|prom|queries|json>]
   ftpde lint     --all | --query <Q1|Q3|Q5|Q1C|Q2C> | --plan <plan.json> | --source
                  [--sf <N>] [--nodes <N>] [--mtbf <secs>] [--mttr <secs>]
-                 [--format <text|json|sarif>] [--root <dir>] [--emit-lock-graph [<dir>]]
+                 [--format <text|json|sarif>] [--root <dir>]
   ftpde explain  <FT001..FT304> | --list   (e.g. `ftpde explain FT301`)
   ftpde store    --inspect <dir> | --verify <dir> [--format <text|json>]
   ftpde check    --trace <run.jsonl|-> [--query <Q1|Q3|Q5|Q1C|Q2C>] [--config <none|all|best|ops:<csv>>]
@@ -371,8 +371,7 @@ fn lint_searched(validator: &PlanValidator, subject: &str, plan: &PlanDag) -> Cl
 /// `ftpde lint --source`: the source-discipline scan (`FT2xx`) over a
 /// workspace checkout — text renders the per-code rollup plus
 /// every Warn/Error finding, json emits the full `ReportSet` (the CI
-/// artifact). Exits nonzero iff any Error-severity finding survives its
-/// suppressions.
+/// artifact). Exits nonzero iff any finding is an Error.
 fn cmd_lint_source(flags: &HashMap<String, String>) -> CliResult<()> {
     let format = get_format(flags, &["text", "json", "sarif"], "text")?;
     let root = match flags.get("root") {
@@ -388,29 +387,6 @@ fn cmd_lint_source(flags: &HashMap<String, String>) -> CliResult<()> {
     }
     let scan =
         lint_workspace(&root).map_err(|e| format!("scan of {} failed: {e}", root.display()))?;
-    if let Some(dir) = flags.get("emit-lock-graph") {
-        let dir = if dir == "true" {
-            root.join("target").join("lint")
-        } else {
-            std::path::PathBuf::from(dir)
-        };
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        for (name, body) in [
-            ("lock-graph.dot", scan.lock_graph.to_dot()),
-            ("lock-graph.json", scan.lock_graph.to_json()),
-        ] {
-            let path = dir.join(name);
-            std::fs::write(&path, body)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        }
-        eprintln!(
-            "lock graph ({} lock(s), {} edge(s)) written to {}",
-            scan.lock_graph.nodes().len(),
-            scan.lock_graph.edges.len(),
-            dir.display()
-        );
-    }
     if format == "text" {
         print!("{}", scan.render());
     } else {
@@ -433,7 +409,7 @@ fn cmd_explain(args: &[String]) -> CliResult<()> {
         return Ok(());
     }
     let [name] = args else {
-        return Err("explain takes exactly one code (or --list), e.g. `ftpde explain FT201`".into());
+        return Err("explain takes exactly one code (or --list), e.g. `ftpde explain FT205`".into());
     };
     let Some(code) = ftpde::analysis::codes::parse(name) else {
         let known: Vec<&str> = Code::ALL.iter().map(|c| c.as_str()).collect();

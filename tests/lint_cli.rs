@@ -83,16 +83,18 @@ fn lint_honours_cluster_flags_and_validates_them() {
     assert!(stderr.contains("mtbf"), "{stderr}");
 }
 
-/// A scratch workspace with one seeded FT201 violation, plus a clock
-/// read that only clippy rejects (`crates/clippy.toml`), not the scan.
+/// A scratch workspace with one seeded FT205 violation (a store-crate
+/// function that renames without an fsync), plus a clock read that only
+/// clippy rejects (`crates/clippy.toml`), not the scan.
 fn seeded_workspace(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(name);
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(dir.join("src")).unwrap();
-    std::fs::write(dir.join("Cargo.toml"), "[package]\nname = \"seeded\"\n").unwrap();
+    std::fs::create_dir_all(dir.join("crates/store/src")).unwrap();
+    std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").unwrap();
     std::fs::write(
-        dir.join("src/lib.rs"),
-        "use std::sync::Mutex;\npub fn t() { let _ = std::time::Instant::now(); }\n",
+        dir.join("crates/store/src/lib.rs"),
+        "pub fn commit(tmp: &str, dst: &str) { let _ = std::fs::rename(tmp, dst); }\n\
+         pub fn t() { let _ = std::time::Instant::now(); }\n",
     )
     .unwrap();
     dir
@@ -102,11 +104,11 @@ fn seeded_workspace(name: &str) -> PathBuf {
 fn lint_source_gates_on_a_seeded_violation() {
     let dir = seeded_workspace("ftpde_lint_source_seeded_text");
     let out = ftpde(&["lint", "--source", "--root", dir.to_str().unwrap()]);
-    assert!(!out.status.success(), "a seeded FT201 must turn the gate red");
+    assert!(!out.status.success(), "a seeded FT205 must turn the gate red");
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("FT201"), "{stdout}");
+    assert!(stdout.contains("FT205"), "{stdout}");
     assert!(!stdout.contains("FT202"), "clock reads are clippy's to reject: {stdout}");
-    assert!(stdout.contains("src/lib.rs:1"), "{stdout}");
+    assert!(stdout.contains("crates/store/src/lib.rs:1"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -119,59 +121,19 @@ fn lint_source_json_artifact_parses_and_carries_locations() {
     let set: ReportSet = serde_json::from_str(stdout.trim()).unwrap();
     assert!(!set.is_clean());
     let d = &set.reports[0].diagnostics[0];
-    assert_eq!(d.code, Code::FT201);
-    assert_eq!(d.file.as_deref(), Some("src/lib.rs"));
+    assert_eq!(d.code, Code::FT205);
+    assert_eq!(d.file.as_deref(), Some("crates/store/src/lib.rs"));
     assert_eq!(d.line, Some(1));
-    // Token-window findings have no column; the field is an explicit
+    // Source findings are line-located; the column is an explicit
     // null in the artifact, never absent.
     assert_eq!(d.column, None);
     assert!(stdout.contains("\"column\":null"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A scratch workspace seeding the concurrency passes: blocking I/O
-/// under two live guards (FT211) plus a nested acquisition for the
-/// lock-order graph.
-fn seeded_concurrency_workspace(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(dir.join("src")).unwrap();
-    std::fs::write(dir.join("Cargo.toml"), "[package]\nname = \"seeded\"\n").unwrap();
-    std::fs::write(
-        dir.join("src/lib.rs"),
-        "pub struct S { inner: crate::sync::Mutex<u32>, log: crate::sync::Mutex<u32> }\n\
-         impl S {\n\
-             pub fn spill(&self) {\n\
-                 let g = self.inner.lock();\n\
-                 let h = self.log.lock();\n\
-                 let _ = std::fs::write(\"spill.bin\", b\"x\");\n\
-                 drop(h);\n\
-                 drop(g);\n\
-             }\n\
-         }\n",
-    )
-    .unwrap();
-    dir
-}
-
-#[test]
-fn lint_source_json_locates_concurrency_findings_with_columns() {
-    let dir = seeded_concurrency_workspace("ftpde_lint_source_seeded_ft211");
-    let out = ftpde(&["lint", "--source", "--root", dir.to_str().unwrap(), "--format", "json"]);
-    assert!(!out.status.success(), "a seeded FT211 must turn the gate red");
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    let set: ReportSet = serde_json::from_str(stdout.trim()).unwrap();
-    let ft211: Vec<_> =
-        set.reports.iter().flat_map(|r| &r.diagnostics).filter(|d| d.code == Code::FT211).collect();
-    assert_eq!(ft211.len(), 1, "{stdout}");
-    assert_eq!(ft211[0].line, Some(6));
-    assert!(ft211[0].column.is_some(), "FT21x findings are column-located: {stdout}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn lint_source_sarif_artifact_carries_rules_and_locations() {
-    let dir = seeded_concurrency_workspace("ftpde_lint_source_seeded_sarif");
+    let dir = seeded_workspace("ftpde_lint_source_seeded_sarif");
     let out = ftpde(&["lint", "--source", "--root", dir.to_str().unwrap(), "--format", "sarif"]);
     assert!(!out.status.success(), "the gate still gates in sarif format");
     let stdout = String::from_utf8(out.stdout).unwrap();
@@ -180,34 +142,9 @@ fn lint_source_sarif_artifact_carries_rules_and_locations() {
         "{stdout}"
     );
     assert!(stdout.contains("\"version\": \"2.1.0\""), "{stdout}");
-    assert!(stdout.contains("\"ruleId\": \"FT211\""), "{stdout}");
-    assert!(stdout.contains("\"startLine\": 6"), "{stdout}");
-    assert!(stdout.contains("\"startColumn\""), "{stdout}");
-    assert!(stdout.contains("\"uri\": \"src/lib.rs\""), "{stdout}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn lint_source_emits_the_lock_graph_artifact() {
-    let dir = seeded_concurrency_workspace("ftpde_lint_source_seeded_lockgraph");
-    let graph_dir = dir.join("lint-artifacts");
-    let out = ftpde(&[
-        "lint",
-        "--source",
-        "--root",
-        dir.to_str().unwrap(),
-        "--emit-lock-graph",
-        graph_dir.to_str().unwrap(),
-    ]);
-    // The seeded FT211 still turns the gate red, but the artifacts land.
-    assert!(!out.status.success());
-    let dot = std::fs::read_to_string(graph_dir.join("lock-graph.dot")).expect("dot artifact");
-    assert!(dot.contains("src/lib.rs::inner"), "{dot}");
-    assert!(dot.contains("src/lib.rs::log"), "{dot}");
-    assert!(dot.contains("->"), "{dot}");
-    let json = std::fs::read_to_string(graph_dir.join("lock-graph.json")).expect("json artifact");
-    let v: serde::Value = serde_json::from_str(&json).expect("artifact parses");
-    assert_eq!(v.get("edges").and_then(serde::Value::as_array).map(<[_]>::len), Some(1));
+    assert!(stdout.contains("\"ruleId\": \"FT205\""), "{stdout}");
+    assert!(stdout.contains("\"startLine\": 1"), "{stdout}");
+    assert!(stdout.contains("\"uri\": \"crates/store/src/lib.rs\""), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -312,7 +249,7 @@ fn check_rejects_garbage_on_stdin() {
 
 #[test]
 fn explain_prints_registry_text_for_every_code_family() {
-    for (code, needle) in [("FT001", "structural"), ("FT105", "recovery"), ("FT201", "loom")] {
+    for (code, needle) in [("FT001", "structural"), ("FT105", "recovery"), ("FT205", "fsync")] {
         let out = ftpde(&["explain", code]);
         assert!(out.status.success());
         let stdout = String::from_utf8(out.stdout).unwrap();
@@ -320,10 +257,12 @@ fn explain_prints_registry_text_for_every_code_family() {
         assert!(stdout.contains(needle), "{code}: {stdout}");
     }
     // Case-insensitive, like rustc --explain.
-    let out = ftpde(&["explain", "ft201"]);
+    let out = ftpde(&["explain", "ft205"]);
     assert!(out.status.success());
-    // Checks handed to clippy and rustc have no code any more.
-    for retired in ["FT202", "FT203", "FT206"] {
+    // Retired codes: checks handed to clippy and rustc, and checks whose
+    // subject (shared worker state, suppression comments) is gone.
+    for retired in ["FT201", "FT202", "FT203", "FT206", "FT207", "FT210", "FT211", "FT212", "FT213"]
+    {
         assert!(!ftpde(&["explain", retired]).status.success(), "{retired}");
     }
 

@@ -61,12 +61,12 @@ fn an_injected_recovery_bug_is_caught_and_shrunk_to_a_minimal_schedule() {
     // Sweep seeds until one's schedule damages a slot the query reads
     // back; under the seeded bug the store serves the damaged rows
     // instead of demoting them, and the FT302 result oracle must fire.
-    let seed = (0..64u64)
+    let seed = (0..128u64)
         .find(|&seed| {
             let case = SimCase::derive(seed).with_bug(BugMode::ServeCorruptData);
             primary_code(&run_case(&case).report) == Some(Code::FT302)
         })
-        .expect("no seed in 0..64 tripped FT302 under the seeded bug");
+        .expect("no seed in 0..128 tripped FT302 under the seeded bug");
 
     let case = SimCase::derive(seed).with_bug(BugMode::ServeCorruptData);
     let shrunk = shrink_case(&case).expect("failing case must shrink");
