@@ -152,6 +152,15 @@ pub struct PlanDagBuilder {
 }
 
 impl PlanDagBuilder {
+    /// A builder with room for `ops` operators.
+    pub fn with_capacity(ops: usize) -> Self {
+        PlanDagBuilder {
+            ops: Vec::with_capacity(ops),
+            inputs: Vec::with_capacity(ops),
+            consumers: Vec::with_capacity(ops),
+        }
+    }
+
     /// Adds an operator consuming the outputs of `inputs` and returns its id.
     ///
     /// # Errors

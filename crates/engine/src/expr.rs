@@ -3,6 +3,8 @@
 //! predicates and derived values (e.g. `sum/count` averages, discounted
 //! prices).
 
+use std::ops::Range;
+
 use ftpde_store::value::Value;
 
 /// A scalar expression evaluated against a row.
@@ -166,6 +168,85 @@ impl Expr {
             Value::Float(v) => v != 0.0,
         }
     }
+
+    /// Compiles a predicate built only from `Col op Lit(Int)` comparisons
+    /// and `And` into comparisons over integer columns. Every other shape
+    /// returns `None`, and its caller evaluates it row by row.
+    pub(crate) fn compile(&self) -> Option<ColumnPredicate> {
+        let mut terms = Vec::new();
+        self.conjuncts(&mut terms).then_some(ColumnPredicate { terms })
+    }
+
+    /// Appends the expression's `Col op Lit(Int)` conjuncts to `out`;
+    /// `false` if it has any other shape.
+    fn conjuncts(&self, out: &mut Vec<Term>) -> bool {
+        match self {
+            Expr::Cmp(op, l, r) => match (&**l, &**r) {
+                (Expr::Col(col), Expr::Lit(Value::Int(v))) => {
+                    out.push(Term::new(*col, *op, *v));
+                    true
+                }
+                _ => false,
+            },
+            Expr::And(l, r) => l.conjuncts(out) && r.conjuncts(out),
+            _ => false,
+        }
+    }
+}
+
+/// A conjunction of `column op literal` comparisons on integer columns,
+/// compiled by [`Expr::compile`]. It keeps exactly the rows on which the
+/// expression it came from evaluates to true.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct ColumnPredicate {
+    terms: Vec<Term>,
+}
+
+/// One comparison, as a test of the column against a closed range: keeps
+/// `lo <= x <= hi`, or its complement when `outside`.
+#[derive(Debug, PartialEq, Eq)]
+struct Term {
+    col: usize,
+    lo: i64,
+    hi: i64,
+    outside: bool,
+}
+
+impl Term {
+    fn new(col: usize, op: CmpOp, v: i64) -> Self {
+        let (lo, hi, outside) = match op {
+            CmpOp::Eq => (v, v, false),
+            CmpOp::Ne => (v, v, true),
+            CmpOp::Lt => (v, i64::MAX, true),
+            CmpOp::Le => (i64::MIN, v, false),
+            CmpOp::Gt => (i64::MIN, v, true),
+            CmpOp::Ge => (v, i64::MAX, false),
+        };
+        Term { col, lo, hi, outside }
+    }
+
+    #[inline]
+    fn keeps(&self, x: i64) -> bool {
+        (self.lo <= x && x <= self.hi) != self.outside
+    }
+}
+
+impl ColumnPredicate {
+    /// Replaces `sel` with the indices in `rows`, in ascending order, of the
+    /// rows the predicate keeps; `column(c)` is column `c` of the rows.
+    pub(crate) fn select<'c>(
+        &self,
+        column: impl Fn(usize) -> &'c [i64],
+        rows: Range<usize>,
+        sel: &mut Vec<usize>,
+    ) {
+        sel.clear();
+        sel.extend(rows);
+        for t in &self.terms {
+            let col = column(t.col);
+            sel.retain(|&i| t.keeps(col[i]));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -218,6 +299,41 @@ mod tests {
         let r: Row = vec![Value::Int(3), Value::Float(0.5)].into_boxed_slice();
         assert_eq!(Expr::col(0).mul(Expr::col(1)).eval(&r), Value::Float(1.5));
         assert!(Expr::col(1).lt(Expr::col(0)).eval_bool(&r));
+    }
+
+    #[test]
+    fn compiled_comparisons_keep_what_eval_keeps() {
+        let xs = [i64::MIN, -2, -1, 0, 1, 2, i64::MAX];
+        let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        let mut sel = vec![99];
+        for op in ops {
+            for v in xs {
+                let e = Expr::col(0).cmp(op, Expr::lit(v)).and(Expr::col(1).ge(Expr::lit(0)));
+                let p = e.compile().expect("column-literal conjunction");
+                let ys: Vec<i64> = (0..xs.len() as i64).map(|i| i % 2 - 1 + i % 3).collect();
+                p.select(|c| if c == 0 { &xs } else { &ys }, 1..xs.len(), &mut sel);
+                let want: Vec<usize> =
+                    (1..xs.len()).filter(|&i| e.eval_bool(&int_row(&[xs[i], ys[i]]))).collect();
+                assert_eq!(sel, want, "{op:?} {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn only_column_literal_conjunctions_compile() {
+        let c = || Expr::col(0);
+        assert!(c().lt(Expr::lit(3)).and(c().ge(Expr::lit(1))).compile().is_some());
+        for e in [
+            Expr::lit(3).gt(c()),
+            c().lt(Expr::col(1)),
+            c().lt(Expr::litf(3.0)),
+            c().lt(Expr::lit(3)).or(c().gt(Expr::lit(5))),
+            Expr::Not(Box::new(c().lt(Expr::lit(3)))),
+            c().lt(Expr::lit(3)).and(Expr::lit(1)),
+            c(),
+        ] {
+            assert_eq!(e.compile(), None, "{e:?}");
+        }
     }
 
     #[test]

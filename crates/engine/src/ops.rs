@@ -5,7 +5,10 @@
 //! table, or an already materialized row set — walks its rows and pushes
 //! each one, as a `&[Value]` slice, through filter, projection and
 //! hash-join probe steps into a sink that either aggregates the rows or
-//! materializes them. [`execute`] runs one operator over materialized
+//! materializes them. A table scan works on the partition's columns a
+//! batch of row indices at a time: it selects the rows its filter keeps,
+//! then gathers only the projected cells of those rows into the slice it
+//! pushes. [`execute`] runs one operator over materialized
 //! inputs; the stage driver `run_stage` fuses a collapsed sub-plan into
 //! as few pipelines as its shape allows, so a row becomes a [`Row`] only
 //! where it must outlive its pipeline.
@@ -17,10 +20,13 @@
 
 use std::collections::HashMap;
 
-use crate::expr::Expr;
+use crate::expr::{ColumnPredicate, Expr};
 use crate::plan::{Agg, AggFunc, EOpId, EnginePlan, OpKind};
-use crate::table::Catalog;
+use crate::table::{Catalog, IntMap, Partition};
 use ftpde_store::value::{Row, Value};
+
+/// Rows a table scan filters and gathers per step.
+const BATCH: usize = 1024;
 
 /// Execution failure: the node was killed before running the operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,9 +158,18 @@ fn materialize(
 enum Source<'a> {
     /// The node's partition of a base table, filtered and projected as it
     /// is read.
-    Scan { rows: &'a [Row], filter: Option<&'a Expr>, project: Option<&'a [usize]> },
+    Scan { part: &'a Partition, filter: Option<ScanFilter<'a>>, project: Option<&'a [usize]> },
     /// A materialized row set: a member's output or a stored input.
     Rows(&'a [Row]),
+}
+
+/// A scan's filter, by its shape.
+enum ScanFilter<'a> {
+    /// `Col op Lit(Int)` comparisons joined by `And`: evaluated on the
+    /// columns it reads.
+    Columns(ColumnPredicate),
+    /// Any other expression: evaluated on each gathered row.
+    Rows(&'a Expr),
 }
 
 impl<'a> Source<'a> {
@@ -162,8 +177,10 @@ impl<'a> Source<'a> {
     fn scan(kind: &'a OpKind, ctx: &ExecCtx<'a>) -> Self {
         match kind {
             OpKind::Scan { table, filter, project } => Source::Scan {
-                rows: ctx.catalog.table(table).partition(ctx.node),
-                filter: filter.as_ref(),
+                part: ctx.catalog.table(table).partition(ctx.node),
+                filter: filter
+                    .as_ref()
+                    .map(|f| f.compile().map_or(ScanFilter::Rows(f), ScanFilter::Columns)),
                 project: project.as_deref(),
             },
             _ => unreachable!("only scans read a table"),
@@ -183,24 +200,45 @@ impl<'a> Source<'a> {
                     pipe.push(r);
                 }
             }
-            Source::Scan { rows, filter, project } => {
-                let mut buf = Vec::with_capacity(project.map_or(0, <[usize]>::len));
-                for r in rows {
-                    if filter.is_some_and(|f| !f.eval_bool(r)) {
-                        continue;
+            Source::Scan { part, filter, project } => {
+                let n = part.len();
+                if n == 0 {
+                    // A table built from no rows may have no columns either.
+                    return;
+                }
+                let every: Vec<&[i64]> = (0..part.width()).map(|c| part.column(c)).collect();
+                let cols: Vec<&[i64]> = match project {
+                    Some(cols) => cols.iter().map(|&c| every[c]).collect(),
+                    None => every.clone(),
+                };
+                let mut sel = Vec::with_capacity(BATCH);
+                let mut buf = Vec::with_capacity(every.len());
+                for start in (0..n).step_by(BATCH) {
+                    let rows = start..n.min(start + BATCH);
+                    sel.clear();
+                    match &filter {
+                        None => sel.extend(rows),
+                        Some(ScanFilter::Columns(p)) => p.select(|c| every[c], rows, &mut sel),
+                        Some(ScanFilter::Rows(f)) => sel.extend(rows.filter(|&i| {
+                            gather(&every, i, &mut buf);
+                            f.eval_bool(&buf)
+                        })),
                     }
-                    match project {
-                        Some(cols) => {
-                            buf.clear();
-                            buf.extend(cols.iter().map(|&c| r[c]));
-                            pipe.push(&buf);
-                        }
-                        None => pipe.push(r),
+                    for &i in &sel {
+                        gather(&cols, i, &mut buf);
+                        pipe.push(&buf);
                     }
                 }
             }
         }
     }
+}
+
+/// Puts row `i` of `cols` into `buf`.
+#[inline]
+fn gather(cols: &[&[i64]], i: usize, buf: &mut Vec<Value>) {
+    buf.clear();
+    buf.extend(cols.iter().map(|col| Value::Int(col[i])));
 }
 
 /// A push step: takes one row at a time and passes on what it produces.
@@ -215,7 +253,7 @@ enum Pipe<'a> {
     /// on each match concatenated with it (build row first) that satisfies
     /// the residual predicate.
     Probe {
-        table: HashMap<i64, Vec<&'a Row>>,
+        table: BuildTable<'a>,
         probe_key: usize,
         residual: Option<&'a Expr>,
         buf: Vec<Value>,
@@ -249,19 +287,13 @@ impl<'a> Pipe<'a> {
             OpKind::Project { exprs } => {
                 Pipe::Project { exprs, buf: Vec::with_capacity(exprs.len()), next }
             }
-            OpKind::HashJoin { build_key, probe_key, residual } => {
-                let mut table: HashMap<i64, Vec<&Row>> = HashMap::new();
-                for r in build() {
-                    table.entry(r[*build_key].as_int()).or_default().push(r);
-                }
-                Pipe::Probe {
-                    table,
-                    probe_key: *probe_key,
-                    residual: residual.as_ref(),
-                    buf: Vec::new(),
-                    next,
-                }
-            }
+            OpKind::HashJoin { build_key, probe_key, residual } => Pipe::Probe {
+                table: BuildTable::new(build(), *build_key),
+                probe_key: *probe_key,
+                residual: residual.as_ref(),
+                buf: Vec::new(),
+                next,
+            },
             OpKind::Scan { .. } | OpKind::HashAgg { .. } | OpKind::TopK { .. } => *next,
         }
     }
@@ -279,10 +311,7 @@ impl<'a> Pipe<'a> {
                 next.push(buf);
             }
             Pipe::Probe { table, probe_key, residual, buf, next } => {
-                let Some(matches) = table.get(&row[*probe_key].as_int()) else {
-                    return;
-                };
-                for b in matches {
+                for b in table.matches(row[*probe_key].as_int()) {
                     buf.clear();
                     buf.extend_from_slice(b);
                     buf.extend_from_slice(row);
@@ -305,6 +334,43 @@ impl<'a> Pipe<'a> {
             Pipe::Aggregate(agg) => agg.finish(),
             Pipe::Collect(out) => out,
         }
+    }
+}
+
+/// A join's build side: its rows, chained by key in build order, so no
+/// key owns a list of its own.
+struct BuildTable<'a> {
+    rows: &'a [Row],
+    /// Key → index of the key's first build row.
+    first: IntMap<i64, usize>,
+    /// Row index → index of the next build row with the same key, or
+    /// [`BuildTable::END`].
+    next: Vec<usize>,
+}
+
+impl<'a> BuildTable<'a> {
+    const END: usize = usize::MAX;
+
+    fn new(rows: &'a [Row], key: usize) -> Self {
+        let mut first = IntMap::with_capacity_and_hasher(rows.len(), Default::default());
+        let mut next = vec![Self::END; rows.len()];
+        // Insert from the back, so that each chain runs in build order.
+        for (i, r) in rows.iter().enumerate().rev() {
+            if let Some(later) = first.insert(r[key].as_int(), i) {
+                next[i] = later;
+            }
+        }
+        BuildTable { rows, first, next }
+    }
+
+    /// The build rows whose key is `key`, in build order.
+    fn matches(&self, key: i64) -> impl Iterator<Item = &'a Row> + '_ {
+        let mut i = self.first.get(&key).copied().unwrap_or(Self::END);
+        std::iter::from_fn(move || {
+            let row = self.rows.get(i)?;
+            i = self.next[i];
+            Some(row)
+        })
     }
 }
 
@@ -342,93 +408,127 @@ pub(crate) fn sorted_top_k(rows: &[Row], sort_col: usize, ascending: bool, k: us
 }
 
 /// Hash aggregation with deterministic (group-key-sorted) output order.
-/// Each row's group key is built in a reused buffer; only a new group
-/// allocates.
 struct Aggregate<'a> {
-    group_cols: &'a [usize],
     aggs: &'a [Agg],
-    /// Group key → group index; group `g`'s accumulators are
+    groups: Groups<'a>,
+    /// Number of groups; group `g`'s accumulators are
     /// `accs[g * aggs.len()..][..aggs.len()]`.
-    groups: HashMap<Box<[i64]>, usize>,
+    len: usize,
     accs: Vec<Value>,
-    key: Vec<i64>,
+}
+
+/// How a row finds its group, by the number of group columns.
+enum Groups<'a> {
+    /// No group column: one group.
+    Global,
+    /// One group column: its integer value is the key.
+    One(usize, IntMap<i64, usize>),
+    /// Several group columns: the key is built in a reused buffer, and only
+    /// a new group allocates.
+    Many(&'a [usize], IntMap<Box<[i64]>, usize>, Vec<i64>),
+}
+
+impl Groups<'_> {
+    /// The index of `row`'s group; a new group gets index `len`.
+    fn index(&mut self, row: &[Value], len: usize) -> usize {
+        match self {
+            Groups::Global => 0,
+            Groups::One(col, map) => *map.entry(row[*col].as_int()).or_insert(len),
+            Groups::Many(cols, map, key) => {
+                key.clear();
+                key.extend(cols.iter().map(|&c| row[c].as_int()));
+                match map.get(key.as_slice()) {
+                    Some(&g) => g,
+                    None => {
+                        map.insert(key.as_slice().into(), len);
+                        len
+                    }
+                }
+            }
+        }
+    }
 }
 
 impl<'a> Aggregate<'a> {
     fn new(group_cols: &'a [usize], aggs: &'a [Agg]) -> Self {
-        Aggregate {
-            group_cols,
-            aggs,
-            groups: HashMap::new(),
-            accs: Vec::new(),
-            key: Vec::with_capacity(group_cols.len()),
-        }
+        let groups = match *group_cols {
+            [] => Groups::Global,
+            [col] => Groups::One(col, IntMap::default()),
+            _ => Groups::Many(group_cols, IntMap::default(), Vec::with_capacity(group_cols.len())),
+        };
+        Aggregate { aggs, groups, len: 0, accs: Vec::new() }
     }
 
     fn push(&mut self, row: &[Value]) {
-        self.key.clear();
-        self.key.extend(self.group_cols.iter().map(|&c| row[c].as_int()));
-        let g = match self.groups.get(self.key.as_slice()) {
-            Some(&g) => g,
-            None => self.new_group(),
-        };
+        let g = self.groups.index(row, self.len);
+        if g == self.len {
+            self.new_group();
+        }
         let n = self.aggs.len();
         for (acc, agg) in self.accs[g * n..][..n].iter_mut().zip(self.aggs) {
             update_acc(acc, agg, row);
         }
     }
 
-    /// Adds a group for the key in `self.key`, with initial accumulators.
-    fn new_group(&mut self) -> usize {
-        let g = self.groups.len();
-        self.groups.insert(self.key.as_slice().into(), g);
+    /// Adds a group with initial accumulators.
+    fn new_group(&mut self) {
+        self.len += 1;
         self.accs.extend(self.aggs.iter().map(|a| match a.func {
             AggFunc::Sum | AggFunc::Count => Value::Int(0),
             AggFunc::Min => Value::Int(i64::MAX),
             AggFunc::Max => Value::Int(i64::MIN),
         }));
-        g
     }
 
     /// One row per group — its key columns, then its accumulators — in key
     /// order. Global aggregates over no rows still yield one row.
     fn finish(mut self) -> Vec<Row> {
-        if self.groups.is_empty() && self.group_cols.is_empty() {
+        if self.len == 0 && matches!(self.groups, Groups::Global) {
             self.new_group();
         }
         let n = self.aggs.len();
-        let mut keyed: Vec<(Box<[i64]>, usize)> = self.groups.into_iter().collect();
-        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        keyed
-            .into_iter()
-            .map(|(key, g)| {
-                key.iter()
-                    .map(|&k| Value::Int(k))
-                    .chain(self.accs[g * n..][..n].iter().copied())
-                    .collect()
-            })
-            .collect()
+        let accs = &self.accs;
+        let row = |key: &[i64], g: usize| -> Row {
+            key.iter().map(|&k| Value::Int(k)).chain(accs[g * n..][..n].iter().copied()).collect()
+        };
+        match self.groups {
+            Groups::Global => vec![row(&[], 0)],
+            Groups::One(_, map) => {
+                let mut keyed: Vec<(i64, usize)> = map.into_iter().collect();
+                keyed.sort_unstable();
+                keyed.into_iter().map(|(k, g)| row(&[k], g)).collect()
+            }
+            Groups::Many(_, map, _) => {
+                let mut keyed: Vec<(Box<[i64]>, usize)> = map.into_iter().collect();
+                keyed.sort_unstable();
+                keyed.into_iter().map(|(k, g)| row(&k, g)).collect()
+            }
+        }
     }
 }
 
 fn update_acc(acc: &mut Value, agg: &Agg, row: &[Value]) {
+    // A plain column, the common case, is read without evaluation.
+    let value = || match agg.expr {
+        Expr::Col(c) => row[c],
+        ref e => e.eval(row),
+    };
     match agg.func {
         AggFunc::Count => *acc = Value::Int(acc.as_int() + 1),
         AggFunc::Sum => {
-            let v = agg.expr.eval(row);
-            *acc = match (*acc, v) {
+            *acc = match (*acc, value()) {
                 (Value::Int(a), Value::Int(b)) => Value::Int(a + b),
                 (a, b) => Value::Float(a.as_float() + b.as_float()),
             };
         }
         AggFunc::Min => {
-            let v = agg.expr.eval(row);
+            let v = value();
             if v.total_cmp(acc).is_lt() {
                 *acc = v;
             }
         }
         AggFunc::Max => {
-            let v = agg.expr.eval(row);
+            let v = value();
             if v.total_cmp(acc).is_gt() {
                 *acc = v;
             }
@@ -539,13 +639,63 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_build_keys_produce_all_matches() {
+    fn duplicate_build_keys_produce_all_matches_in_build_order() {
         let c = empty_catalog();
-        let build: Vec<Row> = vec![int_row(&[1, 7]), int_row(&[1, 8])];
-        let probe: Vec<Row> = vec![int_row(&[1])];
+        let build: Vec<Row> =
+            vec![int_row(&[1, 7]), int_row(&[1, 8]), int_row(&[2, 9]), int_row(&[1, 6])];
+        let probe: Vec<Row> = vec![int_row(&[1]), int_row(&[3]), int_row(&[2])];
         let j = OpKind::HashJoin { build_key: 0, probe_key: 0, residual: None };
         let out = execute(&j, &[&build, &probe], &ctx(&c)).unwrap();
-        assert_eq!(out.len(), 2);
+        assert_eq!(
+            out,
+            vec![
+                int_row(&[1, 7, 1]),
+                int_row(&[1, 8, 1]),
+                int_row(&[1, 6, 1]),
+                int_row(&[2, 9, 2])
+            ]
+        );
+    }
+
+    #[test]
+    fn aggregation_on_two_group_columns() {
+        let c = empty_catalog();
+        let input: Vec<Row> = vec![
+            int_row(&[2, 1, 10]),
+            int_row(&[1, 9, 5]),
+            int_row(&[2, 1, 30]),
+            int_row(&[2, 0, 7]),
+        ];
+        let a = OpKind::HashAgg {
+            group_cols: vec![0, 1],
+            aggs: vec![Agg { func: AggFunc::Sum, expr: Expr::col(2) }],
+        };
+        let out = execute(&a, &[&input], &ctx(&c)).unwrap();
+        assert_eq!(out, vec![int_row(&[1, 9, 5]), int_row(&[2, 0, 7]), int_row(&[2, 1, 40])]);
+    }
+
+    #[test]
+    fn scans_filter_by_compiled_and_general_predicates_across_batches() {
+        let n = 2 * BATCH as i64 + 5;
+        let mut c = Catalog::new();
+        c.register(PartitionedTable::replicated(
+            "t",
+            (0..n).map(|k| int_row(&[k, k % 7])).collect(),
+            1,
+        ));
+        let scan = |filter: Expr| {
+            let kind =
+                OpKind::Scan { table: "t".into(), filter: Some(filter), project: Some(vec![0]) };
+            execute(&kind, &[], &ctx(&c)).unwrap()
+        };
+        let want: Vec<Row> =
+            (0..n).filter(|k| k % 7 == 3 && *k > 1000).map(|k| int_row(&[k])).collect();
+        let compiled = Expr::col(1).eq(Expr::lit(3)).and(Expr::col(0).gt(Expr::lit(1000)));
+        assert!(compiled.compile().is_some());
+        assert_eq!(scan(compiled), want);
+        let general = Expr::col(1).eq(Expr::lit(3)).and(Expr::lit(1000).lt(Expr::col(0)));
+        assert!(general.compile().is_none());
+        assert_eq!(scan(general), want);
     }
 
     #[test]

@@ -21,53 +21,38 @@ use ftpde_tpch::datagen::Database;
 use crate::expr::Expr;
 use crate::plan::{Agg, AggFunc, EnginePlan, OpKind};
 use crate::table::{Catalog, PartitionedTable};
-use ftpde_store::value::{int_row, Row};
 
-/// Shards `db` over `nodes` worker nodes per the paper's layout.
+/// Shards `db` over `nodes` worker nodes per the paper's layout, filling
+/// each table's columns straight from the generated rows.
 pub fn load_catalog(db: &Database, nodes: usize) -> Catalog {
     let mut c = Catalog::new();
-    let lineitem: Vec<Row> = db
-        .lineitem
-        .iter()
-        .map(|l| {
-            int_row(&[
-                l.orderkey,
-                l.suppkey,
-                l.partkey,
-                l.extendedprice,
-                l.discount,
-                l.quantity,
-                l.returnflag,
-                l.shipdate,
-            ])
-        })
-        .collect();
-    c.register(PartitionedTable::hash_partitioned("lineitem", lineitem, 0, nodes));
-
-    let orders: Vec<Row> =
-        db.orders.iter().map(|o| int_row(&[o.orderkey, o.custkey, o.orderdate])).collect();
-    c.register(PartitionedTable::hash_partitioned("orders", orders, 0, nodes));
-
-    let customer: Vec<Row> =
-        db.customer.iter().map(|x| int_row(&[x.custkey, x.nationkey, x.mktsegment])).collect();
-    c.register(PartitionedTable::replicated("customer", customer, nodes));
-
-    let supplier: Vec<Row> =
-        db.supplier.iter().map(|x| int_row(&[x.suppkey, x.nationkey])).collect();
-    c.register(PartitionedTable::replicated("supplier", supplier, nodes));
-
-    let part: Vec<Row> = db.part.iter().map(|x| int_row(&[x.partkey, x.size, x.typ])).collect();
-    c.register(PartitionedTable::replicated("part", part, nodes));
-
-    let partsupp: Vec<Row> =
-        db.partsupp.iter().map(|x| int_row(&[x.partkey, x.suppkey, x.supplycost])).collect();
-    c.register(PartitionedTable::replicated("partsupp", partsupp, nodes));
-
-    let nation: Vec<Row> = db.nation.iter().map(|x| int_row(&[x.nationkey, x.regionkey])).collect();
-    c.register(PartitionedTable::replicated("nation", nation, nodes));
-
-    let region: Vec<Row> = db.region.iter().map(|x| int_row(&[x.regionkey])).collect();
-    c.register(PartitionedTable::replicated("region", region, nodes));
+    let lineitem = db.lineitem.iter().map(|l| {
+        [
+            l.orderkey,
+            l.suppkey,
+            l.partkey,
+            l.extendedprice,
+            l.discount,
+            l.quantity,
+            l.returnflag,
+            l.shipdate,
+        ]
+    });
+    c.register(PartitionedTable::hash_partitioned_ints("lineitem", lineitem, 0, nodes));
+    let orders = db.orders.iter().map(|o| [o.orderkey, o.custkey, o.orderdate]);
+    c.register(PartitionedTable::hash_partitioned_ints("orders", orders, 0, nodes));
+    let customer = db.customer.iter().map(|x| [x.custkey, x.nationkey, x.mktsegment]);
+    c.register(PartitionedTable::replicated_ints("customer", customer, nodes));
+    let supplier = db.supplier.iter().map(|x| [x.suppkey, x.nationkey]);
+    c.register(PartitionedTable::replicated_ints("supplier", supplier, nodes));
+    let part = db.part.iter().map(|x| [x.partkey, x.size, x.typ]);
+    c.register(PartitionedTable::replicated_ints("part", part, nodes));
+    let partsupp = db.partsupp.iter().map(|x| [x.partkey, x.suppkey, x.supplycost]);
+    c.register(PartitionedTable::replicated_ints("partsupp", partsupp, nodes));
+    let nation = db.nation.iter().map(|x| [x.nationkey, x.regionkey]);
+    c.register(PartitionedTable::replicated_ints("nation", nation, nodes));
+    let region = db.region.iter().map(|x| [x.regionkey]);
+    c.register(PartitionedTable::replicated_ints("region", region, nodes));
     c
 }
 
@@ -411,7 +396,7 @@ mod tests {
     use crate::coordinator::{run_query, EngineRecovery, RunOptions, RunReport};
     use crate::failure::{FailureInjector, Injection};
     use ftpde_core::config::MatConfig;
-    use ftpde_store::value::Value;
+    use ftpde_store::value::{Row, Value};
 
     // Big enough that the selective Q5/Q2C predicates keep a few rows at
     // any generator seed; at 0.0005 some seeds leave them empty.

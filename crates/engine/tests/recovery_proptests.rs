@@ -1,11 +1,12 @@
 //! Property-based tests of the execution engine's recovery machinery:
 //! under arbitrary failure schedules and materialization configurations,
-//! query results must be bit-identical to a failure-free single-node
-//! evaluation that runs one operator at a time through the kernels, so
-//! the coordinator's fused stages are checked against the unfused
-//! operators. Each run's report must also equal two folds of its own
-//! trace: the test's own `Tally` oracle, and the query row of
-//! `ftpde_obs::fold`.
+//! query results must equal the answer of the reference evaluator in
+//! `support/reference.rs`, which shares no code with the engine's kernels.
+//! Each run's report must also equal two folds of its own trace: the
+//! test's own `Tally` oracle, and the query row of `ftpde_obs::fold`.
+
+#[path = "support/reference.rs"]
+mod reference;
 
 use proptest::prelude::*;
 
@@ -15,12 +16,11 @@ use ftpde_engine::coordinator::{
     run_query, run_query_resumable, EngineRecovery, RunOptions, RunReport,
 };
 use ftpde_engine::failure::{FailureInjector, Injection};
-use ftpde_engine::ops::{execute, merge_partials, top_k, ExecCtx};
-use ftpde_engine::plan::{EnginePlan, OpKind};
+use ftpde_engine::plan::EnginePlan;
 use ftpde_engine::queries::{
     load_catalog, q1_engine_plan, q1c_engine_plan, q2c_engine_plan, q3_engine_plan, q5_engine_plan,
 };
-use ftpde_engine::table::{Catalog, Distribution};
+use ftpde_engine::table::Catalog;
 use ftpde_obs::{ArgValue, Event, MemoryRecorder, QueryState};
 use ftpde_store::value::Row;
 use ftpde_store::{DiskBackend, MemBackend, StoreBackend};
@@ -28,41 +28,20 @@ use ftpde_tpch::datagen::Database;
 
 const NODES: usize = 3;
 
-fn catalog() -> Catalog {
+fn database() -> Database {
     // One small deterministic database for all cases.
-    load_catalog(&Database::generate(0.0003, 99), NODES)
+    Database::generate(0.0003, 99)
+}
+
+fn catalog() -> Catalog {
+    load_catalog(&database(), NODES)
 }
 
 type SinkResults = Vec<(ftpde_engine::plan::EOpId, Vec<Row>)>;
 
-/// The expected sink results, computed without the coordinator: every
-/// operator runs once through `ops::execute`, in plan order, on a 1-node
-/// catalog, and gather operators over partitioned inputs then go through
-/// `merge_partials` or `top_k`, as the coordinator merges them.
-fn reference(plan: &EnginePlan) -> SinkResults {
-    let single = load_catalog(&Database::generate(0.0003, 99), 1);
-    let dists = plan.distributions(&single);
-    let ctx = ExecCtx { catalog: &single, node: 0, interrupted: &|| false };
-    let mut outputs: Vec<Vec<Row>> = Vec::with_capacity(plan.len());
-    for id in plan.op_ids() {
-        let op = plan.op(id);
-        let inputs: Vec<&[Row]> = op.inputs.iter().map(|p| outputs[p.index()].as_slice()).collect();
-        let mut rows = execute(&op.kind, &inputs, &ctx).expect("never interrupted");
-        if op.kind.is_gather() && dists[op.inputs[0].index()] == Distribution::Partitioned {
-            rows = match &op.kind {
-                OpKind::HashAgg { group_cols, aggs } => {
-                    merge_partials(&[rows], group_cols, aggs, &ctx)
-                }
-                OpKind::TopK { sort_col, ascending, k } => {
-                    top_k(&rows, *sort_col, *ascending, *k, &ctx)
-                }
-                _ => unreachable!("is_gather covers exactly these kinds"),
-            }
-            .expect("never interrupted");
-        }
-        outputs.push(rows);
-    }
-    plan.sinks().into_iter().map(|s| (s, std::mem::take(&mut outputs[s.index()]))).collect()
+/// The expected sink results: the reference evaluator's answer.
+fn answer(plan: &EnginePlan) -> SinkResults {
+    reference::evaluate(plan, &database())
 }
 
 /// A run's counters and its stage timeline, one `(stage, skipped,
@@ -209,7 +188,7 @@ proptest! {
         let n = dag.free_count();
         let config = MatConfig::from_free_bits(&dag, mask & ((1u64 << n) - 1));
         let catalog = catalog();
-        let expected = reference(&plan);
+        let expected = answer(&plan);
 
         let stage_roots: Vec<u32> = {
             let pc = CollapsedPlan::collapse(&dag, &config, 1.0);
@@ -243,7 +222,7 @@ proptest! {
         let dag = plan.to_plan_dag();
         let config = MatConfig::none(&dag);
         let catalog = catalog();
-        let expected = reference(&plan);
+        let expected = answer(&plan);
         let stage_roots: Vec<u32> = {
             let pc = CollapsedPlan::collapse(&dag, &config, 1.0);
             pc.iter().map(|(_, c)| c.root.0).collect()
@@ -274,7 +253,7 @@ proptest! {
         let dag = plan.to_plan_dag();
         let config = MatConfig::none(&dag);
         let catalog = catalog();
-        let expected = reference(&plan);
+        let expected = answer(&plan);
         // With no materialization the plan has one stage per sink; kill
         // the first `restarts` whole-query attempts at the first sink.
         let sink = plan.sinks()[0];
@@ -305,7 +284,7 @@ proptest! {
     fn partition_counts_scale(nodes in 1usize..6) {
         let plan = q3_engine_plan();
         let dag = plan.to_plan_dag();
-        let catalog = load_catalog(&Database::generate(0.0003, 99), nodes);
+        let catalog = load_catalog(&database(), nodes);
         let report = run_query(
             &plan,
             &MatConfig::all(&dag),
@@ -314,7 +293,7 @@ proptest! {
             &RunOptions::default(),
         );
         // Same logical result regardless of the node count.
-        let single = load_catalog(&Database::generate(0.0003, 99), 1);
+        let single = load_catalog(&database(), 1);
         let expected = run_query(
             &plan,
             &MatConfig::all(&dag),

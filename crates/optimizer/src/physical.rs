@@ -110,7 +110,8 @@ pub fn tree_to_plan(
     cm: &CostModel,
     agg: Option<AggSpec>,
 ) -> PlanDag {
-    let mut b = PlanDag::builder();
+    // One scan per leaf, a join per leaf but one, and the aggregate.
+    let mut b = PlanDagBuilder::with_capacity(2 * tree.rel_set().count_ones() as usize);
     let root = build_op(graph, tree, cm, &mut b);
     if let Some(a) = agg {
         let in_rows = graph.subset_rows(tree.rel_set());
@@ -141,15 +142,14 @@ fn build_op(graph: &JoinGraph, tree: &JoinTree, cm: &CostModel, b: &mut PlanDagB
             let set = tree.rel_set();
             let out_rows = graph.subset_rows(set);
             let out_bytes = graph.subset_row_bytes(set);
-            let name = format!(
-                "⋈ [{}]",
-                graph
-                    .rel_ids()
-                    .filter(|id| set & id.bit() != 0)
-                    .map(|id| graph.relation(id).name.clone())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
+            let mut name = String::from("⋈ [");
+            let mut sep = "";
+            for id in graph.rel_ids().filter(|id| set & id.bit() != 0) {
+                name.push_str(sep);
+                name.push_str(&graph.relation(id).name);
+                sep = ",";
+            }
+            name.push(']');
             b.free(name, cm.join_cost(l_rows, out_rows), cm.mat_cost(out_rows, out_bytes), &[l, r])
                 .expect("valid join operator")
         }
